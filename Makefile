@@ -8,7 +8,7 @@ OFFBENCH_BIN = /tmp/offbench-ci
 
 # The micro-benchmark packages whose hot paths carry allocation and
 # latency contracts, and the committed baseline they gate against.
-BENCH_PKGS = ./internal/sim/ ./internal/metrics/ ./internal/trace/
+BENCH_PKGS = ./internal/sim/ ./internal/metrics/ ./internal/trace/ ./internal/alloc/
 BENCH_BASELINE = BENCH_2026-08-08.json
 
 all: build vet test
@@ -131,8 +131,8 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem . | tee results/bench_latest.txt
 
 # The hot-path micro-benchmarks: event kernel, metric touches, span
-# recording. -count=6 gives benchstat/benchgate enough samples to tell a
-# regression from noise.
+# recording, serverless sizing. -count=6 gives benchstat/benchgate
+# enough samples to tell a regression from noise.
 bench-micro:
 	mkdir -p results
 	$(GO) test -run='^$$' -bench=. -benchmem -count=6 $(BENCH_PKGS) | tee results/bench_micro.txt

@@ -71,6 +71,9 @@ type Decision struct {
 // Allocator chooses function configurations for one platform.
 type Allocator struct {
 	cfg serverless.Config
+	// coldMean is the mean of the lognormal cold-start delay, a constant
+	// of the platform.
+	coldMean float64
 }
 
 // New returns an allocator for the given platform configuration. It panics
@@ -79,7 +82,9 @@ func New(cfg serverless.Config) *Allocator {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Allocator{cfg: cfg}
+	cs := cfg.ColdStart
+	// Mean of a lognormal with median m and dispersion sigma.
+	return &Allocator{cfg: cfg, coldMean: cs.MedianSec * math.Exp(cs.Sigma*cs.Sigma/2)}
 }
 
 // expectedCold returns the mean cold-start duration for a memory size.
@@ -88,19 +93,27 @@ func (a *Allocator) expectedCold(memBytes int64) sim.Duration {
 	if cs.MedianSec == 0 {
 		return 0
 	}
-	// Mean of a lognormal with median m and dispersion sigma.
-	mean := cs.MedianSec * math.Exp(cs.Sigma*cs.Sigma/2)
-	return sim.Duration(mean + cs.PerGBExtra*float64(memBytes)/float64(model.GB))
+	return sim.Duration(a.coldMean + cs.PerGBExtra*float64(memBytes)/float64(model.GB))
+}
+
+// task returns the request as the task the platform model prices.
+func (r *Request) task() model.Task {
+	return model.Task{
+		Cycles:           r.Cycles,
+		ParallelFraction: r.ParallelFraction,
+		MemoryBytes:      r.MemoryFloorBytes,
+	}
 }
 
 // Evaluate computes the expected time and cost of serving the request with
 // the given memory size.
 func (a *Allocator) Evaluate(req Request, memBytes int64) Decision {
-	task := &model.Task{
-		Cycles:           req.Cycles,
-		ParallelFraction: req.ParallelFraction,
-		MemoryBytes:      req.MemoryFloorBytes,
-	}
+	task := req.task()
+	return a.evaluate(&req, &task, memBytes)
+}
+
+// evaluate is Evaluate for a task already built from req.
+func (a *Allocator) evaluate(req *Request, task *model.Task, memBytes int64) Decision {
 	exec := a.cfg.ExecTime(task, memBytes)
 	cold := a.expectedCold(memBytes)
 	expTime := exec + sim.Duration(req.ColdStartProb*float64(cold))
@@ -125,10 +138,10 @@ func (a *Allocator) Sweep(req Request) ([]Decision, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	ladder := a.cfg.MemoryLadder()
-	out := make([]Decision, 0, len(ladder))
-	for _, m := range ladder {
-		out = append(out, a.Evaluate(req, m))
+	task := req.task()
+	out := make([]Decision, a.cfg.LadderLen())
+	for i := range out {
+		out[i] = a.evaluate(&req, &task, a.cfg.Rung(i))
 	}
 	return out, nil
 }
@@ -137,19 +150,20 @@ func (a *Allocator) Sweep(req Request) ([]Decision, error) {
 // smaller memory. If no configuration meets the time budget, it returns
 // the fastest feasible-by-memory configuration with Feasible=false, so
 // callers can degrade gracefully.
+//
+// It walks the ladder in place from the first size at or above the memory
+// floor, evaluating each size exactly as Sweep does, and allocates nothing.
 func (a *Allocator) Choose(req Request) (Decision, error) {
-	decisions, err := a.Sweep(req)
-	if err != nil {
+	if err := req.Validate(); err != nil {
 		return Decision{}, err
 	}
+	task := req.task()
 	var best Decision
 	haveBest := false
 	var fastest Decision
 	haveFastest := false
-	for _, d := range decisions {
-		if d.MemoryBytes < req.MemoryFloorBytes {
-			continue
-		}
+	for i, n := a.firstRung(req.MemoryFloorBytes), a.cfg.LadderLen(); i < n; i++ {
+		d := a.evaluate(&req, &task, a.cfg.Rung(i))
 		if !haveFastest || d.ExpectedTime < fastest.ExpectedTime {
 			fastest, haveFastest = d, true
 		}
@@ -168,6 +182,19 @@ func (a *Allocator) Choose(req Request) (Decision, error) {
 	}
 	return Decision{}, fmt.Errorf("alloc: working set %d bytes exceeds the platform maximum %d",
 		req.MemoryFloorBytes, a.cfg.MaxMemory)
+}
+
+// firstRung returns the index of the smallest ladder size at or above
+// floor; it is LadderLen or more when the floor exceeds the ladder.
+func (a *Allocator) firstRung(floor int64) int {
+	if floor <= a.cfg.MinMemory {
+		return 0
+	}
+	i := int((floor - a.cfg.MinMemory) / a.cfg.MemoryStep)
+	if a.cfg.Rung(i) < floor {
+		i++
+	}
+	return i
 }
 
 // ColdStartProbability returns the probability a Poisson arrival finds no
@@ -204,12 +231,8 @@ func (a *Allocator) PlanBatch(req Request, memBytes int64, batchSize int) (Batch
 	if batchSize <= 0 {
 		return BatchPlan{}, fmt.Errorf("alloc: batch size %d not positive", batchSize)
 	}
-	task := &model.Task{
-		Cycles:           req.Cycles,
-		ParallelFraction: req.ParallelFraction,
-		MemoryBytes:      req.MemoryFloorBytes,
-	}
-	exec := a.cfg.ExecTime(task, memBytes)
+	task := req.task()
+	exec := a.cfg.ExecTime(&task, memBytes)
 	cold := sim.Duration(req.ColdStartProb * float64(a.expectedCold(memBytes)))
 	total := cold + sim.Duration(float64(exec)*float64(batchSize))
 	batchedCost := a.cfg.Price.Bill(memBytes, total)

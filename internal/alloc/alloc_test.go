@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -217,34 +218,177 @@ func TestEvaluateTimeMonotoneNonIncreasingInMemory(t *testing.T) {
 	}
 }
 
+// chooseBySweep is the reference selection Choose must reproduce: scan the
+// whole Sweep in ascending memory, skip sizes below the floor, keep the
+// fastest, and keep the cheapest feasible with ties toward smaller memory.
+func chooseBySweep(a *Allocator, req Request) (Decision, error) {
+	decisions, err := a.Sweep(req)
+	if err != nil {
+		return Decision{}, err
+	}
+	var best, fastest Decision
+	haveBest, haveFastest := false, false
+	for _, d := range decisions {
+		if d.MemoryBytes < req.MemoryFloorBytes {
+			continue
+		}
+		if !haveFastest || d.ExpectedTime < fastest.ExpectedTime {
+			fastest, haveFastest = d, true
+		}
+		if d.Feasible && (!haveBest || d.ExpectedCostUSD < best.ExpectedCostUSD-1e-15) {
+			best, haveBest = d, true
+		}
+	}
+	switch {
+	case haveBest:
+		return best, nil
+	case haveFastest:
+		return fastest, nil
+	}
+	return Decision{}, fmt.Errorf("reference: floor %d above every ladder size", req.MemoryFloorBytes)
+}
+
+// TestChooseAlwaysMatchesSweepArgmin holds Choose to the reference
+// selection over Sweep, field for field and bit for bit, across platforms,
+// budgets (none, tight, infeasible), cold-start probabilities and memory
+// floors below, on, between and above the ladder.
 func TestChooseAlwaysMatchesSweepArgmin(t *testing.T) {
-	a := New(platformConfig())
-	f := func(gcycles uint8, pf, floor uint8) bool {
-		req := Request{
-			Cycles:           float64(gcycles%200+1) * 2e8,
-			ParallelFraction: float64(pf%101) / 100,
-			MemoryFloorBytes: int64(floor%16) * 256 * model.MB,
+	configs := []serverless.Config{platformConfig(), serverless.LambdaLike(), serverless.GCFLike()}
+	for _, cfg := range configs {
+		a := New(cfg)
+		floors := []int64{
+			0,
+			cfg.MinMemory / 2,
+			cfg.MinMemory,
+			cfg.MinMemory + 3*cfg.MemoryStep,
+			cfg.MinMemory + 3*cfg.MemoryStep + cfg.MemoryStep/2,
+			cfg.MaxMemory - 1,
+			cfg.MaxMemory,
+			cfg.MaxMemory + 1,
 		}
-		choice, err := a.Choose(req)
-		if err != nil {
-			// Only legal when the floor exceeds the platform max (it never
-			// does here: 15 × 256 MB < 4 GB max).
-			return false
-		}
-		sweep, err := a.Sweep(req)
-		if err != nil {
-			return false
-		}
-		best := math.Inf(1)
-		for _, d := range sweep {
-			if d.MemoryBytes >= req.MemoryFloorBytes && d.ExpectedCostUSD < best {
-				best = d.ExpectedCostUSD
+		checkChooseMatchesReference(t, a, cfg.Name, Request{Cycles: -1})
+		for _, cycles := range []float64{1e7, 3e9, 5e10} {
+			for _, pf := range []float64{0, 0.5, 0.95} {
+				for _, floor := range floors {
+					for _, cold := range []float64{0, 0.3, 1} {
+						base := Request{Cycles: cycles, ParallelFraction: pf, MemoryFloorBytes: floor, ColdStartProb: cold}
+						for _, budget := range budgets(t, a, base) {
+							req := base
+							req.TimeBudget = budget
+							checkChooseMatchesReference(t, a, cfg.Name, req)
+						}
+					}
+				}
 			}
 		}
-		return math.Abs(choice.ExpectedCostUSD-best) < 1e-15
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+}
+
+// budgets returns no budget, a tight one that only the faster half of the
+// sizes above the floor meet, and one no size meets.
+func budgets(t *testing.T, a *Allocator, req Request) []sim.Duration {
+	t.Helper()
+	sweep, err := a.Sweep(req)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var above []Decision
+	for _, d := range sweep {
+		if d.MemoryBytes >= req.MemoryFloorBytes {
+			above = append(above, d)
+		}
+	}
+	if len(above) == 0 {
+		return []sim.Duration{0, 1}
+	}
+	fastest := above[0].ExpectedTime
+	for _, d := range above {
+		fastest = min(fastest, d.ExpectedTime)
+	}
+	tight := above[len(above)/2].ExpectedTime
+	return []sim.Duration{0, tight, fastest / 2}
+}
+
+func checkChooseMatchesReference(t *testing.T, a *Allocator, platform string, req Request) {
+	t.Helper()
+	got, gotErr := a.Choose(req)
+	want, wantErr := chooseBySweep(a, req)
+	if (gotErr != nil) != (wantErr != nil) {
+		t.Fatalf("%s %+v: Choose error %v, reference error %v", platform, req, gotErr, wantErr)
+	}
+	if got != want {
+		t.Fatalf("%s %+v: Choose = %+v, reference = %+v", platform, req, got, want)
+	}
+}
+
+func TestChooseMatchesReferenceOnRandomRequests(t *testing.T) {
+	a := New(serverless.LambdaLike())
+	f := func(gcycles uint16, pf, floor, cold uint8, budget uint16) bool {
+		req := Request{
+			Cycles:           float64(gcycles%500+1) * 2e8,
+			ParallelFraction: float64(pf%101) / 100,
+			MemoryFloorBytes: int64(floor) * 48 * model.MB,
+			ColdStartProb:    float64(cold%101) / 100,
+			TimeBudget:       sim.Duration(budget%400) / 4,
+		}
+		got, gotErr := a.Choose(req)
+		want, wantErr := chooseBySweep(a, req)
+		return got == want && (gotErr != nil) == (wantErr != nil)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChooseNearTieKeepsSmallerMemory: with a GB-second price so small
+// that every size's bill lies within the 1e-15 tie tolerance of the
+// smallest, or a zero price that makes every bill equal, the smallest
+// size at or above the floor must win.
+func TestChooseNearTieKeepsSmallerMemory(t *testing.T) {
+	for _, price := range []float64{0, 1e-22} {
+		cfg := platformConfig()
+		cfg.Price.PerGBSecondUSD = price
+		a := New(cfg)
+		// Floors below, between and on rungs of the 128 MB ladder.
+		for _, tc := range []struct{ floor, want int64 }{
+			{0, 128 * model.MB},
+			{300 * model.MB, 384 * model.MB},
+			{1024 * model.MB, 1024 * model.MB},
+		} {
+			req := Request{Cycles: 5e9, ParallelFraction: 0.9, MemoryFloorBytes: tc.floor, ColdStartProb: 0.3}
+			got, err := a.Choose(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != a.Evaluate(req, tc.want) {
+				t.Fatalf("price %g floor %d MB: Choose picked %d MB, want the smallest size %d MB",
+					price, tc.floor/model.MB, got.MemoryBytes/model.MB, tc.want/model.MB)
+			}
+			checkChooseMatchesReference(t, a, cfg.Name, req)
+		}
+	}
+}
+
+func TestChooseAllocatesNothing(t *testing.T) {
+	a := New(serverless.LambdaLike())
+	req := Request{Cycles: 3e10, ParallelFraction: 0.8,
+		MemoryFloorBytes: 1 << 30, ColdStartProb: 0.3, TimeBudget: 300}
+	if got := testing.AllocsPerRun(100, func() { _, _ = a.Choose(req) }); got != 0 {
+		t.Fatalf("Choose: %v allocs per call, want 0", got)
+	}
+}
+
+// BenchmarkChoose sizes a function over the 159-size Lambda-like ladder
+// with a 1 GB floor, a cold-start share and a time budget.
+func BenchmarkChoose(b *testing.B) {
+	a := New(serverless.LambdaLike())
+	req := Request{Cycles: 3e10, ParallelFraction: 0.8,
+		MemoryFloorBytes: 1 << 30, ColdStartProb: 0.3, TimeBudget: 300}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Choose(req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

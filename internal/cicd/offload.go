@@ -308,6 +308,7 @@ func (b *Build) canary(px *Exec, done func(error)) {
 	}
 	var probes []probe
 	expectedSum := 0.0
+	platCfg := b.Platform.Config()
 	for _, spec := range manifest.Functions {
 		fn := b.Platform.Function(spec.Name)
 		if fn == nil {
@@ -330,7 +331,7 @@ func (b *Build) canary(px *Exec, done func(error)) {
 		}
 		expTask := task
 		expTask.Cycles = comp.Cycles
-		exp := float64(b.Platform.Config().ExecTime(&expTask, spec.MemoryBytes))
+		exp := float64(platCfg.ExecTime(&expTask, spec.MemoryBytes))
 		probes = append(probes, probe{fn: fn, task: task, exp: exp})
 		expectedSum += exp
 	}

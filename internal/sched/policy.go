@@ -206,22 +206,26 @@ func (d *DeadlineAware) Decide(task *model.Task, env *Env, pred Predictor) model
 	return model.PlaceLocal
 }
 
-func (d *DeadlineAware) estimates(task *model.Task, env *Env, cycles float64) []estimate {
+// estimates returns one estimate per substrate in the fixed order local,
+// edge, function, VM, so ties in Decide resolve by that order. Absent
+// substrates leave their slot not ok. The array keeps Decide free of
+// allocation.
+func (d *DeadlineAware) estimates(task *model.Task, env *Env, cycles float64) [4]estimate {
 	predTask := *task
 	predTask.Cycles = cycles
 
-	var ests []estimate
+	var ests [4]estimate
 
 	// Local: backlog-aware queue estimate plus compute energy.
 	dev := env.Device
 	localExec := float64(dev.ExecTime(&predTask))
 	queueFactor := float64(dev.Backlog())/float64(dev.Config().Cores) + 1
-	ests = append(ests, estimate{
+	ests[0] = estimate{
 		placement: model.PlaceLocal,
 		time:      localExec * queueFactor,
 		energyJ:   dev.ComputeEnergyMilliJ(&predTask) / 1000,
 		ok:        !dev.Dead(),
-	})
+	}
 
 	if env.Edge != nil {
 		up := float64(env.EdgePath.EstimateTransfer(task.InputBytes, network.Uplink))
@@ -229,7 +233,7 @@ func (d *DeadlineAware) estimates(task *model.Task, env *Env, cycles float64) []
 		exec := float64(env.Edge.ExecTime(&predTask))
 		cores := env.Edge.Config().Servers * env.Edge.Config().Cores
 		qf := float64(env.Edge.QueueLen())/float64(cores) + 1
-		ests = append(ests, estimate{
+		ests[1] = estimate{
 			placement: model.PlaceEdge,
 			time:      up + exec*qf + down,
 			energyJ:   d.radioJ(env, up, down),
@@ -237,20 +241,20 @@ func (d *DeadlineAware) estimates(task *model.Task, env *Env, cycles float64) []
 			// task occupies, priced at the site's hourly cost.
 			moneyUSD: exec * env.Edge.Config().HourlyCostUSD / (3600 * float64(cores)),
 			ok:       env.Edge.Config().MemoryPerServer == 0 || task.MemoryBytes <= env.Edge.Config().MemoryPerServer,
-		})
+		}
 	}
 
 	if env.Functions != nil {
 		up := float64(env.CloudPath.EstimateTransfer(task.InputBytes, network.Uplink))
 		down := float64(env.CloudPath.EstimateTransfer(task.OutputBytes, network.Downlink))
 		dec, err := env.Functions.EstimateFor(task, cycles)
-		ests = append(ests, estimate{
+		ests[2] = estimate{
 			placement: model.PlaceFunction,
 			time:      up + float64(dec.ExpectedTime) + down,
 			energyJ:   d.radioJ(env, up, down),
 			moneyUSD:  dec.ExpectedCostUSD,
 			ok:        err == nil,
-		})
+		}
 	}
 
 	if env.VM != nil {
@@ -263,13 +267,13 @@ func (d *DeadlineAware) estimates(task *model.Task, env *Env, cycles float64) []
 		if cores > 0 {
 			qf = float64(env.VM.QueueLen())/float64(cores) + 1
 		}
-		ests = append(ests, estimate{
+		ests[3] = estimate{
 			placement: model.PlaceVM,
 			time:      up + exec*qf + down,
 			energyJ:   d.radioJ(env, up, down),
 			moneyUSD:  exec * env.VM.Config().HourlyCostUSD / (3600 * float64(env.VM.Config().Cores)),
 			ok:        true,
-		})
+		}
 	}
 	return ests
 }

@@ -157,3 +157,26 @@ func TestRandomCoversAvailable(t *testing.T) {
 		})
 	}
 }
+
+// TestDeadlineAwareHotPathAllocatesNothing pins the per-decision path of
+// the deadline-aware policy: every Decide sizes a function and fills the
+// estimate table, so neither may touch the heap.
+func TestDeadlineAwareHotPathAllocatesNothing(t *testing.T) {
+	env := testEnv(t)
+	env.Functions.ArrivalRateHint = 0.05
+	task := heavyTask(1)
+	d := NewDeadlineAware()
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"FunctionPool.EstimateFor", func() { _, _ = env.Functions.EstimateFor(task, task.Cycles) }},
+		{"DeadlineAware.estimates", func() { _ = d.estimates(task, env, task.Cycles) }},
+		{"DeadlineAware.Decide", func() { _ = d.Decide(task, env, Exact{}) }},
+	}
+	for _, tc := range cases {
+		if got := testing.AllocsPerRun(100, tc.fn); got != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", tc.name, got)
+		}
+	}
+}

@@ -311,15 +311,30 @@ func GCFLike() Config {
 
 // MemoryLadder returns the allowed memory sizes in ascending order.
 func (c Config) MemoryLadder() []int64 {
-	var ladder []int64
-	for m := c.MinMemory; m <= c.MaxMemory; m += c.MemoryStep {
-		ladder = append(ladder, m)
+	ladder := make([]int64, c.LadderLen())
+	for i := range ladder {
+		ladder[i] = c.Rung(i)
 	}
 	return ladder
 }
 
+// LadderLen returns the number of sizes on the memory ladder. It counts
+// rungs instead of stepping through them, so a ladder that ends within one
+// step of math.MaxInt64 cannot overflow.
+func (c *Config) LadderLen() int {
+	if c.MemoryStep <= 0 || c.MaxMemory < c.MinMemory {
+		return 0
+	}
+	return int((c.MaxMemory-c.MinMemory)/c.MemoryStep) + 1
+}
+
+// Rung returns the i-th size on the memory ladder, MinMemory + i·MemoryStep.
+func (c *Config) Rung(i int) int64 {
+	return c.MinMemory + int64(i)*c.MemoryStep
+}
+
 // CPUShare returns the number of vCPUs a function with memBytes receives.
-func (c Config) CPUShare(memBytes int64) float64 {
+func (c *Config) CPUShare(memBytes int64) float64 {
 	share := float64(memBytes) / float64(c.FullShareBytes)
 	return math.Min(share, c.MaxShare)
 }
@@ -328,7 +343,7 @@ func (c Config) CPUShare(memBytes int64) float64 {
 // pressure when a task with the given working set runs in memBytes of
 // memory. It is 1 with ample headroom and rises quadratically to
 // 1+PressurePenalty as the working set approaches the full memory size.
-func (c Config) PressureSlowdown(workingSet, memBytes int64) float64 {
+func (c *Config) PressureSlowdown(workingSet, memBytes int64) float64 {
 	if workingSet <= 0 || c.PressurePenalty == 0 || c.PressureKneeRatio <= 1 {
 		return 1
 	}
@@ -347,7 +362,7 @@ func (c Config) PressureSlowdown(workingSet, memBytes int64) float64 {
 // ExecTime returns how long a task runs on a function with memBytes of
 // memory: linear slowdown below one vCPU, Amdahl-limited speedup above
 // it, and a memory-pressure penalty when the working set barely fits.
-func (c Config) ExecTime(task *model.Task, memBytes int64) sim.Duration {
+func (c *Config) ExecTime(task *model.Task, memBytes int64) sim.Duration {
 	share := c.CPUShare(memBytes)
 	serialTime := task.Cycles / c.BaselineHz
 	slow := c.PressureSlowdown(task.MemoryBytes, memBytes)

@@ -88,6 +88,22 @@ func TestLambdaLikeValid(t *testing.T) {
 	}
 }
 
+func TestMemoryLadderEndingAtMaxInt64(t *testing.T) {
+	// Stepping m += MemoryStep past the last rung would wrap to a negative
+	// size that still compares <= MaxMemory, and never terminate.
+	cfg := Config{MinMemory: math.MaxInt64 - 2*model.GB, MaxMemory: math.MaxInt64, MemoryStep: model.GB}
+	ladder := cfg.MemoryLadder()
+	want := []int64{math.MaxInt64 - 2*model.GB, math.MaxInt64 - model.GB, math.MaxInt64}
+	if len(ladder) != len(want) {
+		t.Fatalf("ladder has %d rungs, want %d", len(ladder), len(want))
+	}
+	for i, m := range want {
+		if ladder[i] != m {
+			t.Fatalf("rung %d = %d, want %d", i, ladder[i], m)
+		}
+	}
+}
+
 func TestBillRoundsUpToGranularity(t *testing.T) {
 	p := PriceTable{PerRequestUSD: 0, PerGBSecondUSD: 1, Granularity: 0.1, MinBilled: 0}
 	tests := []struct {
@@ -206,7 +222,8 @@ func TestPressureSlowdown(t *testing.T) {
 		t.Fatalf("slowdown at ratio 1.5 = %g, want 1.375", mid)
 	}
 	// Disabled configurations never slow down.
-	if got := testConfig().PressureSlowdown(ws, ws); got != 1 {
+	disabled := testConfig()
+	if got := disabled.PressureSlowdown(ws, ws); got != 1 {
 		t.Fatalf("disabled pressure slowdown = %g", got)
 	}
 	if got := cfg.PressureSlowdown(0, ws); got != 1 {
