@@ -32,14 +32,16 @@ race:
 
 # Short fuzzing smoke runs over the fault-injector invariants, the span
 # JSONL codec, the Page–Hinkley drift detector, the shard-barrier
-# determinism property, the Prometheus name sanitizer and the DAG
-# validator/topological-sort invariants. Longer local sessions:
+# determinism property, the Prometheus name sanitizer, the DAG
+# validator/topological-sort invariants and the serverless sizer's
+# agreement with the full memory sweep. Longer local sessions:
 #   go test -fuzz=FuzzFaultInjector -fuzztime=5m ./internal/fault/
 #   go test -fuzz=FuzzReadSpansJSONL -fuzztime=5m ./internal/trace/
 #   go test -fuzz=FuzzDriftDetector -fuzztime=5m ./internal/adapt/
 #   go test -fuzz=FuzzShardBarrier -fuzztime=5m ./internal/sim/
 #   go test -fuzz=FuzzSanitizeName -fuzztime=5m ./internal/metrics/
 #   go test -fuzz=FuzzDAGValidate -fuzztime=5m ./internal/dag/
+#   go test -fuzz=FuzzChooseMatchesSweep -fuzztime=5m ./internal/alloc/
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFaultInjector -fuzztime=10s ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzReadSpansJSONL -fuzztime=10s ./internal/trace/
@@ -47,6 +49,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzShardBarrier -fuzztime=10s ./internal/sim/
 	$(GO) test -run='^$$' -fuzz=FuzzSanitizeName -fuzztime=10s ./internal/metrics/
 	$(GO) test -run='^$$' -fuzz=FuzzDAGValidate -fuzztime=10s ./internal/dag/
+	$(GO) test -run='^$$' -fuzz=FuzzChooseMatchesSweep -fuzztime=10s ./internal/alloc/
 
 # Everything CI runs, in order: the gates plus the determinism diffs.
 ci: build vet fmt test race fuzz determinism metrics-golden spans-golden serve-smoke

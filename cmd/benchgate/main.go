@@ -12,7 +12,8 @@
 //
 //	benchgate -old base.json -new head.json [-ns] [-threshold 15]
 //	    Gate: fail (exit 1) if a benchmark whose baseline allocs/op is
-//	    zero now allocates — that contract is machine-independent. With
+//	    zero now allocates — that contract is machine-independent — or
+//	    if a baseline benchmark is missing from the head run. With
 //	    -ns, additionally fail on a median ns/op regression beyond the
 //	    threshold where the sample ranges do not overlap; only valid
 //	    when both sides ran on the same machine.
@@ -156,19 +157,23 @@ type Finding struct {
 // apply: a benchmark whose baseline allocs/op median is zero must stay at
 // zero. With gateNs, a median ns/op regression beyond thresholdPct where
 // the sample ranges do not overlap also fails; overlapping ranges are
-// treated as noise, which keeps small sample counts from flapping.
+// treated as noise, which keeps small sample counts from flapping. A
+// baseline row the head run no longer produces is a finding too, so a
+// renamed or deleted benchmark cannot drop its contract unnoticed.
 func gate(old, new_ *Set, gateNs bool, thresholdPct float64) []Finding {
 	var findings []Finding
-	names := make([]string, 0, len(new_.Benchmarks))
-	for name := range new_.Benchmarks {
+	names := make([]string, 0, len(old.Benchmarks))
+	for name := range old.Benchmarks {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		ns := new_.Benchmarks[name]
-		os_, ok := old.Benchmarks[name]
+		os_ := old.Benchmarks[name]
+		ns, ok := new_.Benchmarks[name]
 		if !ok {
-			continue // new benchmark: nothing to regress against
+			findings = append(findings, Finding{name,
+				"baseline row missing from the head run: the benchmark was renamed, deleted or not run"})
+			continue
 		}
 		if len(os_.AllocsPerOp) > 0 && len(ns.AllocsPerOp) > 0 {
 			oa, na := median(os_.AllocsPerOp), median(ns.AllocsPerOp)

@@ -144,6 +144,18 @@ func TestGateSkipsUnmatchedBenchmarks(t *testing.T) {
 	}
 }
 
+func TestGateFlagsBaselineRowMissingFromHead(t *testing.T) {
+	old := &Set{Benchmarks: map[string]*Samples{
+		"BenchmarkKept": samplesOf([]float64{10}, 0),
+		"BenchmarkGone": samplesOf([]float64{10}, 0),
+	}}
+	head := &Set{Benchmarks: map[string]*Samples{"BenchmarkKept": samplesOf([]float64{10}, 0)}}
+	findings := gate(old, head, false, 15)
+	if len(findings) != 1 || findings[0].Bench != "BenchmarkGone" {
+		t.Fatalf("findings = %+v, want one for BenchmarkGone", findings)
+	}
+}
+
 // TestEmitGateRoundTrip drives the CLI end to end: emit a baseline and a
 // regressed head from raw bench output, then gate them.
 func TestEmitGateRoundTrip(t *testing.T) {

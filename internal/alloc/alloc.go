@@ -43,9 +43,13 @@ type Request struct {
 	ColdStartProb float64
 }
 
-// Validate reports whether the request is well formed.
+// Validate reports whether the request is well formed: every field finite
+// and in range.
 func (r Request) Validate() error {
 	switch {
+	case !finite(r.Cycles), !finite(r.ParallelFraction), !finite(float64(r.TimeBudget)),
+		!finite(r.ColdStartProb):
+		return fmt.Errorf("alloc: non-finite request %+v", r)
 	case r.Cycles < 0:
 		return fmt.Errorf("alloc: negative demand")
 	case r.ParallelFraction < 0 || r.ParallelFraction > 1:
@@ -59,6 +63,9 @@ func (r Request) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Decision is one evaluated configuration.
 type Decision struct {
@@ -74,6 +81,8 @@ type Allocator struct {
 	// coldMean is the mean of the lognormal cold-start delay, a constant
 	// of the platform.
 	coldMean float64
+	// gbFull is FullShareBytes in GB, the memory that buys one vCPU.
+	gbFull float64
 }
 
 // New returns an allocator for the given platform configuration. It panics
@@ -84,7 +93,11 @@ func New(cfg serverless.Config) *Allocator {
 	}
 	cs := cfg.ColdStart
 	// Mean of a lognormal with median m and dispersion sigma.
-	return &Allocator{cfg: cfg, coldMean: cs.MedianSec * math.Exp(cs.Sigma*cs.Sigma/2)}
+	return &Allocator{
+		cfg:      cfg,
+		coldMean: cs.MedianSec * math.Exp(cs.Sigma*cs.Sigma/2),
+		gbFull:   float64(cfg.FullShareBytes) / float64(model.GB),
+	}
 }
 
 // expectedCold returns the mean cold-start duration for a memory size.
@@ -132,6 +145,22 @@ func (a *Allocator) evaluate(req *Request, task *model.Task, memBytes int64) Dec
 	return d
 }
 
+// lowerBound returns a bound on the expected cost of serving req at
+// memBytes or at any larger size, given serial = Cycles/BaselineHz:
+//
+//	PerRequest + PerGBSecond·(serial·((1−p)·gb + p·gbFull) + pc·gb·cold(memBytes))
+//
+// The warm bill gb·exec is at least serial·((1−p)·gb + p·gbFull) at every
+// size, because the pressure slowdown is at least 1 and gb/share is at
+// least gbFull; a bill never charges less than the run it covers. Every
+// term is non-negative and non-decreasing in memBytes, so the bound is too.
+func (a *Allocator) lowerBound(req *Request, serial float64, memBytes int64) float64 {
+	gb := float64(memBytes) / float64(model.GB)
+	p := req.ParallelFraction
+	gbSec := serial*((1-p)*gb+p*a.gbFull) + req.ColdStartProb*gb*float64(a.expectedCold(memBytes))
+	return a.cfg.Price.PerRequestUSD + a.cfg.Price.PerGBSecondUSD*gbSec
+}
+
 // Sweep evaluates the request at every ladder size, in ascending memory
 // order — the raw data behind the E2 cost curve.
 func (a *Allocator) Sweep(req Request) ([]Decision, error) {
@@ -153,17 +182,25 @@ func (a *Allocator) Sweep(req Request) ([]Decision, error) {
 //
 // It walks the ladder in place from the first size at or above the memory
 // floor, evaluating each size exactly as Sweep does, and allocates nothing.
+// It stops once lowerBound shows that no larger size can undercut the best
+// feasible one; the 1e-9 margin dwarfs the bound's rounding error, so the
+// result is the one the full walk returns.
 func (a *Allocator) Choose(req Request) (Decision, error) {
 	if err := req.Validate(); err != nil {
 		return Decision{}, err
 	}
 	task := req.task()
+	serial := req.Cycles / a.cfg.BaselineHz
 	var best Decision
 	haveBest := false
 	var fastest Decision
 	haveFastest := false
 	for i, n := a.firstRung(req.MemoryFloorBytes), a.cfg.LadderLen(); i < n; i++ {
-		d := a.evaluate(&req, &task, a.cfg.Rung(i))
+		m := a.cfg.Rung(i)
+		if haveBest && a.lowerBound(&req, serial, m)*(1-1e-9) > best.ExpectedCostUSD {
+			break
+		}
+		d := a.evaluate(&req, &task, m)
 		if !haveFastest || d.ExpectedTime < fastest.ExpectedTime {
 			fastest, haveFastest = d, true
 		}

@@ -37,6 +37,7 @@ func platformConfig() serverless.Config {
 }
 
 func TestRequestValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Request{
 		{Cycles: -1},
 		{ParallelFraction: -0.1},
@@ -45,10 +46,19 @@ func TestRequestValidate(t *testing.T) {
 		{TimeBudget: -1},
 		{ColdStartProb: -0.1},
 		{ColdStartProb: 1.1},
+		{Cycles: nan},
+		{Cycles: inf},
+		{Cycles: -inf},
+		{ParallelFraction: nan},
+		{ParallelFraction: inf},
+		{TimeBudget: sim.Duration(nan)},
+		{TimeBudget: sim.Duration(inf)},
+		{ColdStartProb: nan},
+		{ColdStartProb: -inf},
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {
-			t.Errorf("bad request %d validated", i)
+			t.Errorf("bad request %d %+v validated", i, r)
 		}
 	}
 	if err := (Request{Cycles: 1e9}).Validate(); err != nil {
@@ -371,19 +381,113 @@ func TestChooseNearTieKeepsSmallerMemory(t *testing.T) {
 
 func TestChooseAllocatesNothing(t *testing.T) {
 	a := New(serverless.LambdaLike())
-	req := Request{Cycles: 3e10, ParallelFraction: 0.8,
-		MemoryFloorBytes: 1 << 30, ColdStartProb: 0.3, TimeBudget: 300}
-	if got := testing.AllocsPerRun(100, func() { _, _ = a.Choose(req) }); got != 0 {
-		t.Fatalf("Choose: %v allocs per call, want 0", got)
+	for _, req := range []Request{benchChooseRequest, benchChooseUncutRequest} {
+		if got := testing.AllocsPerRun(100, func() { _, _ = a.Choose(req) }); got != 0 {
+			t.Fatalf("Choose(%+v): %v allocs per call, want 0", req, got)
+		}
 	}
 }
 
-// BenchmarkChoose sizes a function over the 159-size Lambda-like ladder
-// with a 1 GB floor, a cold-start share and a time budget.
-func BenchmarkChoose(b *testing.B) {
+// cutRung returns the index of the rung at which Choose stops walking the
+// ladder for req: the first rung past the floor whose lower bound exceeds
+// the chosen cost, or LadderLen when the bound never fires.
+func cutRung(t testing.TB, a *Allocator, req Request) int {
+	t.Helper()
+	best, err := a.Choose(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := req.Cycles / a.cfg.BaselineHz
+	n := a.cfg.LadderLen()
+	for i := a.firstRung(req.MemoryFloorBytes); i < n; i++ {
+		if best.Feasible && a.lowerBound(&req, serial, a.cfg.Rung(i))*(1-1e-9) > best.ExpectedCostUSD {
+			return i
+		}
+	}
+	return n
+}
+
+// TestChooseLowerBoundHolds checks the cut-off's bound itself rather than
+// only Choose's result: along every ladder the bound never decreases, and
+// the cost at every size is at least the bound at every smaller size.
+func TestChooseLowerBoundHolds(t *testing.T) {
+	check := func(a *Allocator, name string, req Request) {
+		t.Helper()
+		serial := req.Cycles / a.cfg.BaselineHz
+		n := a.cfg.LadderLen()
+		prev := math.Inf(-1)
+		for i := 0; i < n; i++ {
+			lb := a.lowerBound(&req, serial, a.cfg.Rung(i))
+			if lb < prev {
+				t.Fatalf("%s %+v: bound falls from %g to %g at rung %d", name, req, prev, lb, i)
+			}
+			prev = lb
+			for j := i; j < n; j++ {
+				if c := a.Evaluate(req, a.cfg.Rung(j)).ExpectedCostUSD; c < lb*(1-1e-9) {
+					t.Fatalf("%s %+v: cost %g at rung %d below the bound %g of rung %d", name, req, c, j, lb, i)
+				}
+			}
+		}
+	}
+	for _, cfg := range []serverless.Config{platformConfig(), serverless.LambdaLike(), serverless.GCFLike()} {
+		a := New(cfg)
+		for _, cycles := range []float64{0, 1e7, 3e9, 5e10, 1e13} {
+			for _, pf := range []float64{0, 0.5, 0.95, 1} {
+				for _, cold := range []float64{0, 0.3, 1} {
+					for _, floor := range []int64{0, 512 * model.MB, 3 * model.GB} {
+						check(a, cfg.Name, Request{Cycles: cycles, ParallelFraction: pf,
+							MemoryFloorBytes: floor, ColdStartProb: cold})
+					}
+				}
+			}
+		}
+		f := func(gcycles uint16, pf, floor, cold uint8) bool {
+			check(a, cfg.Name, Request{
+				Cycles:           float64(gcycles%500+1) * 2e8,
+				ParallelFraction: float64(pf%101) / 100,
+				MemoryFloorBytes: int64(floor) * 48 * model.MB,
+				ColdStartProb:    float64(cold%101) / 100,
+			})
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The bound must do its job: on BenchmarkChoose's request the walk
+	// stops well short of the top rung, while on BenchmarkChooseUncut's,
+	// where every warm bill equals the bound, it never fires.
 	a := New(serverless.LambdaLike())
-	req := Request{Cycles: 3e10, ParallelFraction: 0.8,
+	n := a.cfg.LadderLen()
+	if got := cutRung(t, a, benchChooseRequest); got > n/2 {
+		t.Fatalf("cut-off at rung %d of %d, want it in the lower half", got, n)
+	}
+	if got := cutRung(t, a, benchChooseUncutRequest); got != n {
+		t.Fatalf("uncut request stopped at rung %d of %d", got, n)
+	}
+}
+
+// benchChooseRequest sizes a function with a 1 GB floor, a cold-start share
+// and a time budget; benchChooseUncutRequest is the same work, perfectly
+// parallel and always warm, so the lower bound never stops the walk.
+var (
+	benchChooseRequest = Request{Cycles: 3e10, ParallelFraction: 0.8,
 		MemoryFloorBytes: 1 << 30, ColdStartProb: 0.3, TimeBudget: 300}
+	benchChooseUncutRequest = Request{Cycles: 3e10, ParallelFraction: 1,
+		MemoryFloorBytes: 1 << 30, ColdStartProb: 0, TimeBudget: 300}
+)
+
+// BenchmarkChoose sizes a function on the 159-size Lambda-like ladder; the
+// lower-bound cut-off stops the walk 16 rungs past the 1 GB floor.
+func BenchmarkChoose(b *testing.B) { benchmarkChoose(b, benchChooseRequest) }
+
+// BenchmarkChooseUncut is Choose's worst case: the bound never fires, so
+// the walk prices every rung from the floor to the top of the ladder.
+func BenchmarkChooseUncut(b *testing.B) { benchmarkChoose(b, benchChooseUncutRequest) }
+
+func benchmarkChoose(b *testing.B, req Request) {
+	a := New(serverless.LambdaLike())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := a.Choose(req); err != nil {

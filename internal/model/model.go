@@ -7,6 +7,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"offload/internal/sim"
 )
@@ -112,6 +113,10 @@ func (t *Task) Validate() error {
 	switch {
 	case t == nil:
 		return fmt.Errorf("model: nil task")
+	case math.IsNaN(t.Cycles) || math.IsInf(t.Cycles, 0):
+		return fmt.Errorf("model: task %d has non-finite cycles %g", t.ID, t.Cycles)
+	case math.IsNaN(float64(t.Deadline)) || math.IsInf(float64(t.Deadline), 0):
+		return fmt.Errorf("model: task %d has non-finite deadline %g", t.ID, float64(t.Deadline))
 	case t.Cycles < 0:
 		return fmt.Errorf("model: task %d has negative cycles %g", t.ID, t.Cycles)
 	case t.InputBytes < 0 || t.OutputBytes < 0:
@@ -120,7 +125,7 @@ func (t *Task) Validate() error {
 		return fmt.Errorf("model: task %d has negative memory", t.ID)
 	case t.Deadline < 0:
 		return fmt.Errorf("model: task %d has negative deadline", t.ID)
-	case t.ParallelFraction < 0 || t.ParallelFraction > 1:
+	case !(t.ParallelFraction >= 0 && t.ParallelFraction <= 1): // NaN fails both
 		return fmt.Errorf("model: task %d has parallel fraction %g outside [0,1]",
 			t.ID, t.ParallelFraction)
 	}

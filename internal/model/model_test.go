@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -58,6 +59,13 @@ func TestTaskValidate(t *testing.T) {
 		{"parallel fraction low", &Task{ParallelFraction: -0.1}, "parallel fraction"},
 		{"parallel fraction high", &Task{ParallelFraction: 1.1}, "parallel fraction"},
 		{"parallel fraction ok", &Task{ParallelFraction: 0.8}, ""},
+		{"NaN cycles", &Task{Cycles: math.NaN()}, "non-finite cycles"},
+		{"+Inf cycles", &Task{Cycles: math.Inf(1)}, "non-finite cycles"},
+		{"-Inf cycles", &Task{Cycles: math.Inf(-1)}, "non-finite cycles"},
+		{"NaN parallel fraction", &Task{ParallelFraction: math.NaN()}, "parallel fraction"},
+		{"+Inf parallel fraction", &Task{ParallelFraction: math.Inf(1)}, "parallel fraction"},
+		{"NaN deadline", &Task{Deadline: sim.Duration(math.NaN())}, "non-finite deadline"},
+		{"+Inf deadline", &Task{Deadline: sim.Duration(math.Inf(1))}, "non-finite deadline"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
