@@ -8,7 +8,7 @@ OFFBENCH_BIN = /tmp/offbench-ci
 
 # The micro-benchmark packages whose hot paths carry allocation and
 # latency contracts, and the committed baseline they gate against.
-BENCH_PKGS = ./internal/sim/ ./internal/metrics/ ./internal/trace/ ./internal/alloc/
+BENCH_PKGS = ./internal/sim/ ./internal/metrics/ ./internal/trace/ ./internal/alloc/ ./internal/network/ ./internal/sched/
 BENCH_BASELINE = BENCH_2026-08-08.json
 
 all: build vet test
@@ -33,8 +33,9 @@ race:
 # Short fuzzing smoke runs over the fault-injector invariants, the span
 # JSONL codec, the Page–Hinkley drift detector, the shard-barrier
 # determinism property, the Prometheus name sanitizer, the DAG
-# validator/topological-sort invariants and the serverless sizer's
-# agreement with the full memory sweep. Longer local sessions:
+# validator/topological-sort invariants, the serverless sizer's
+# agreement with the full memory sweep and the pooled sim.Resource's
+# agreement with the closure-based reference. Longer local sessions:
 #   go test -fuzz=FuzzFaultInjector -fuzztime=5m ./internal/fault/
 #   go test -fuzz=FuzzReadSpansJSONL -fuzztime=5m ./internal/trace/
 #   go test -fuzz=FuzzDriftDetector -fuzztime=5m ./internal/adapt/
@@ -42,6 +43,7 @@ race:
 #   go test -fuzz=FuzzSanitizeName -fuzztime=5m ./internal/metrics/
 #   go test -fuzz=FuzzDAGValidate -fuzztime=5m ./internal/dag/
 #   go test -fuzz=FuzzChooseMatchesSweep -fuzztime=5m ./internal/alloc/
+#   go test -fuzz=FuzzResourceMatchesReference -fuzztime=5m ./internal/sim/
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFaultInjector -fuzztime=10s ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzReadSpansJSONL -fuzztime=10s ./internal/trace/
@@ -50,6 +52,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSanitizeName -fuzztime=10s ./internal/metrics/
 	$(GO) test -run='^$$' -fuzz=FuzzDAGValidate -fuzztime=10s ./internal/dag/
 	$(GO) test -run='^$$' -fuzz=FuzzChooseMatchesSweep -fuzztime=10s ./internal/alloc/
+	$(GO) test -run='^$$' -fuzz=FuzzResourceMatchesReference -fuzztime=10s ./internal/sim/
 
 # Everything CI runs, in order: the gates plus the determinism diffs.
 ci: build vet fmt test race fuzz determinism metrics-golden spans-golden serve-smoke
@@ -133,8 +136,9 @@ bench:
 	mkdir -p results
 	$(GO) test -run='^$$' -bench=. -benchmem . | tee results/bench_latest.txt
 
-# The hot-path micro-benchmarks: event kernel, metric touches, span
-# recording, serverless sizing. -count=6 gives benchstat/benchgate
+# The hot-path micro-benchmarks: event kernel, resource grants, metric
+# touches, span and outcome recording, serverless sizing, network
+# transfers and the scheduler's remote attempt. -count=6 gives benchstat/benchgate
 # enough samples to tell a regression from noise.
 bench-micro:
 	mkdir -p results

@@ -259,6 +259,7 @@ func (f *Fleet) runOn(in *instance, p *pending) {
 func (f *Fleet) drainTo(in *instance) {
 	for !in.retired && in.busy < f.cfg.Cores && len(f.waiting) > 0 {
 		p := f.waiting[0]
+		f.waiting[0] = nil // a drained queue must not pin the task or its callback
 		f.waiting = f.waiting[1:]
 		f.runOn(in, p)
 	}

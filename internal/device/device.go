@@ -131,6 +131,8 @@ type Device struct {
 	executed  uint64
 	cpuScale  float64  // DVFS scale in (0, 1]
 	tailUntil sim.Time // end of the currently billed radio tail
+
+	free sim.FreeList[localRun]
 }
 
 var _ model.Executor = (*Device)(nil)
@@ -202,22 +204,54 @@ func (d *Device) ExecuteScaled(task *model.Task, scale float64, done func(model.
 		})
 		return
 	}
-	d.cpu.Acquire(func() {
-		granted := d.eng.Now()
-		dur := sim.Duration(task.Cycles / (d.cfg.CPUHz * scale))
-		d.eng.After(dur, func() {
-			d.cpu.Release()
-			d.executed++
-			// Dynamic power ~ f^2 at fixed voltage-scaling policy.
-			powerW := d.cfg.ActivePowerW * scale * scale
-			d.drain(powerW * float64(dur))
-			done(model.ExecReport{
-				Start:     start,
-				End:       d.eng.Now(),
-				QueueWait: granted.Sub(start),
-			})
-		})
-	})
+	run := d.free.Get()
+	if run == nil {
+		run = &localRun{d: d}
+		run.grantFn, run.finishFn = run.grant, run.finish
+	}
+	run.task, run.scale, run.start, run.done = task, scale, start, done
+	d.cpu.Acquire(run.grantFn)
+}
+
+// localRun is one ExecuteScaled holding or waiting for a core, recycled
+// through the device's free list with its callbacks bound once.
+type localRun struct {
+	d       *Device
+	task    *model.Task
+	scale   float64
+	start   sim.Time
+	granted sim.Time
+	dur     sim.Duration
+	done    func(model.ExecReport)
+
+	grantFn, finishFn func()
+}
+
+func (run *localRun) grant() {
+	d := run.d
+	run.granted = d.eng.Now()
+	run.dur = sim.Duration(run.task.Cycles / (d.cfg.CPUHz * run.scale))
+	d.eng.After(run.dur, run.finishFn)
+}
+
+// finish releases the core and drains the energy, returns the record to
+// the free list and only then calls done.
+func (run *localRun) finish() {
+	d := run.d
+	d.cpu.Release()
+	d.executed++
+	// Dynamic power ~ f^2 at fixed voltage-scaling policy.
+	powerW := d.cfg.ActivePowerW * run.scale * run.scale
+	d.drain(powerW * float64(run.dur))
+	rep := model.ExecReport{
+		Start:     run.start,
+		End:       d.eng.Now(),
+		QueueWait: run.granted.Sub(run.start),
+	}
+	done := run.done
+	run.task, run.done = nil, nil
+	d.free.Put(run)
+	done(rep)
 }
 
 // RadioEnergyMilliJ returns the device energy (mJ) consumed by a transfer

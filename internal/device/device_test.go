@@ -315,3 +315,22 @@ func TestExecTimeScalesWithCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExecuteSteadyStateAllocatesNothing holds a warm device's local
+// execution, core grant and energy accounting included, to zero
+// allocations.
+func TestExecuteSteadyStateAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	d := New(eng, Laptop())
+	task := &model.Task{ID: 1, Cycles: 1e9}
+	done := func(model.ExecReport) {}
+	cycle := func() {
+		d.ExecuteScaled(task, 0.5, done)
+		d.ExecuteScaled(task, 1, done)
+		eng.Run()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("local execution allocates %v times, want 0", n)
+	}
+}

@@ -74,6 +74,8 @@ type Cluster struct {
 	executed uint64
 	rejected uint64
 	faulted  uint64
+
+	free sim.FreeList[edgeRun]
 }
 
 var _ model.Executor = (*Cluster)(nil)
@@ -129,37 +131,68 @@ func (c *Cluster) Execute(task *model.Task, done func(model.ExecReport)) {
 		})
 		return
 	}
-	c.cores.Acquire(func() {
-		granted := c.eng.Now()
-		exec := c.ExecTime(task)
-		// Fault model: a crash holds the core for CrashFrac of the run and
-		// reports a transient error; a straggler holds it Slowdown× longer.
-		dec := fault.Decision{Slowdown: 1}
-		if c.inj != nil {
-			dec = c.inj.Decide(granted)
-		}
-		if dec.Slowdown > 1 {
-			exec = sim.Duration(float64(exec) * dec.Slowdown)
-		}
-		if dec.Crash {
-			exec = sim.Duration(float64(exec) * dec.CrashFrac)
-		}
-		c.eng.After(exec, func() {
-			c.cores.Release()
-			rep := model.ExecReport{
-				Start:     start,
-				End:       c.eng.Now(),
-				QueueWait: granted.Sub(start),
-			}
-			if dec.Crash {
-				c.faulted++
-				rep.Err = ErrTransient
-			} else {
-				c.executed++
-			}
-			done(rep)
-		})
-	})
+	run := c.free.Get()
+	if run == nil {
+		run = &edgeRun{c: c}
+		run.grantFn, run.finishFn = run.grant, run.finish
+	}
+	run.task, run.start, run.done = task, start, done
+	c.cores.Acquire(run.grantFn)
+}
+
+// edgeRun is one Execute holding or waiting for a core, recycled through
+// the cluster's free list with its callbacks bound once.
+type edgeRun struct {
+	c       *Cluster
+	task    *model.Task
+	start   sim.Time
+	granted sim.Time
+	crash   bool
+	done    func(model.ExecReport)
+
+	grantFn, finishFn func()
+}
+
+func (run *edgeRun) grant() {
+	c := run.c
+	run.granted = c.eng.Now()
+	exec := c.ExecTime(run.task)
+	// Fault model: a crash holds the core for CrashFrac of the run and
+	// reports a transient error; a straggler holds it Slowdown× longer.
+	dec := fault.Decision{Slowdown: 1}
+	if c.inj != nil {
+		dec = c.inj.Decide(run.granted)
+	}
+	if dec.Slowdown > 1 {
+		exec = sim.Duration(float64(exec) * dec.Slowdown)
+	}
+	if dec.Crash {
+		exec = sim.Duration(float64(exec) * dec.CrashFrac)
+	}
+	run.crash = dec.Crash
+	c.eng.After(exec, run.finishFn)
+}
+
+// finish releases the core, returns the record to the free list and only
+// then calls done.
+func (run *edgeRun) finish() {
+	c := run.c
+	c.cores.Release()
+	rep := model.ExecReport{
+		Start:     run.start,
+		End:       c.eng.Now(),
+		QueueWait: run.granted.Sub(run.start),
+	}
+	if run.crash {
+		c.faulted++
+		rep.Err = ErrTransient
+	} else {
+		c.executed++
+	}
+	done := run.done
+	run.task, run.done = nil, nil
+	c.free.Put(run)
+	done(rep)
 }
 
 // ProvisionedCostUSD returns the infrastructure cost accrued from the

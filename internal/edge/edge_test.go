@@ -115,3 +115,23 @@ func TestUtilization(t *testing.T) {
 		t.Fatalf("Utilization = %g, want ~0.25", u)
 	}
 }
+
+// TestExecuteSteadyStateAllocatesNothing holds a warm site's execution,
+// queueing for a core included, to zero allocations.
+func TestExecuteSteadyStateAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := SmallSite()
+	cfg.Servers, cfg.Cores = 1, 1
+	c := New(eng, cfg)
+	task := &model.Task{ID: 1, Cycles: 3e9}
+	done := func(model.ExecReport) {}
+	cycle := func() {
+		c.Execute(task, done)
+		c.Execute(task, done) // queues behind the first
+		eng.Run()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("edge execution allocates %v times, want 0", n)
+	}
+}

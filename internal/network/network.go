@@ -99,6 +99,8 @@ type Path struct {
 
 	bytesUp, bytesDown int64
 	transfers          uint64
+
+	free sim.FreeList[transfer]
 }
 
 // New returns a Path on eng using src for stochastic draws. It panics if
@@ -197,35 +199,65 @@ func (p *Path) Transfer(n int64, dir Direction, done func(Report)) {
 		p.transferShared(n, dir, done)
 		return
 	}
-	start := p.eng.Now()
-	run := func() {
-		p.advanceChain()
-		degraded := p.bad
-		d := float64(p.cfg.OneWayDelay) + float64(8*n)/p.bandwidth(dir)
-		if p.cfg.JitterStd > 0 {
-			d += p.src.Normal(0, p.cfg.JitterStd)
-			if d < 0 {
-				d = 0
-			}
-		}
-		p.eng.After(sim.Duration(d), func() {
-			p.transfers++
-			if dir == Uplink {
-				p.bytesUp += n
-			} else {
-				p.bytesDown += n
-			}
-			if p.radio != nil {
-				p.radio.Release()
-			}
-			done(Report{Start: start, End: p.eng.Now(), Bytes: n, Direction: dir, Degraded: degraded})
-		})
+	t := p.free.Get()
+	if t == nil {
+		t = &transfer{p: p}
+		t.runFn, t.finishFn = t.run, t.finish
 	}
+	t.n, t.dir, t.start, t.done = n, dir, p.eng.Now(), done
 	if p.radio != nil {
-		p.radio.Acquire(run)
+		p.radio.Acquire(t.runFn)
 		return
 	}
-	run()
+	t.run()
+}
+
+// transfer is one in-flight Transfer on a path without fair sharing,
+// recycled through the path's free list with its callbacks bound once.
+type transfer struct {
+	p        *Path
+	n        int64
+	dir      Direction
+	start    sim.Time
+	degraded bool
+	done     func(Report)
+
+	runFn, finishFn func()
+}
+
+// run starts moving the bytes, once the radio (if serialised) is held.
+func (t *transfer) run() {
+	p := t.p
+	p.advanceChain()
+	t.degraded = p.bad
+	d := float64(p.cfg.OneWayDelay) + float64(8*t.n)/p.bandwidth(t.dir)
+	if p.cfg.JitterStd > 0 {
+		d += p.src.Normal(0, p.cfg.JitterStd)
+		if d < 0 {
+			d = 0
+		}
+	}
+	p.eng.After(sim.Duration(d), t.finishFn)
+}
+
+// finish accounts the transfer, returns the record to the free list and
+// only then calls done, which may start another transfer on this path.
+func (t *transfer) finish() {
+	p := t.p
+	p.transfers++
+	if t.dir == Uplink {
+		p.bytesUp += t.n
+	} else {
+		p.bytesDown += t.n
+	}
+	if p.radio != nil {
+		p.radio.Release()
+	}
+	rep := Report{Start: t.start, End: p.eng.Now(), Bytes: t.n, Direction: t.dir, Degraded: t.degraded}
+	done := t.done
+	t.done = nil
+	p.free.Put(t)
+	done(rep)
 }
 
 // Stats summarises path usage.

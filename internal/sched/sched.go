@@ -127,6 +127,11 @@ type Scheduler struct {
 	// tracking, re-homing and the graceful-degradation ladder.
 	fo *failover
 
+	// freeAttempts holds finished remote-attempt records for reuse, and
+	// finishFn is s.finish, bound on the first untraced plain dispatch.
+	freeAttempts sim.FreeList[remoteAttempt]
+	finishFn     func(model.Outcome)
+
 	// tr receives causal hook points (attempt lifecycle, breaker
 	// transitions, hedge cancels, task settlement) when span tracing is
 	// enabled. Tracers are passive: they record, never steer — dispatch
@@ -341,7 +346,10 @@ func (s *Scheduler) dispatchDirect(task *model.Task, placement model.Placement) 
 		return
 	}
 	if s.tr == nil {
-		s.dispatchTo(task, placement, s.finish)
+		if s.finishFn == nil {
+			s.finishFn = s.finish
+		}
+		s.dispatchTo(task, placement, s.finishFn)
 		return
 	}
 	aid := s.tr.AttemptStart(task, placement, false, s.env.Eng.Now())
@@ -379,7 +387,7 @@ func (s *Scheduler) dispatchTo(task *model.Task, placement model.Placement, done
 			s.runRemoteShared(task, placement, s.env.EdgePath, done)
 			return
 		}
-		s.runRemote(task, placement, s.env.Edge, s.env.EdgePath, done)
+		s.runRemote(task, placement, s.env.Edge, 0, s.env.EdgePath, done)
 	case model.PlaceFunction:
 		if s.env.Functions == nil {
 			s.fail(task, placement, done)
@@ -396,7 +404,7 @@ func (s *Scheduler) dispatchTo(task *model.Task, placement model.Placement, done
 			s.fail(task, placement, done)
 			return
 		}
-		s.runRemote(task, placement, fn, s.env.CloudPath, done)
+		s.runRemote(task, placement, fn, 0, s.env.CloudPath, done)
 	case model.PlaceVM:
 		if s.env.VM == nil {
 			s.fail(task, placement, done)
@@ -406,23 +414,10 @@ func (s *Scheduler) dispatchTo(task *model.Task, placement model.Placement, done
 			s.runRemoteShared(task, placement, s.env.vmPath(), done)
 			return
 		}
-		s.runRemote(task, placement, s.env.VM, s.env.vmPath(), done)
+		s.runRemote(task, placement, s.env.VM, 0, s.env.vmPath(), done)
 	default:
 		s.fail(task, placement, done)
 	}
-}
-
-// remoteExec adapts env.Remote to model.Executor for one attempt.
-type remoteExec struct {
-	s         *Scheduler
-	placement model.Placement
-	predicted float64
-}
-
-func (r remoteExec) Name() string               { return "remote:" + r.placement.String() }
-func (r remoteExec) Placement() model.Placement { return r.placement }
-func (r remoteExec) Execute(task *model.Task, done func(model.ExecReport)) {
-	r.s.env.Remote.Execute(task, r.placement, r.predicted, done)
 }
 
 // runRemoteShared is runRemote with execution routed through env.Remote.
@@ -430,9 +425,7 @@ func (r remoteExec) Execute(task *model.Task, done func(model.ExecReport)) {
 // so the hub sizes serverless instances with exactly the estimate the
 // serial path would have used.
 func (s *Scheduler) runRemoteShared(task *model.Task, placement model.Placement, path *network.Path, done func(model.Outcome)) {
-	s.runRemote(task, placement, remoteExec{
-		s: s, placement: placement, predicted: s.pred.PredictCycles(task),
-	}, path, done)
+	s.runRemote(task, placement, nil, s.pred.PredictCycles(task), path, done)
 }
 
 func (s *Scheduler) fail(task *model.Task, placement model.Placement, done func(model.Outcome)) {
@@ -495,32 +488,70 @@ func (s *Scheduler) dvfsScale(task *model.Task) float64 {
 	}
 }
 
-func (s *Scheduler) runRemote(task *model.Task, placement model.Placement, exec model.Executor, path *network.Path, done func(model.Outcome)) {
-	start := task.Submitted
-	var o model.Outcome
-	o.Task = task
-	o.Placement = placement
-	o.Started = start
-	path.Transfer(task.InputBytes, network.Uplink, func(up network.Report) {
-		o.UplinkTime = up.Duration()
-		o.EnergyMilliJ += s.env.Device.RadioEnergyMilliJ(up.Duration(), true)
-		exec.Execute(task, func(rep model.ExecReport) {
-			o.Exec = rep
-			o.CostUSD += rep.CostUSD
-			if rep.Err != nil {
-				o.Failed = true
-				o.Finished = s.env.Eng.Now()
-				done(o)
-				return
-			}
-			path.Transfer(task.OutputBytes, network.Downlink, func(down network.Report) {
-				o.DownlinkTime = down.Duration()
-				o.EnergyMilliJ += s.env.Device.RadioEnergyMilliJ(down.Duration(), false)
-				o.Finished = s.env.Eng.Now()
-				done(o)
-			})
-		})
-	})
+// runRemote runs one uplink → execute → downlink attempt and reports its
+// outcome to done. A nil exec routes execution through env.Remote with
+// the predicted demand.
+func (s *Scheduler) runRemote(task *model.Task, placement model.Placement, exec model.Executor, predicted float64, path *network.Path, done func(model.Outcome)) {
+	a := s.freeAttempts.Get()
+	if a == nil {
+		a = &remoteAttempt{s: s}
+		a.uplinkFn, a.execFn, a.downlinkFn = a.uplink, a.executed, a.downlink
+	}
+	a.exec, a.predicted, a.path, a.done = exec, predicted, path, done
+	a.o = model.Outcome{Task: task, Placement: placement, Started: task.Submitted}
+	path.Transfer(task.InputBytes, network.Uplink, a.uplinkFn)
+}
+
+// remoteAttempt is one runRemote in flight, recycled through the
+// scheduler's free list with its callbacks bound once.
+type remoteAttempt struct {
+	s         *Scheduler
+	exec      model.Executor
+	predicted float64
+	path      *network.Path
+	done      func(model.Outcome)
+	o         model.Outcome
+
+	uplinkFn, downlinkFn func(network.Report)
+	execFn               func(model.ExecReport)
+}
+
+func (a *remoteAttempt) uplink(up network.Report) {
+	a.o.UplinkTime = up.Duration()
+	a.o.EnergyMilliJ += a.s.env.Device.RadioEnergyMilliJ(up.Duration(), true)
+	if a.exec == nil {
+		a.s.env.Remote.Execute(a.o.Task, a.o.Placement, a.predicted, a.execFn)
+		return
+	}
+	a.exec.Execute(a.o.Task, a.execFn)
+}
+
+func (a *remoteAttempt) executed(rep model.ExecReport) {
+	a.o.Exec = rep
+	a.o.CostUSD += rep.CostUSD
+	if rep.Err != nil {
+		a.o.Failed = true
+		a.o.Finished = a.s.env.Eng.Now()
+		a.finish()
+		return
+	}
+	a.path.Transfer(a.o.Task.OutputBytes, network.Downlink, a.downlinkFn)
+}
+
+func (a *remoteAttempt) downlink(down network.Report) {
+	a.o.DownlinkTime = down.Duration()
+	a.o.EnergyMilliJ += a.s.env.Device.RadioEnergyMilliJ(down.Duration(), false)
+	a.o.Finished = a.s.env.Eng.Now()
+	a.finish()
+}
+
+// finish returns the record to the free list before calling done, which
+// may start the next attempt on the same record.
+func (a *remoteAttempt) finish() {
+	o, done := a.o, a.done
+	a.o, a.exec, a.path, a.done = model.Outcome{}, nil, nil, nil
+	a.s.freeAttempts.Put(a)
+	done(o)
 }
 
 // DispatchThen runs the task at an explicit placement and invokes then

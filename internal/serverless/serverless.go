@@ -387,6 +387,8 @@ type Platform struct {
 	// retiredProvisionedUSD keeps capacity fees of removed functions.
 	retiredProvisionedUSD float64
 
+	free sim.FreeList[invocation]
+
 	stats Stats
 }
 
@@ -527,6 +529,7 @@ type Function struct {
 	platform   *Platform
 	cfg        FunctionConfig
 	warm       []*container
+	spare      sim.FreeList[container] // containers out of the warm pool
 	removed    bool
 	generation int
 
@@ -542,8 +545,15 @@ type Function struct {
 
 var _ model.Executor = (*Function)(nil)
 
+// container is one idle execution environment, recycled through
+// Function.spare with its expiry callback bound once. A container leaves
+// the warm pool only after its expiry is cancelled or has fired, so a
+// reused record never hears an old expiry.
 type container struct {
-	expiry sim.EventRef
+	f        *Function
+	gen      int
+	expiry   sim.EventRef
+	expireFn func()
 }
 
 // Name returns the function name.
@@ -587,21 +597,26 @@ func (f *Function) ProvisionedCostUSD() float64 {
 }
 
 func (f *Function) discardWarm() {
-	for _, c := range f.warm {
+	for i, c := range f.warm {
 		f.platform.eng.Cancel(c.expiry)
+		f.spare.Put(c)
+		f.warm[i] = nil
 	}
-	f.warm = nil
+	f.warm = f.warm[:0]
 }
 
 // takeWarm pops a warm container if one exists, cancelling its expiry.
 func (f *Function) takeWarm() bool {
-	for len(f.warm) > 0 {
-		c := f.warm[len(f.warm)-1]
-		f.warm = f.warm[:len(f.warm)-1]
-		f.platform.eng.Cancel(c.expiry)
-		return true
+	k := len(f.warm) - 1
+	if k < 0 {
+		return false
 	}
-	return false
+	c := f.warm[k]
+	f.warm[k] = nil
+	f.warm = f.warm[:k]
+	f.platform.eng.Cancel(c.expiry)
+	f.spare.Put(c)
+	return true
 }
 
 // parkWarm returns a container to the pool and schedules its expiry.
@@ -609,20 +624,32 @@ func (f *Function) parkWarm() {
 	if f.removed || f.platform.cfg.KeepAlive == 0 {
 		return
 	}
-	c := &container{}
-	gen := f.generation
-	c.expiry = f.platform.eng.After(f.platform.cfg.KeepAlive, func() {
-		if f.generation != gen {
+	c := f.spare.Get()
+	if c == nil {
+		c = &container{f: f}
+		c.expireFn = c.expire
+	}
+	c.gen = f.generation
+	c.expiry = f.platform.eng.After(f.platform.cfg.KeepAlive, c.expireFn)
+	f.warm = append(f.warm, c)
+}
+
+// expire drops an idle container whose keep-alive ran out.
+func (c *container) expire() {
+	f := c.f
+	if f.generation != c.gen {
+		return
+	}
+	for i, w := range f.warm {
+		if w == c {
+			k := len(f.warm) - 1
+			copy(f.warm[i:], f.warm[i+1:])
+			f.warm[k] = nil
+			f.warm = f.warm[:k]
+			f.spare.Put(c)
 			return
 		}
-		for i, w := range f.warm {
-			if w == c {
-				f.warm = append(f.warm[:i], f.warm[i+1:]...)
-				return
-			}
-		}
-	})
-	f.warm = append(f.warm, c)
+	}
 }
 
 // timeout returns the effective execution timeout.
@@ -657,82 +684,121 @@ func (f *Function) Execute(task *model.Task, done func(model.ExecReport)) {
 		return
 	}
 
-	p.slots.Acquire(func() {
-		granted := p.eng.Now()
-		var cold sim.Duration
-		usedProvisioned := false
-		switch {
-		case f.provisionedBusy < f.cfg.ProvisionedConcurrency:
-			f.provisionedBusy++
-			usedProvisioned = true
-			p.stats.WarmStarts++
-		case f.takeWarm():
-			p.stats.WarmStarts++
-		default:
-			cold = p.cfg.ColdStart.sample(p.src, f.cfg.MemoryBytes)
-			f.coldStarts++
-			p.stats.ColdStarts++
-		}
-		exec := p.cfg.ExecTime(task, f.cfg.MemoryBytes)
-		// Fault model: sampled before the timeout clamp so a straggler
-		// slowdown can push the invocation over the timeout, while a crash
-		// cuts the (possibly clamped) execution short at CrashFrac of the
-		// way through — still billed, as real platforms do.
-		dec := fault.Decision{Slowdown: 1}
-		if p.inj != nil {
-			dec = p.inj.Decide(granted)
-		}
-		if dec.Slowdown > 1 {
-			exec = sim.Duration(float64(exec) * dec.Slowdown)
-		}
-		timedOut := false
-		if to := f.timeout(); to > 0 && exec > to {
-			exec = to
-			timedOut = true
-		}
-		crashed := dec.Crash
-		if crashed {
-			exec = sim.Duration(float64(exec) * dec.CrashFrac)
-			timedOut = false
-		}
-		p.eng.After(cold+exec, func() {
-			p.slots.Release()
-			switch {
-			case usedProvisioned:
-				// The environment returns to the provisioned pool (the
-				// platform replaces crashed provisioned environments).
-				f.provisionedBusy--
-			case crashed:
-				// A crashed container is not returned to the warm pool.
-			default:
-				f.parkWarm()
-			}
-			f.invocations++
-			p.stats.Invocations++
-			// Billed duration includes initialisation, as on-demand billing
-			// does for container runtimes; cost accrues even for timeouts
-			// and crashes. Pricing follows the invocation's start time.
-			cost := p.cfg.Price.BillAt(f.cfg.MemoryBytes, cold+exec, granted)
-			f.billedUSD += cost
-			p.stats.BilledUSD += cost
-			rep := model.ExecReport{
-				Start:     start,
-				End:       p.eng.Now(),
-				QueueWait: granted.Sub(start),
-				ColdStart: cold,
-				CostUSD:   cost,
-			}
-			if timedOut {
-				rep.Err = ErrTimedOut
-				p.stats.Errors++
-			}
-			if crashed {
-				rep.Err = ErrTransient
-				p.stats.Errors++
-			}
-			done(rep)
-		})
-	})
+	inv := p.free.Get()
+	if inv == nil {
+		inv = &invocation{}
+		inv.grantFn, inv.finishFn = inv.grant, inv.finish
+	}
+	inv.f, inv.task, inv.start, inv.done = f, task, start, done
+	p.slots.Acquire(inv.grantFn)
+}
+
+// invocation is one Execute holding or waiting for a concurrency slot,
+// recycled through the platform's free list with its callbacks bound
+// once.
+type invocation struct {
+	f     *Function
+	task  *model.Task
+	start sim.Time
+	done  func(model.ExecReport)
+
+	granted         sim.Time
+	cold, exec      sim.Duration
+	usedProvisioned bool
+	timedOut        bool
+	crashed         bool
+
+	grantFn, finishFn func()
+}
+
+// grant starts the invocation once it holds a concurrency slot.
+func (inv *invocation) grant() {
+	f := inv.f
+	p := f.platform
+	inv.granted = p.eng.Now()
+	inv.cold = 0
+	inv.usedProvisioned = false
+	switch {
+	case f.provisionedBusy < f.cfg.ProvisionedConcurrency:
+		f.provisionedBusy++
+		inv.usedProvisioned = true
+		p.stats.WarmStarts++
+	case f.takeWarm():
+		p.stats.WarmStarts++
+	default:
+		inv.cold = p.cfg.ColdStart.sample(p.src, f.cfg.MemoryBytes)
+		f.coldStarts++
+		p.stats.ColdStarts++
+	}
+	exec := p.cfg.ExecTime(inv.task, f.cfg.MemoryBytes)
+	// Fault model: sampled before the timeout clamp so a straggler
+	// slowdown can push the invocation over the timeout, while a crash
+	// cuts the (possibly clamped) execution short at CrashFrac of the
+	// way through — still billed, as real platforms do.
+	dec := fault.Decision{Slowdown: 1}
+	if p.inj != nil {
+		dec = p.inj.Decide(inv.granted)
+	}
+	if dec.Slowdown > 1 {
+		exec = sim.Duration(float64(exec) * dec.Slowdown)
+	}
+	inv.timedOut = false
+	if to := f.timeout(); to > 0 && exec > to {
+		exec = to
+		inv.timedOut = true
+	}
+	inv.crashed = dec.Crash
+	if inv.crashed {
+		exec = sim.Duration(float64(exec) * dec.CrashFrac)
+		inv.timedOut = false
+	}
+	inv.exec = exec
+	p.eng.After(inv.cold+exec, inv.finishFn)
+}
+
+// finish bills the invocation, returns the record to the free list and
+// only then calls done.
+func (inv *invocation) finish() {
+	f := inv.f
+	p := f.platform
+	p.slots.Release()
+	switch {
+	case inv.usedProvisioned:
+		// The environment returns to the provisioned pool (the
+		// platform replaces crashed provisioned environments).
+		f.provisionedBusy--
+	case inv.crashed:
+		// A crashed container is not returned to the warm pool.
+	default:
+		f.parkWarm()
+	}
+	f.invocations++
+	p.stats.Invocations++
+	// Billed duration includes initialisation, as on-demand billing
+	// does for container runtimes; cost accrues even for timeouts
+	// and crashes. Pricing follows the invocation's start time.
+	cost := p.cfg.Price.BillAt(f.cfg.MemoryBytes, inv.cold+inv.exec, inv.granted)
+	f.billedUSD += cost
+	p.stats.BilledUSD += cost
+	rep := model.ExecReport{
+		Start:     inv.start,
+		End:       p.eng.Now(),
+		QueueWait: inv.granted.Sub(inv.start),
+		ColdStart: inv.cold,
+		CostUSD:   cost,
+	}
+	if inv.timedOut {
+		rep.Err = ErrTimedOut
+		p.stats.Errors++
+	}
+	if inv.crashed {
+		rep.Err = ErrTransient
+		p.stats.Errors++
+	}
+	done := inv.done
+	inv.f, inv.task, inv.done = nil, nil, nil
+	p.free.Put(inv)
+	done(rep)
 }
 
 // RunningSlots returns the number of concurrency slots in use.

@@ -495,3 +495,30 @@ func TestStatsColdWarmCounts(t *testing.T) {
 		t.Fatalf("ColdStarts=%d WarmStarts=%d, want 1/4", s.ColdStarts, s.WarmStarts)
 	}
 }
+
+// TestExecuteSteadyStateAllocatesNothing holds a warm platform's
+// invocations to zero allocations: a warm start that parks its container
+// again, then a cold start after the keep-alive has expired it.
+func TestExecuteSteadyStateAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	p := NewPlatform(eng, rng.New(1), LambdaLike())
+	f, err := p.Deploy(FunctionConfig{Name: "fn", MemoryBytes: 1024 * model.MB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := &model.Task{ID: 1, Cycles: 1e9, MemoryBytes: 64 * model.MB}
+	done := func(model.ExecReport) {}
+	cycle := func() {
+		f.Execute(task, done)
+		eng.RunUntil(eng.Now() + 10)
+		f.Execute(task, done) // warm start
+		eng.Run()             // and the keep-alive expiry
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("invocations allocate %v times, want 0", n)
+	}
+	if p.Stats().WarmStarts == 0 || p.Stats().ColdStarts == 0 {
+		t.Fatalf("stats %+v: want both warm and cold starts", p.Stats())
+	}
+}

@@ -46,3 +46,23 @@ func BenchmarkEventChurn1k(b *testing.B) {
 		e.Step()
 	}
 }
+
+// BenchmarkResourceAcquireRelease measures one unit changing hands twice
+// on a single-server resource: an immediate grant, a queued request, both
+// dispatches and both releases. Every device CPU, edge core, serverless
+// concurrency slot and serialised radio goes through this cycle.
+func BenchmarkResourceAcquireRelease(b *testing.B) {
+	e := NewEngine()
+	r := NewResource(e, "cpu", 1)
+	fn := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Acquire(fn)
+		r.Acquire(fn)
+		e.Step()
+		r.Release()
+		e.Step()
+		r.Release()
+	}
+}

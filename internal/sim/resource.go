@@ -8,12 +8,23 @@ import "fmt"
 //
 // Callers request a unit with Acquire and get a callback when one is
 // granted; they must call Release exactly once per grant.
+//
+// Requests are held by value in two FIFOs the resource owns: waiting
+// requests queue for a unit, granted ones wait for their zero-delay
+// dispatch event. Both reuse their slots, so a steady-state Acquire and
+// Release allocate nothing, and a popped slot is cleared so a drained
+// queue pins no callback.
 type Resource struct {
 	eng      *Engine
 	name     string
 	capacity int
 	inUse    int
-	waiting  []*request
+	waiting  fifo
+	granted  fifo
+	lastID   uint64
+	// dispatchFn is r.dispatch, bound on the first grant so that building
+	// a resource costs no more than it did before pooling.
+	dispatchFn func()
 
 	// Aggregate statistics, maintained incrementally so that utilisation
 	// can be computed without a trace.
@@ -26,22 +37,33 @@ type Resource struct {
 type request struct {
 	fn        func()
 	enqueued  Time
+	id        uint64
 	cancelled bool
 }
 
-// Pending is a handle to a queued Acquire that has not been granted yet.
+// Pending is a handle to one Acquire. The zero Pending refers to nothing.
 type Pending struct {
-	r   *Resource
-	req *request
+	r  *Resource
+	id uint64
 }
 
-// Cancel withdraws the queued request. Cancelling after the grant fired is
-// a no-op.
-func (p *Pending) Cancel() {
-	if p == nil || p.req == nil {
+// Cancel withdraws the request. A queued request is dropped and never
+// granted. A request already granted whose callback has not run yet (its
+// zero-delay dispatch is still pending) never runs its callback either:
+// when the dispatch fires, the unit is released at once and passes to the
+// head of the wait queue, if any. Cancelling after the callback ran, or
+// cancelling the zero Pending, is a no-op.
+func (p Pending) Cancel() {
+	if p.r == nil {
 		return
 	}
-	p.req.cancelled = true
+	if req := p.r.waiting.find(p.id); req != nil {
+		req.cancelled = true
+		return
+	}
+	if req := p.r.granted.find(p.id); req != nil {
+		req.cancelled = true
+	}
 }
 
 // NewResource returns a resource with the given capacity attached to eng.
@@ -65,8 +87,8 @@ func (r *Resource) InUse() int { return r.inUse }
 // QueueLen returns the number of requests waiting for a unit.
 func (r *Resource) QueueLen() int {
 	n := 0
-	for _, req := range r.waiting {
-		if !req.cancelled {
+	for i := 0; i < r.waiting.n; i++ {
+		if !r.waiting.at(i).cancelled {
 			n++
 		}
 	}
@@ -75,18 +97,19 @@ func (r *Resource) QueueLen() int {
 
 // Acquire requests one unit. If a unit is free, fn runs via a zero-delay
 // event (so the caller's stack unwinds first); otherwise the request
-// queues FIFO. The returned Pending can cancel a queued request.
-func (r *Resource) Acquire(fn func()) *Pending {
+// queues FIFO. The returned Pending can cancel the request.
+func (r *Resource) Acquire(fn func()) Pending {
 	if fn == nil {
 		panic("sim: Acquire with nil callback")
 	}
-	req := &request{fn: fn, enqueued: r.eng.Now()}
+	r.lastID++
+	req := request{fn: fn, enqueued: r.eng.Now(), id: r.lastID}
 	if r.inUse < r.capacity {
 		r.grant(req)
-		return &Pending{r: r, req: req}
+	} else {
+		r.waiting.push(req)
 	}
-	r.waiting = append(r.waiting, req)
-	return &Pending{r: r, req: req}
+	return Pending{r: r, id: req.id}
 }
 
 // Release returns one unit to the pool and grants it to the head of the
@@ -97,9 +120,8 @@ func (r *Resource) Release() {
 	}
 	r.accumulate()
 	r.inUse--
-	for len(r.waiting) > 0 {
-		req := r.waiting[0]
-		r.waiting = r.waiting[1:]
+	for r.waiting.n > 0 {
+		req := r.waiting.pop()
 		if req.cancelled {
 			continue
 		}
@@ -109,19 +131,30 @@ func (r *Resource) Release() {
 	}
 }
 
-func (r *Resource) grant(req *request) {
+func (r *Resource) grant(req request) {
 	r.accumulate()
 	r.inUse++
 	r.grants++
-	r.eng.After(0, func() {
-		if req.cancelled {
-			// The holder cancelled between grant and dispatch; return the
-			// unit rather than leak it.
-			r.Release()
-			return
-		}
-		req.fn()
-	})
+	r.granted.push(req)
+	if r.dispatchFn == nil {
+		r.dispatchFn = r.dispatch
+	}
+	r.eng.After(0, r.dispatchFn)
+}
+
+// dispatch runs the oldest granted request. Every grant schedules exactly
+// one dispatch with After(0), at a time that never decreases and with a
+// rising sequence number, so dispatches fire in grant order and the front
+// of the granted FIFO is always the grant this event was scheduled for.
+func (r *Resource) dispatch() {
+	req := r.granted.pop()
+	if req.cancelled {
+		// The holder cancelled between grant and dispatch; return the
+		// unit rather than leak it.
+		r.Release()
+		return
+	}
+	req.fn()
 }
 
 func (r *Resource) accumulate() {
@@ -150,4 +183,48 @@ func (r *Resource) MeanQueueWait() Duration {
 		return 0
 	}
 	return Duration(float64(r.queuedTime) / float64(r.grants))
+}
+
+// fifo is a ring buffer of requests. Its backing array doubles when full
+// and is never shrunk, so a queue that has reached its high-water mark
+// pushes and pops without allocating.
+type fifo struct {
+	buf  []request // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (q *fifo) push(req request) {
+	if q.n == len(q.buf) {
+		grown := make([]request, max(2*len(q.buf), 4))
+		for i := 0; i < q.n; i++ {
+			grown[i] = *q.at(i)
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = req
+	q.n++
+}
+
+// pop removes and returns the front request, clearing its slot so the
+// buffer no longer references the callback.
+func (q *fifo) pop() request {
+	req := q.buf[q.head]
+	q.buf[q.head] = request{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return req
+}
+
+// at returns the i-th request from the front.
+func (q *fifo) at(i int) *request { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+// find returns the queued request with the given id, or nil.
+func (q *fifo) find(id uint64) *request {
+	for i := 0; i < q.n; i++ {
+		if req := q.at(i); req.id == id {
+			return req
+		}
+	}
+	return nil
 }

@@ -63,3 +63,20 @@ func BenchmarkSpanRecordBounded(b *testing.B) {
 		r.TaskDone(o, at+2)
 	}
 }
+
+// BenchmarkRecorderAdd measures appending one outcome record, the
+// per-task cost of every System's trace.Recorder. A fresh recorder every
+// 1<<14 records keeps the benchmark's memory bounded while still paying
+// for chunk allocation at its real rate.
+func BenchmarkRecorderAdd(b *testing.B) {
+	r := FromOutcome(benchOutcome(&model.Task{ID: 1, App: "bench"}, 10))
+	rec := &Recorder{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i&(1<<14-1) == 0 {
+			rec = &Recorder{}
+		}
+		rec.Add(r)
+	}
+}

@@ -113,28 +113,54 @@ func Replay(eng *sim.Engine, records []Record, submit func(*model.Task)) error {
 // CompletionS returns the end-to-end completion time in seconds.
 func (r Record) CompletionS() float64 { return r.Finished - r.Submitted }
 
+// recordChunk is how many records one Recorder chunk holds. A full chunk
+// is never reallocated, so a long run copies each record once instead of
+// on every growth of one large slice.
+const recordChunk = 1024
+
 // Recorder accumulates records; plug Hook into a scheduler.
 type Recorder struct {
-	records []Record
+	chunks [][]Record // every chunk but the last holds recordChunk records
+	n      int
 }
 
 // Hook returns an outcome callback that appends to the recorder.
 func (rec *Recorder) Hook() func(model.Outcome) {
-	return func(o model.Outcome) {
-		rec.records = append(rec.records, FromOutcome(o))
-	}
+	return func(o model.Outcome) { rec.Add(FromOutcome(o)) }
 }
 
 // Add appends a record directly.
-func (rec *Recorder) Add(r Record) { rec.records = append(rec.records, r) }
+func (rec *Recorder) Add(r Record) {
+	last := len(rec.chunks) - 1
+	if last < 0 || len(rec.chunks[last]) == recordChunk {
+		rec.chunks = append(rec.chunks, nil)
+		last++
+	}
+	c := rec.chunks[last]
+	if len(c) == cap(c) {
+		// The first chunk doubles from 16, so a short run stays small;
+		// later chunks are allocated whole.
+		size := recordChunk
+		if last == 0 {
+			size = min(max(2*cap(c), 16), recordChunk)
+		}
+		grown := make([]Record, len(c), size)
+		copy(grown, c)
+		c = grown
+	}
+	rec.chunks[last] = append(c, r)
+	rec.n++
+}
 
 // Len returns the number of records.
-func (rec *Recorder) Len() int { return len(rec.records) }
+func (rec *Recorder) Len() int { return rec.n }
 
 // Records returns a copy of the accumulated records.
 func (rec *Recorder) Records() []Record {
-	cp := make([]Record, len(rec.records))
-	copy(cp, rec.records)
+	cp := make([]Record, 0, rec.n)
+	for _, c := range rec.chunks {
+		cp = append(cp, c...)
+	}
 	return cp
 }
 
@@ -142,9 +168,13 @@ func (rec *Recorder) Records() []Record {
 func (rec *Recorder) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for i := range rec.records {
-		if err := enc.Encode(&rec.records[i]); err != nil {
-			return fmt.Errorf("trace: encoding record %d: %w", i, err)
+	i := 0
+	for _, c := range rec.chunks {
+		for j := range c {
+			if err := enc.Encode(&c[j]); err != nil {
+				return fmt.Errorf("trace: encoding record %d: %w", i, err)
+			}
+			i++
 		}
 	}
 	return bw.Flush()

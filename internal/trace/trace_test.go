@@ -194,3 +194,49 @@ func TestSummarizeEmpty(t *testing.T) {
 		t.Fatalf("empty summary: %+v", s)
 	}
 }
+
+// TestRecorderAcrossChunks fills several chunks and checks that Len,
+// Records and WriteJSONL see every record once, in order.
+func TestRecorderAcrossChunks(t *testing.T) {
+	const n = 2*recordChunk + 37
+	var rec Recorder
+	for i := 0; i < n; i++ {
+		r := sample()
+		r.TaskID = uint64(i)
+		rec.Add(r)
+	}
+	if rec.Len() != n {
+		t.Fatalf("Len = %d, want %d", rec.Len(), n)
+	}
+	records := rec.Records()
+	var buf bytes.Buffer
+	if err := rec.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != n || len(back) != n {
+		t.Fatalf("Records has %d, JSONL has %d, want %d", len(records), len(back), n)
+	}
+	for i := range records {
+		if records[i].TaskID != uint64(i) || back[i] != records[i] {
+			t.Fatalf("record %d: Records %d, JSONL %+v", i, records[i].TaskID, back[i])
+		}
+	}
+}
+
+// TestRecorderAddAllocatesOnlyPerChunk holds Add to zero allocations
+// inside a chunk: the only allocation is the next chunk, once per
+// recordChunk records.
+func TestRecorderAddAllocatesOnlyPerChunk(t *testing.T) {
+	var rec Recorder
+	r := sample()
+	for i := 0; i <= recordChunk; i++ {
+		rec.Add(r) // the last Add starts the second chunk
+	}
+	if n := testing.AllocsPerRun(recordChunk-2, func() { rec.Add(r) }); n != 0 {
+		t.Fatalf("Add inside a chunk allocates %v times, want 0", n)
+	}
+}
