@@ -8,7 +8,7 @@ OFFBENCH_BIN = /tmp/offbench-ci
 
 # The micro-benchmark packages whose hot paths carry allocation and
 # latency contracts, and the committed baseline they gate against.
-BENCH_PKGS = ./internal/sim/ ./internal/metrics/ ./internal/trace/ ./internal/alloc/ ./internal/network/ ./internal/sched/
+BENCH_PKGS = ./internal/sim/ ./internal/metrics/ ./internal/trace/ ./internal/alloc/ ./internal/network/ ./internal/sched/ ./internal/core/
 BENCH_BASELINE = BENCH_2026-08-08.json
 
 all: build vet test
@@ -34,8 +34,9 @@ race:
 # JSONL codec, the Page–Hinkley drift detector, the shard-barrier
 # determinism property, the Prometheus name sanitizer, the DAG
 # validator/topological-sort invariants, the serverless sizer's
-# agreement with the full memory sweep and the pooled sim.Resource's
-# agreement with the closure-based reference. Longer local sessions:
+# agreement with the full memory sweep, the pooled sim.Resource's
+# agreement with the closure-based reference and the histogram
+# quantile's agreement with the ascending scan. Longer local sessions:
 #   go test -fuzz=FuzzFaultInjector -fuzztime=5m ./internal/fault/
 #   go test -fuzz=FuzzReadSpansJSONL -fuzztime=5m ./internal/trace/
 #   go test -fuzz=FuzzDriftDetector -fuzztime=5m ./internal/adapt/
@@ -44,6 +45,7 @@ race:
 #   go test -fuzz=FuzzDAGValidate -fuzztime=5m ./internal/dag/
 #   go test -fuzz=FuzzChooseMatchesSweep -fuzztime=5m ./internal/alloc/
 #   go test -fuzz=FuzzResourceMatchesReference -fuzztime=5m ./internal/sim/
+#   go test -fuzz=FuzzHistogramQuantileMatchesScan -fuzztime=5m ./internal/metrics/
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFaultInjector -fuzztime=10s ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzReadSpansJSONL -fuzztime=10s ./internal/trace/
@@ -53,6 +55,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDAGValidate -fuzztime=10s ./internal/dag/
 	$(GO) test -run='^$$' -fuzz=FuzzChooseMatchesSweep -fuzztime=10s ./internal/alloc/
 	$(GO) test -run='^$$' -fuzz=FuzzResourceMatchesReference -fuzztime=10s ./internal/sim/
+	$(GO) test -run='^$$' -fuzz=FuzzHistogramQuantileMatchesScan -fuzztime=10s ./internal/metrics/
 
 # Everything CI runs, in order: the gates plus the determinism diffs.
 ci: build vet fmt test race fuzz determinism metrics-golden spans-golden serve-smoke
@@ -138,7 +141,8 @@ bench:
 
 # The hot-path micro-benchmarks: event kernel, resource grants, metric
 # touches, span and outcome recording, serverless sizing, network
-# transfers and the scheduler's remote attempt. -count=6 gives benchstat/benchgate
+# transfers, the scheduler's remote and resilient attempts and one task
+# through the full stack-deadline stack. -count=6 gives benchstat/benchgate
 # enough samples to tell a regression from noise.
 bench-micro:
 	mkdir -p results
@@ -150,7 +154,8 @@ bench-json: bench-micro
 	$(GO) run ./cmd/benchgate -emit results/bench_micro.txt > $(BENCH_BASELINE)
 
 # Gate the current tree's micro-benchmarks against the committed
-# baseline: any allocs/op increase on a zero-alloc path fails. ns/op is
+# baseline: any allocs/op increase on a zero-alloc path fails, and so does
+# a median allocs/op above the baseline's largest sample. ns/op is
 # not gated here because the baseline was recorded on other hardware; CI
 # gates ns/op against a same-runner merge-base build instead.
 bench-gate: bench-micro

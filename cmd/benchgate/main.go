@@ -12,8 +12,10 @@
 //
 //	benchgate -old base.json -new head.json [-ns] [-threshold 15]
 //	    Gate: fail (exit 1) if a benchmark whose baseline allocs/op is
-//	    zero now allocates — that contract is machine-independent — or
-//	    if a baseline benchmark is missing from the head run. With
+//	    zero now allocates, or if one whose baseline allocates now has a
+//	    median allocs/op above the baseline's largest sample — allocation
+//	    counts are machine-independent — or if a baseline benchmark is
+//	    missing from the head run. With
 //	    -ns, additionally fail on a median ns/op regression beyond the
 //	    threshold where the sample ranges do not overlap; only valid
 //	    when both sides ran on the same machine.
@@ -155,7 +157,8 @@ type Finding struct {
 
 // gate compares head samples against a baseline. Alloc contracts always
 // apply: a benchmark whose baseline allocs/op median is zero must stay at
-// zero. With gateNs, a median ns/op regression beyond thresholdPct where
+// zero, and any other must keep its median allocs/op within the
+// baseline's largest sample. With gateNs, a median ns/op regression beyond thresholdPct where
 // the sample ranges do not overlap also fails; overlapping ranges are
 // treated as noise, which keeps small sample counts from flapping. A
 // baseline row the head run no longer produces is a finding too, so a
@@ -177,9 +180,14 @@ func gate(old, new_ *Set, gateNs bool, thresholdPct float64) []Finding {
 		}
 		if len(os_.AllocsPerOp) > 0 && len(ns.AllocsPerOp) > 0 {
 			oa, na := median(os_.AllocsPerOp), median(ns.AllocsPerOp)
-			if oa == 0 && na > 0 {
+			_, oldHi := minMax(os_.AllocsPerOp)
+			switch {
+			case oa == 0 && na > 0:
 				findings = append(findings, Finding{name, fmt.Sprintf(
 					"allocs/op regressed from 0 to %g: the zero-allocation contract is broken", na)})
+			case na > oldHi:
+				findings = append(findings, Finding{name, fmt.Sprintf(
+					"median allocs/op %g exceeds the baseline's largest sample %g", na, oldHi)})
 			}
 		}
 		if gateNs && len(os_.NsPerOp) > 0 && len(ns.NsPerOp) > 0 {

@@ -97,11 +97,29 @@ func TestGateFailsOnAllocIncrease(t *testing.T) {
 }
 
 func TestGateIgnoresAllocChurnAboveZero(t *testing.T) {
-	// 3 → 4 allocs is not a zero-alloc contract break.
-	old := &Set{Benchmarks: map[string]*Samples{"BenchmarkX": samplesOf([]float64{10}, 3)}}
+	// A baseline that allocates 3 or 4 times per op: a head whose median
+	// is 4 churns within the baseline's range and passes.
+	old := &Set{Benchmarks: map[string]*Samples{"BenchmarkX": {
+		NsPerOp: []float64{10, 10, 10}, BytesPerOp: []float64{0, 0, 0}, AllocsPerOp: []float64{3, 4, 3}}}}
 	head := &Set{Benchmarks: map[string]*Samples{"BenchmarkX": samplesOf([]float64{10}, 4)}}
 	if findings := gate(old, head, false, 15); len(findings) != 0 {
 		t.Fatalf("findings = %+v, want none", findings)
+	}
+}
+
+func TestGateFailsOnAllocIncreaseAboveBaselineMax(t *testing.T) {
+	// 3 → 4 allocs on a row that never allocated 4 times: the count grew.
+	old := &Set{Benchmarks: map[string]*Samples{"BenchmarkX": samplesOf([]float64{10, 11}, 3)}}
+	head := &Set{Benchmarks: map[string]*Samples{"BenchmarkX": {
+		NsPerOp: []float64{10, 10, 10}, BytesPerOp: []float64{0, 0, 0}, AllocsPerOp: []float64{3, 4, 4}}}}
+	findings := gate(old, head, false, 15)
+	if len(findings) != 1 || !strings.Contains(findings[0].Reason, "largest sample 3") {
+		t.Fatalf("findings = %+v, want one alloc-count failure", findings)
+	}
+	// One sample above the baseline's largest does not move the median.
+	head.Benchmarks["BenchmarkX"].AllocsPerOp = []float64{3, 3, 4}
+	if findings := gate(old, head, false, 15); len(findings) != 0 {
+		t.Fatalf("findings = %+v, want none for a median within the baseline", findings)
 	}
 }
 

@@ -18,12 +18,15 @@ import (
 // exact, not bucketed — but inside the underflow bucket they are
 // indistinguishable for quantile queries, so Quantile answers that fall in
 // the underflow region are clamped to the exact observed range
-// [Min(), Max()] rather than reported at a bucket edge.
+// [Min(), Max()] rather than reported at a bucket edge. +Inf lands in the
+// top bucket, which absorbs everything above the configured maximum; NaN
+// is not an observation and is dropped without touching any field.
 type Histogram struct {
 	min     float64 // lower bound of bucket 0
 	growth  float64 // bucket width factor
 	logG    float64
 	buckets []uint64
+	top     int    // one past the highest non-empty bucket; 0 when all are empty
 	under   uint64 // observations <= 0 or < min
 	count   uint64
 	sum     float64
@@ -54,8 +57,11 @@ func NewLatencyHistogram() *Histogram {
 	return NewHistogram(1e-6, 1e6, 1.05)
 }
 
-// Observe records one value.
+// Observe records one value. NaN is ignored.
 func (h *Histogram) Observe(v float64) {
+	if v != v {
+		return
+	}
 	h.count++
 	h.sum += v
 	if v > h.max {
@@ -68,11 +74,14 @@ func (h *Histogram) Observe(v float64) {
 		h.under++
 		return
 	}
-	idx := int(math.Log(v/h.min) / h.logG)
-	if idx >= len(h.buckets) {
-		idx = len(h.buckets) - 1
+	idx := len(h.buckets) - 1
+	if f := math.Log(v/h.min) / h.logG; f < float64(idx) {
+		idx = int(f)
 	}
 	h.buckets[idx]++
+	if idx >= h.top {
+		h.top = idx + 1
+	}
 }
 
 // Count returns the number of observations.
@@ -112,7 +121,10 @@ func (h *Histogram) Min() float64 {
 // observed range [Min(), Max()], so it can never exceed the largest
 // observation (a bucket upper edge otherwise could) or undercut the
 // smallest. It returns 0 for an empty histogram and panics on q outside
-// [0,1].
+// [0,1]. The answer's bucket is the lowest whose cumulative count
+// reaches ceil(q·Count); above the median it is found walking down from
+// the highest non-empty bucket, which picks the same bucket in fewer
+// steps.
 func (h *Histogram) Quantile(q float64) float64 {
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("metrics: quantile %g outside [0,1]", q))
@@ -131,15 +143,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 		// underflow bucket's upper edge, the same conservative estimate the
 		// regular buckets report.
 		v = h.min
-	} else {
-		for i, c := range h.buckets {
-			seen += c
-			if seen >= target {
-				// Upper edge of the bucket: a conservative estimate.
-				v = h.min * math.Pow(h.growth, float64(i+1))
-				break
-			}
-		}
+	} else if i := h.bucketOf(target, q > 0.5); i >= 0 {
+		// Upper edge of the bucket: a conservative estimate.
+		v = h.min * math.Pow(h.growth, float64(i+1))
 	}
 	if v > h.max {
 		v = h.max
@@ -148,6 +154,34 @@ func (h *Histogram) Quantile(q float64) float64 {
 		v = h.minSeen
 	}
 	return v
+}
+
+// bucketOf returns the lowest bucket whose cumulative count, underflow
+// included, reaches target, or -1 when none does. The caller has checked
+// that the underflow bucket alone falls short. fromTop walks down from the
+// highest non-empty bucket instead of up from bucket 0: with every
+// observation in the underflow or a bucket below h.top, the cumulative
+// count at bucket h.top-1 is h.count, and the answer is the first bucket
+// on the way down below which the count drops under target.
+func (h *Histogram) bucketOf(target uint64, fromTop bool) int {
+	if fromTop {
+		seen := h.count
+		for i := h.top - 1; i >= 0; i-- {
+			seen -= h.buckets[i]
+			if seen < target {
+				return i
+			}
+		}
+		return -1
+	}
+	seen := h.under
+	for i, c := range h.buckets[:h.top] {
+		seen += c
+		if seen >= target {
+			return i
+		}
+	}
+	return -1
 }
 
 // Compatible reports whether o shares this histogram's bucket geometry,
@@ -169,6 +203,7 @@ func (h *Histogram) Merge(o *Histogram) error {
 	for i, c := range o.buckets {
 		h.buckets[i] += c
 	}
+	h.top = max(h.top, o.top)
 	h.under += o.under
 	h.count += o.count
 	h.sum += o.sum

@@ -290,13 +290,17 @@ func (b *Breaker) cooldown() sim.Duration {
 }
 
 // taskState tracks one task through the resilience layer's attempt
-// machinery until it settles and every attempt has drained.
+// machinery until it settles and every attempt has drained. Records are
+// recycled through the scheduler's freeTasks list with their timer
+// callbacks bound once; see releaseTask for when a record may go back.
 type taskState struct {
+	s         *Scheduler
 	task      *model.Task
 	placement model.Placement // primary target; retries and hedges aim here
 
 	inFlight int  // attempts whose outcome has not arrived yet
-	pending  bool // a backoff re-dispatch timer is armed
+	pending  bool // a backoff timer was armed and none has fired since
+	backoffs int  // backoff timers armed and not yet fired, stale ones included
 	hedges   int  // hedge attempts launched
 	hedgeEv  sim.EventRef
 
@@ -305,10 +309,14 @@ type taskState struct {
 	failed  bool          // failure holds the terminal failure
 	failure model.Outcome //
 	done    bool          // finish() has run
+
+	hedgeFn, retryFn func()
 }
 
-// attempt is one in-flight dispatch of a task.
+// attempt is one in-flight dispatch of a task, recycled through the
+// scheduler's freeTries list with its callbacks bound once.
 type attempt struct {
+	s         *Scheduler
 	st        *taskState
 	placement model.Placement // actual target (fallback may differ)
 	isHedge   bool
@@ -316,16 +324,44 @@ type attempt struct {
 	launched  sim.Time
 	timeoutEv sim.EventRef
 	traceID   uint64 // span handle when a tracer is attached
+
+	timeoutFn func()
+	doneFn    func(model.Outcome)
 }
+
+func (a *attempt) timeout()                 { a.s.onAttemptTimeout(a) }
+func (a *attempt) finished(o model.Outcome) { a.s.onAttemptDone(a, o) }
 
 // resilientDispatch is Dispatch when the resilience layer is on.
 func (s *Scheduler) resilientDispatch(task *model.Task, placement model.Placement) {
 	st, ok := s.inflight[task.ID]
 	if !ok {
-		st = &taskState{task: task, placement: placement}
+		st = s.freeTasks.Get()
+		if st == nil {
+			st = &taskState{s: s}
+			st.hedgeFn, st.retryFn = st.hedge, st.retry
+		}
+		st.task, st.placement = task, placement
 		s.inflight[task.ID] = st
 	}
 	s.launchAttempt(st, false)
+}
+
+// releaseTask returns a finished task's record to the free list. It runs
+// once the task is done and its last backoff timer has fired: by then no
+// attempt is in flight (done needs inFlight == 0, so every attempt's
+// outcome arrived and its timeout fired or was cancelled) and the hedge
+// timer was cancelled, so no event can reach the record again.
+func (s *Scheduler) releaseTask(st *taskState) {
+	*st = taskState{s: s, hedgeFn: st.hedgeFn, retryFn: st.retryFn}
+	s.freeTasks.Put(st)
+}
+
+// releaseAttempt returns an attempt's record to the free list once its
+// outcome has arrived: its timeout has fired or been cancelled by then.
+func (s *Scheduler) releaseAttempt(a *attempt) {
+	*a = attempt{s: s, timeoutFn: a.timeoutFn, doneFn: a.doneFn}
+	s.freeTries.Put(a)
 }
 
 // breakerFor returns the breaker guarding a remote placement, creating it
@@ -364,7 +400,12 @@ func (s *Scheduler) launchAttempt(st *taskState, isHedge bool) {
 		target = s.res.fallback()
 		s.stats.Fallbacks++
 	}
-	a := &attempt{st: st, placement: target, isHedge: isHedge, launched: s.env.Eng.Now()}
+	a := s.freeTries.Get()
+	if a == nil {
+		a = &attempt{s: s}
+		a.timeoutFn, a.doneFn = a.timeout, a.finished
+	}
+	a.st, a.placement, a.isHedge, a.launched = st, target, isHedge, s.env.Eng.Now()
 	if s.tr != nil {
 		a.traceID = s.tr.AttemptStart(st.task, target, isHedge, a.launched)
 	}
@@ -374,10 +415,10 @@ func (s *Scheduler) launchAttempt(st *taskState, isHedge bool) {
 		s.stats.Hedges++
 	}
 	if to := s.res.AttemptTimeout; to > 0 && target != model.PlaceLocal {
-		a.timeoutEv = s.env.Eng.After(to, func() { s.onAttemptTimeout(a) })
+		a.timeoutEv = s.env.Eng.After(to, a.timeoutFn)
 	}
 	s.maybeArmHedge(st)
-	s.dispatchTo(st.task, target, func(o model.Outcome) { s.onAttemptDone(a, o) })
+	s.dispatchTo(st.task, target, a.doneFn)
 }
 
 // maybeArmHedge arms the duplicate-attempt timer if hedging is on, the
@@ -392,13 +433,17 @@ func (s *Scheduler) maybeArmHedge(st *taskState) {
 	if !ok {
 		return
 	}
-	st.hedgeEv = s.env.Eng.After(delay, func() {
-		st.hedgeEv = sim.EventRef{}
-		if st.settled || st.failed || st.inFlight == 0 {
-			return
-		}
-		s.launchAttempt(st, true)
-	})
+	st.hedgeEv = s.env.Eng.After(delay, st.hedgeFn)
+}
+
+// hedge fires st's hedge timer: one duplicate attempt, unless the task
+// was decided or has nothing in flight to race against.
+func (st *taskState) hedge() {
+	st.hedgeEv = sim.EventRef{}
+	if st.settled || st.failed || st.inFlight == 0 {
+		return
+	}
+	st.s.launchAttempt(st, true)
 }
 
 // hedgeDelay returns how long to wait before hedging: the configured
@@ -506,6 +551,7 @@ func (s *Scheduler) onAttemptDone(a *attempt, o model.Outcome) {
 		}
 		s.handleAttemptFailure(st, o)
 	}
+	s.releaseAttempt(a)
 	s.settleIfDrained(st)
 }
 
@@ -545,14 +591,8 @@ func (s *Scheduler) handleAttemptFailure(st *taskState, o model.Outcome) {
 		s.sunkMJ[st.task.ID] += o.EnergyMilliJ
 		s.stats.Retries++
 		st.pending = true
-		s.env.Eng.After(s.retryDelay(n), func() {
-			st.pending = false
-			if st.settled || st.failed {
-				s.settleIfDrained(st)
-				return
-			}
-			s.launchAttempt(st, false)
-		})
+		st.backoffs++
+		s.env.Eng.After(s.retryDelay(n), st.retryFn)
 		return
 	}
 	if st.failed {
@@ -562,6 +602,28 @@ func (s *Scheduler) handleAttemptFailure(st *taskState, o model.Outcome) {
 	}
 	st.failed = true
 	st.failure = o
+}
+
+// retry fires one of st's backoff timers: re-dispatch, or settle a task
+// decided meanwhile. Two attempts failing close together arm two timers,
+// and the task can settle between them (pending is one flag), so a timer
+// may fire after finish: then it only releases the record if it was the
+// last one armed.
+func (st *taskState) retry() {
+	s := st.s
+	st.backoffs--
+	st.pending = false
+	if st.done {
+		if st.backoffs == 0 {
+			s.releaseTask(st)
+		}
+		return
+	}
+	if st.settled || st.failed {
+		s.settleIfDrained(st)
+		return
+	}
+	s.launchAttempt(st, false)
 }
 
 // settleIfDrained reports the task's outcome once it is decided and no
@@ -580,9 +642,14 @@ func (s *Scheduler) settleIfDrained(st *taskState) {
 		}
 	}
 	delete(s.inflight, st.task.ID)
+	o := st.failure
 	if st.settled {
-		s.finish(st.winner)
-		return
+		o = st.winner
 	}
-	s.finish(st.failure)
+	// The record goes back before finish runs: its hooks may submit a
+	// task that reuses it.
+	if st.backoffs == 0 {
+		s.releaseTask(st)
+	}
+	s.finish(o)
 }

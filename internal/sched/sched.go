@@ -115,13 +115,16 @@ type Scheduler struct {
 	sunkUSD map[model.TaskID]float64
 	sunkMJ  map[model.TaskID]float64
 
-	// Resilience layer (nil when disabled): per-task attempt state, one
+	// Resilience layer (nil when disabled): per-task attempt state, whose
+	// task and attempt records recycle through freeTasks and freeTries, one
 	// circuit breaker per remote placement, and the latency histogram the
 	// hedging delay quantile is computed from.
 	res        *Resilience
 	inflight   map[model.TaskID]*taskState
 	breakers   map[model.Placement]*Breaker
 	attemptLat *metrics.Histogram
+	freeTasks  sim.FreeList[taskState]
+	freeTries  sim.FreeList[attempt]
 
 	// Regional failover layer (nil when disabled): per-region health
 	// tracking, re-homing and the graceful-degradation ladder.

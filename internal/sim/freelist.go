@@ -26,3 +26,6 @@ func (l *FreeList[T]) Get() *T {
 // Put returns a record for reuse. The caller clears any fields that would
 // otherwise keep finished work reachable.
 func (l *FreeList[T]) Put(x *T) { l.spare = append(l.spare, x) }
+
+// Len returns how many spare records the list holds.
+func (l *FreeList[T]) Len() int { return len(l.spare) }

@@ -129,6 +129,29 @@ func TestBoundedRecorderKeepsOpenTraces(t *testing.T) {
 	t.Fatal("straggler attempt span missing after close")
 }
 
+// TestBoundedRecorderAllocatesBufferOnce checks the bounded buffer's
+// life: nothing at Bound, so building a system with spans on costs
+// nothing, one allocation at the first span, and no regrowth across any
+// number of compactions.
+func TestBoundedRecorderAllocatesBufferOnce(t *testing.T) {
+	r := NewSpanRecorder()
+	r.Bound(64)
+	if cap(r.spans) != 0 {
+		t.Fatalf("Bound allocated %d spans up front", cap(r.spans))
+	}
+	recordTask(r, 0)
+	c := cap(r.spans)
+	if c < 2*64 {
+		t.Fatalf("first span allocated room for %d spans, want at least a compaction cycle (%d)", c, 2*64)
+	}
+	for i := 1; i < 2000; i++ {
+		recordTask(r, i)
+	}
+	if r.Dropped() == 0 || cap(r.spans) != c {
+		t.Fatalf("after %d drops the buffer holds %d spans, want the first allocation's %d", r.Dropped(), cap(r.spans), c)
+	}
+}
+
 // TestBoundPanicsOnNonPositive pins Bound's argument contract.
 func TestBoundPanicsOnNonPositive(t *testing.T) {
 	defer func() {

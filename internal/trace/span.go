@@ -147,16 +147,13 @@ type SpanRecorder struct {
 	spans  []Span
 	nextID uint64
 
-	byID     map[uint64]int      // attempt span id → index in spans
-	roots    map[uint64]uint64   // trace → reserved root span id
-	attempts map[uint64]int      // trace → attempts started so far
-	byTrace  map[uint64][]uint64 // trace → attempt span ids, start order
-	adopted  map[uint64]uint64   // task trace → owning job trace (AdoptTrace)
+	byID    map[uint64]int       // attempt span id → index in spans
+	traces  map[uint64]*traceRec // open trace → its bookkeeping
+	adopted map[uint64]uint64    // task trace → owning job trace (AdoptTrace)
 
-	// freeIDs pools the per-trace attempt-id slices: a settled task's
-	// slice is recycled for the next task instead of allocating, so
-	// steady-state recording stops paying one slice per task.
-	freeIDs [][]uint64
+	// freeRecs pools settled traces' records, attempt-id slices included,
+	// so steady-state recording allocates no bookkeeping per task.
+	freeRecs sim.FreeList[traceRec]
 
 	// Bounded mode (see Bound): limit > 0 caps retained spans by
 	// compacting away the oldest settled-trace spans; dropped counts the
@@ -165,14 +162,20 @@ type SpanRecorder struct {
 	dropped uint64
 }
 
+// traceRec is the recorder's bookkeeping for one trace, from its first
+// span until it settles.
+type traceRec struct {
+	root     uint64   // reserved root span ID; 0 when none is reserved
+	attempts int      // attempts started so far
+	ids      []uint64 // attempt span IDs, start order
+}
+
 // NewSpanRecorder returns an empty recorder.
 func NewSpanRecorder() *SpanRecorder {
 	return &SpanRecorder{
-		byID:     make(map[uint64]int),
-		roots:    make(map[uint64]uint64),
-		attempts: make(map[uint64]int),
-		byTrace:  make(map[uint64][]uint64),
-		adopted:  make(map[uint64]uint64),
+		byID:    make(map[uint64]int),
+		traces:  make(map[uint64]*traceRec),
+		adopted: make(map[uint64]uint64),
 	}
 }
 
@@ -187,8 +190,10 @@ func (r *SpanRecorder) SetMeta(run, policy string) {
 // 2×maxSpans spans, compacting away the oldest settled-task spans once
 // the buffer fills (spans of still-open tasks are always kept, whatever
 // their age). Million-task runs then record at a flat memory footprint
-// instead of retaining every span tree. Dropped reports how many spans
-// compaction discarded. maxSpans must be positive; call before recording.
+// instead of retaining every span tree. The buffer is allocated once, at
+// the first recorded span, with room for a whole compaction cycle.
+// Dropped reports how many spans compaction discarded. maxSpans must be
+// positive; call before recording.
 //
 // The default (unbounded) recorder retains everything and its output is
 // unaffected by this feature existing.
@@ -202,32 +207,61 @@ func (r *SpanRecorder) Bound(maxSpans int) {
 // Dropped returns how many spans bounded-mode compaction has discarded.
 func (r *SpanRecorder) Dropped() uint64 { return r.dropped }
 
+// buf returns the span buffer to append to. A bounded recorder allocates
+// it whole on first use: 2×limit spans trigger a compaction at the next
+// settled task, and the extra eighth holds the spans recorded between
+// settlements and the open traces' spans a compaction keeps, so the
+// buffer does not regrow. Should a run overrun it anyway, append grows
+// it as usual.
+func (r *SpanRecorder) buf() []Span {
+	if r.spans == nil && r.limit > 0 {
+		r.spans = make([]Span, 0, 2*r.limit+r.limit/8)
+	}
+	return r.spans
+}
+
+// isOpen reports whether the trace has a root span reserved and not yet
+// appended: its spans must survive compaction.
+func (r *SpanRecorder) isOpen(trace uint64) bool {
+	t, ok := r.traces[trace]
+	return ok && t.root != 0
+}
+
 // compact drops the oldest settled-trace spans down to the bound,
 // keeping every span of a still-open trace and the newest limit spans.
 // It runs only when bounded mode is on and the buffer hit 2×limit, so
 // the cost amortises to O(1) per recorded span.
 func (r *SpanRecorder) compact() {
 	keepFrom := len(r.spans) - r.limit
+	// Older spans survive only on an open trace. A trace's spans tend to
+	// sit together, so the last answer is reused for a run of them.
 	w := 0
-	for i := range r.spans {
-		sp := r.spans[i]
-		_, open := r.roots[sp.Trace]
-		if i >= keepFrom || (sp.Trace != 0 && open) {
-			r.spans[w] = sp
+	var trace uint64
+	live := false
+	for i := range r.spans[:keepFrom] {
+		sp := &r.spans[i]
+		if sp.Trace != trace {
+			trace, live = sp.Trace, r.isOpen(sp.Trace)
+		}
+		if sp.Trace != 0 && live {
+			if w != i {
+				r.spans[w] = *sp
+			}
 			w++
 		} else {
 			r.dropped++
 		}
 	}
-	r.spans = r.spans[:w]
+	if w != keepFrom {
+		copy(r.spans[w:], r.spans[keepFrom:])
+	}
+	r.spans = r.spans[:w+r.limit]
 	// Surviving spans moved; re-anchor the open attempts' index map.
 	clear(r.byID)
 	for i := range r.spans {
 		sp := &r.spans[i]
-		if sp.Name == SpanAttempt {
-			if _, open := r.roots[sp.Trace]; open {
-				r.byID[sp.ID] = i
-			}
+		if sp.Name == SpanAttempt && r.isOpen(sp.Trace) {
+			r.byID[sp.ID] = i
 		}
 	}
 }
@@ -248,37 +282,36 @@ func (r *SpanRecorder) id() uint64 {
 	return r.nextID
 }
 
-// rootFor reserves (or returns) the root span ID for a trace, so attempt
-// spans can point at their parent before the root itself is appended.
-func (r *SpanRecorder) rootFor(trace uint64) uint64 {
-	if id, ok := r.roots[trace]; ok {
-		return id
+// open returns the trace's record, reserving its root span ID if none is,
+// so attempt spans can point at their parent before the root itself is
+// appended.
+func (r *SpanRecorder) open(trace uint64) *traceRec {
+	t, ok := r.traces[trace]
+	if !ok {
+		if t = r.freeRecs.Get(); t == nil {
+			t = &traceRec{}
+		}
+		r.traces[trace] = t
 	}
-	id := r.id()
-	r.roots[trace] = id
-	return id
+	if t.root == 0 {
+		t.root = r.id()
+	}
+	return t
 }
 
 // AttemptStart implements Tracer.
 func (r *SpanRecorder) AttemptStart(task *model.Task, placement model.Placement, hedge bool, at sim.Time) uint64 {
 	trace := uint64(task.ID)
-	root := r.rootFor(trace)
-	r.attempts[trace]++
+	t := r.open(trace)
+	t.attempts++
 	id := r.id()
 	r.byID[id] = len(r.spans)
-	ids, ok := r.byTrace[trace]
-	if !ok && len(r.freeIDs) > 0 {
-		// First attempt of this trace: adopt a settled trace's slice
-		// instead of growing a fresh one.
-		ids = r.freeIDs[len(r.freeIDs)-1]
-		r.freeIDs = r.freeIDs[:len(r.freeIDs)-1]
-	}
-	r.byTrace[trace] = append(ids, id)
-	r.spans = append(r.spans, Span{
-		ID: id, Trace: trace, Parent: root,
+	t.ids = append(t.ids, id)
+	r.spans = append(r.buf(), Span{
+		ID: id, Trace: trace, Parent: t.root,
 		Name: SpanAttempt, Backend: placement.String(),
 		Start: float64(at), End: float64(at),
-		Attempt: r.attempts[trace], Hedge: hedge,
+		Attempt: t.attempts, Hedge: hedge,
 	})
 	return id
 }
@@ -303,7 +336,7 @@ func (r *SpanRecorder) AttemptEnd(id uint64, o model.Outcome, status string, at 
 	if status != StatusTimeout {
 		// A timed-out attempt's synthetic outcome says nothing about where
 		// the straggler was stuck; leave it undecomposed.
-		r.emitPhases(*sp, o)
+		r.emitPhases(sp, &o)
 	}
 }
 
@@ -317,20 +350,22 @@ func (r *SpanRecorder) AttemptCost(id uint64, costUSD float64) {
 // emitPhases reconstructs the attempt's timeline from its outcome:
 // uplink → queue → cold_start → exec → downlink, emitting only phases
 // with positive width.
-func (r *SpanRecorder) emitPhases(a Span, o model.Outcome) {
+func (r *SpanRecorder) emitPhases(a *Span, o *model.Outcome) {
+	// a points into r.spans, which the appends below may move.
+	trace, parent, backend, attempt, hedge, start := a.Trace, a.ID, a.Backend, a.Attempt, a.Hedge, a.Start
 	add := func(name string, start, end float64) {
 		if !(end > start) || math.IsNaN(start) || math.IsNaN(end) {
 			return
 		}
-		r.spans = append(r.spans, Span{
-			ID: r.id(), Trace: a.Trace, Parent: a.ID,
-			Name: name, Backend: a.Backend,
+		r.spans = append(r.buf(), Span{
+			ID: r.id(), Trace: trace, Parent: parent,
+			Name: name, Backend: backend,
 			Start: start, End: end,
-			Attempt: a.Attempt, Hedge: a.Hedge,
+			Attempt: attempt, Hedge: hedge,
 		})
 	}
 	up := float64(o.UplinkTime)
-	add(PhaseUplink, a.Start, a.Start+up)
+	add(PhaseUplink, start, start+up)
 	// The substrate report places queue wait and cold start at the front
 	// of [Exec.Start, Exec.End]; the remainder is computation.
 	es, ee := float64(o.Exec.Start), float64(o.Exec.End)
@@ -345,7 +380,7 @@ func (r *SpanRecorder) emitPhases(a Span, o model.Outcome) {
 
 // BreakerTransition implements Tracer.
 func (r *SpanRecorder) BreakerTransition(placement model.Placement, from, to string, at sim.Time) {
-	r.spans = append(r.spans, Span{
+	r.spans = append(r.buf(), Span{
 		ID: r.id(), Name: EventBreaker, Backend: placement.String(),
 		Start: float64(at), End: float64(at),
 		Status: from + ">" + to,
@@ -356,7 +391,7 @@ func (r *SpanRecorder) BreakerTransition(placement model.Placement, from, to str
 // (internal/adapt) as a zero-width run-scoped event span: Status carries
 // the decision kind (drift_reset, resize, localize), Backend its subject.
 func (r *SpanRecorder) AdaptEvent(kind, subject string, at sim.Time) {
-	r.spans = append(r.spans, Span{
+	r.spans = append(r.buf(), Span{
 		ID: r.id(), Name: EventAdapt, Backend: subject,
 		Start: float64(at), End: float64(at),
 		Status: kind,
@@ -370,7 +405,7 @@ func (r *SpanRecorder) RegionTransition(region string, down bool, at sim.Time) {
 	if down {
 		status = "down"
 	}
-	r.spans = append(r.spans, Span{
+	r.spans = append(r.buf(), Span{
 		ID: r.id(), Name: EventRegion, Backend: region,
 		Start: float64(at), End: float64(at),
 		Status: status,
@@ -380,7 +415,7 @@ func (r *SpanRecorder) RegionTransition(region string, down bool, at sim.Time) {
 // DegradationChange implements RegionTracer: a zero-width run-scoped
 // event span whose Status carries "from>to" rung names.
 func (r *SpanRecorder) DegradationChange(from, to string, at sim.Time) {
-	r.spans = append(r.spans, Span{
+	r.spans = append(r.buf(), Span{
 		ID: r.id(), Name: EventDegrade,
 		Start: float64(at), End: float64(at),
 		Status: from + ">" + to,
@@ -391,8 +426,8 @@ func (r *SpanRecorder) DegradationChange(from, to string, at sim.Time) {
 // trace whose Status carries the "from>to" placements.
 func (r *SpanRecorder) TaskRehomed(task model.TaskID, from, to model.Placement, at sim.Time) {
 	trace := uint64(task)
-	r.spans = append(r.spans, Span{
-		ID: r.id(), Trace: trace, Parent: r.rootFor(trace),
+	r.spans = append(r.buf(), Span{
+		ID: r.id(), Trace: trace, Parent: r.open(trace).root,
 		Name:  EventRehome,
 		Start: float64(at), End: float64(at),
 		Status: from.String() + ">" + to.String(),
@@ -402,8 +437,8 @@ func (r *SpanRecorder) TaskRehomed(task model.TaskID, from, to model.Placement, 
 // HedgeCanceled implements Tracer.
 func (r *SpanRecorder) HedgeCanceled(task model.TaskID, at sim.Time) {
 	trace := uint64(task)
-	r.spans = append(r.spans, Span{
-		ID: r.id(), Trace: trace, Parent: r.rootFor(trace),
+	r.spans = append(r.buf(), Span{
+		ID: r.id(), Trace: trace, Parent: r.open(trace).root,
 		Name:  EventHedgeCancel,
 		Start: float64(at), End: float64(at),
 	})
@@ -417,7 +452,8 @@ func (r *SpanRecorder) TaskDone(o model.Outcome, at sim.Time) {
 		return
 	}
 	trace := uint64(o.Task.ID)
-	root := r.rootFor(trace)
+	t := r.open(trace)
+	root := t.root
 	start, end := float64(o.Started), float64(o.Finished)
 
 	status := StatusOK
@@ -432,12 +468,12 @@ func (r *SpanRecorder) TaskDone(o model.Outcome, at sim.Time) {
 	// root's ID is reserved now and materialises at JobDone.
 	var parent uint64
 	if job, ok := r.adopted[trace]; ok {
-		parent = r.rootFor(job)
+		parent = r.open(job).root
 		delete(r.adopted, trace)
 	}
 
-	r.emitGaps(trace, root, start, end)
-	r.spans = append(r.spans, Span{
+	r.emitGaps(t, trace, root, start, end)
+	r.spans = append(r.buf(), Span{
 		ID: root, Trace: trace, Parent: parent,
 		Name: SpanTask, Backend: o.Placement.String(),
 		Start: start, End: end,
@@ -446,21 +482,24 @@ func (r *SpanRecorder) TaskDone(o model.Outcome, at sim.Time) {
 	})
 
 	// The task settled and every attempt drained (the scheduler only
-	// reports drained tasks), so its bookkeeping can go. The attempt-id
-	// slice returns to the pool for the next trace.
-	if ids, ok := r.byTrace[trace]; ok {
-		for _, id := range ids {
-			delete(r.byID, id)
-		}
-		r.freeIDs = append(r.freeIDs, ids[:0])
+	// reports drained tasks), so its bookkeeping can go. The record, and
+	// its attempt-id slice, return to the pool for the next trace.
+	for _, id := range t.ids {
+		delete(r.byID, id)
 	}
-	delete(r.byTrace, trace)
-	delete(r.roots, trace)
-	delete(r.attempts, trace)
+	delete(r.traces, trace)
+	r.release(t)
 
 	if r.limit > 0 && len(r.spans) > 2*r.limit {
 		r.compact()
 	}
+}
+
+// release clears a settled trace's record and pools it, keeping the
+// attempt-id slice's backing array.
+func (r *SpanRecorder) release(t *traceRec) {
+	*t = traceRec{ids: t.ids[:0]}
+	r.freeRecs.Put(t)
 }
 
 // AdoptTrace implements JobTracer: when the task settles, its root span
@@ -472,14 +511,20 @@ func (r *SpanRecorder) AdoptTrace(task model.TaskID, job uint64) {
 // JobDone implements JobTracer: it appends the job's root span — the
 // parent every adopted node task span points at — closing the job trace.
 func (r *SpanRecorder) JobDone(job uint64, app string, start, end sim.Time, status string, costUSD float64) {
-	root := r.rootFor(job)
-	r.spans = append(r.spans, Span{
-		ID: root, Trace: job,
+	t := r.open(job)
+	r.spans = append(r.buf(), Span{
+		ID: t.root, Trace: job,
 		Name: SpanJob, Backend: app,
 		Start: float64(start), End: float64(end),
 		Status: status, CostUSD: costUSD,
 	})
-	delete(r.roots, job)
+	// The job's root is appended; a job trace carries no attempts of its
+	// own, but should a task share its ID their bookkeeping stays.
+	t.root = 0
+	if t.attempts == 0 {
+		delete(r.traces, job)
+		r.release(t)
+	}
 	if r.limit > 0 && len(r.spans) > 2*r.limit {
 		r.compact()
 	}
@@ -555,29 +600,29 @@ func MergeSets(run, policy string, sets ...*SpanSet) *SpanSet {
 // gap span for every hole in their union over [start, end]: before the
 // first attempt the task was pending submission ("submit"), between
 // attempts it was backing off ("backoff").
-func (r *SpanRecorder) emitGaps(trace, root uint64, start, end float64) {
+func (r *SpanRecorder) emitGaps(t *traceRec, trace, root uint64, start, end float64) {
 	const eps = 1e-9
 	cursor := start
 	sawAttempt := false
-	for _, id := range r.byTrace[trace] {
+	for _, id := range t.ids {
 		idx, ok := r.byID[id]
 		if !ok {
 			continue
 		}
-		a := r.spans[idx]
-		if a.Start-cursor > eps && a.Start <= end+eps {
+		aStart, aEnd := r.spans[idx].Start, r.spans[idx].End
+		if aStart-cursor > eps && aStart <= end+eps {
 			name := PhaseBackoff
 			if !sawAttempt {
 				name = PhaseSubmit
 			}
-			r.spans = append(r.spans, Span{
+			r.spans = append(r.buf(), Span{
 				ID: r.id(), Trace: trace, Parent: root,
-				Name: name, Start: cursor, End: math.Min(a.Start, end),
+				Name: name, Start: cursor, End: math.Min(aStart, end),
 			})
 		}
 		sawAttempt = true
-		if a.End > cursor {
-			cursor = a.End
+		if aEnd > cursor {
+			cursor = aEnd
 		}
 		if cursor >= end {
 			return
@@ -588,7 +633,7 @@ func (r *SpanRecorder) emitGaps(trace, root uint64, start, end float64) {
 		if !sawAttempt {
 			name = PhaseSubmit
 		}
-		r.spans = append(r.spans, Span{
+		r.spans = append(r.buf(), Span{
 			ID: r.id(), Trace: trace, Parent: root,
 			Name: name, Start: cursor, End: end,
 		})

@@ -162,9 +162,9 @@ func TestSpanRecorderTree(t *testing.T) {
 	}
 
 	// Per-trace bookkeeping must be released once a task settles.
-	if len(r.byID) != 0 || len(r.roots) != 0 || len(r.byTrace) != 0 {
-		t.Errorf("recorder retained bookkeeping: %d byID, %d roots, %d byTrace",
-			len(r.byID), len(r.roots), len(r.byTrace))
+	if len(r.byID) != 0 || len(r.traces) != 0 {
+		t.Errorf("recorder retained bookkeeping: %d byID, %d traces",
+			len(r.byID), len(r.traces))
 	}
 }
 
