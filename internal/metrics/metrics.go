@@ -122,9 +122,8 @@ func (h *Histogram) Min() float64 {
 // observation (a bucket upper edge otherwise could) or undercut the
 // smallest. It returns 0 for an empty histogram and panics on q outside
 // [0,1]. The answer's bucket is the lowest whose cumulative count
-// reaches ceil(q·Count); above the median it is found walking down from
-// the highest non-empty bucket, which picks the same bucket in fewer
-// steps.
+// reaches ceil(q·Count), found walking down from the highest non-empty
+// bucket.
 func (h *Histogram) Quantile(q float64) float64 {
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("metrics: quantile %g outside [0,1]", q))
@@ -143,7 +142,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		// underflow bucket's upper edge, the same conservative estimate the
 		// regular buckets report.
 		v = h.min
-	} else if i := h.bucketOf(target, q > 0.5); i >= 0 {
+	} else if i := h.bucketOf(target); i >= 0 {
 		// Upper edge of the bucket: a conservative estimate.
 		v = h.min * math.Pow(h.growth, float64(i+1))
 	}
@@ -158,26 +157,15 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // bucketOf returns the lowest bucket whose cumulative count, underflow
 // included, reaches target, or -1 when none does. The caller has checked
-// that the underflow bucket alone falls short. fromTop walks down from the
-// highest non-empty bucket instead of up from bucket 0: with every
-// observation in the underflow or a bucket below h.top, the cumulative
-// count at bucket h.top-1 is h.count, and the answer is the first bucket
-// on the way down below which the count drops under target.
-func (h *Histogram) bucketOf(target uint64, fromTop bool) int {
-	if fromTop {
-		seen := h.count
-		for i := h.top - 1; i >= 0; i-- {
-			seen -= h.buckets[i]
-			if seen < target {
-				return i
-			}
-		}
-		return -1
-	}
-	seen := h.under
-	for i, c := range h.buckets[:h.top] {
-		seen += c
-		if seen >= target {
+// that the underflow bucket alone falls short. With every observation in
+// the underflow or a bucket below h.top, the cumulative count at bucket
+// h.top-1 is h.count, so the walk starts there and goes down: the answer
+// is the first bucket below which the count drops under target.
+func (h *Histogram) bucketOf(target uint64) int {
+	seen := h.count
+	for i := h.top - 1; i >= 0; i-- {
+		seen -= h.buckets[i]
+		if seen < target {
 			return i
 		}
 	}

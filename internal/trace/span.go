@@ -233,28 +233,18 @@ func (r *SpanRecorder) isOpen(trace uint64) bool {
 // the cost amortises to O(1) per recorded span.
 func (r *SpanRecorder) compact() {
 	keepFrom := len(r.spans) - r.limit
-	// Older spans survive only on an open trace. A trace's spans tend to
-	// sit together, so the last answer is reused for a run of them.
+	// Older spans survive only on an open trace.
 	w := 0
-	var trace uint64
-	live := false
 	for i := range r.spans[:keepFrom] {
 		sp := &r.spans[i]
-		if sp.Trace != trace {
-			trace, live = sp.Trace, r.isOpen(sp.Trace)
-		}
-		if sp.Trace != 0 && live {
-			if w != i {
-				r.spans[w] = *sp
-			}
+		if sp.Trace != 0 && r.isOpen(sp.Trace) {
+			r.spans[w] = *sp
 			w++
 		} else {
 			r.dropped++
 		}
 	}
-	if w != keepFrom {
-		copy(r.spans[w:], r.spans[keepFrom:])
-	}
+	copy(r.spans[w:], r.spans[keepFrom:])
 	r.spans = r.spans[:w+r.limit]
 	// Surviving spans moved; re-anchor the open attempts' index map.
 	clear(r.byID)
