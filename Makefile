@@ -84,13 +84,17 @@ determinism: offbench-bin
 	cmp /tmp/offbench-e22-serial.txt /tmp/offbench-e22-parallel.txt
 
 # The sharded-engine drill: the cross-shard determinism property and
-# fleet tests under the race detector, then the E21 quick run diffed
-# serial (one shard) against sharded (seven) byte for byte.
+# fleet tests under the race detector at GOMAXPROCS 1, 2 and 4 (so some
+# runs have fewer workers than shards), then the E21 quick run diffed
+# serial (one shard) against two shards (a 2-vCPU layout) and seven (a
+# partition that divides nothing evenly) byte for byte.
 shards: offbench-bin
-	$(GO) test -race -run 'TestSharded|TestShardedFleet' ./internal/sim/ ./internal/core/
+	$(GO) test -race -cpu 1,2,4 -run 'TestSharded' ./internal/sim/ ./internal/core/
 	$(GO) test -race -run 'TestE21' ./internal/exp/
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E21 -shards 1 -quiet > /tmp/offbench-e21-serial.txt
+	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E21 -shards 2 -quiet > /tmp/offbench-e21-two.txt
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E21 -shards 7 -quiet > /tmp/offbench-e21-sharded.txt
+	cmp /tmp/offbench-e21-serial.txt /tmp/offbench-e21-two.txt
 	cmp /tmp/offbench-e21-serial.txt /tmp/offbench-e21-sharded.txt
 
 # The chaos drill: both failure-centric experiments (E17 correlated

@@ -49,11 +49,12 @@ type ShardedFleet struct {
 // fixedCycles is a Predictor that replays a demand estimate captured
 // earlier: the shard-side scheduler predicts at dispatch time, and the
 // hub-side function pool must size instances with exactly that estimate,
-// not a fresh one from a different predictor state.
-type fixedCycles float64
+// not a fresh one from a different predictor state. The hub owns one and
+// refills it per execution; a pointer never boxes into the interface.
+type fixedCycles struct{ cycles float64 }
 
-func (c fixedCycles) PredictCycles(*model.Task) float64 { return float64(c) }
-func (fixedCycles) Observe(*model.Task, float64)        {}
+func (c *fixedCycles) PredictCycles(*model.Task) float64 { return c.cycles }
+func (*fixedCycles) Observe(*model.Task, float64)        {}
 
 // shardHub executes remote attempts on the hub engine. Its execute method
 // runs hub-side (delivered through the barrier in canonical order) and
@@ -64,6 +65,7 @@ type shardHub struct {
 	pool *sched.FunctionPool
 	edge *edge.Cluster
 	vm   *cloudvm.Fleet
+	pred fixedCycles // scratch for pool.For; phase B is single-threaded
 }
 
 func (h *shardHub) execute(task *model.Task, placement model.Placement, predicted float64, done func(model.ExecReport)) {
@@ -74,7 +76,8 @@ func (h *shardHub) execute(task *model.Task, placement model.Placement, predicte
 		// Deploying/resizing the function mutates shared pool state,
 		// which is exactly why this happens hub-side; fixedCycles hands
 		// it the shard-captured prediction the serial path would use.
-		fn, err := h.pool.For(task, fixedCycles(predicted))
+		h.pred.cycles = predicted
+		fn, err := h.pool.For(task, &h.pred)
 		if err != nil {
 			now := h.se.Hub().Now()
 			done(model.ExecReport{Start: now, End: now, Err: err})
