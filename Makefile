@@ -35,8 +35,9 @@ race:
 # determinism property, the Prometheus name sanitizer, the DAG
 # validator/topological-sort invariants, the serverless sizer's
 # agreement with the full memory sweep, the pooled sim.Resource's
-# agreement with the closure-based reference and the histogram
-# quantile's agreement with the ascending scan. Longer local sessions:
+# agreement with the closure-based reference, the histogram
+# quantile's agreement with the ascending scan and the small-mode
+# histogram's agreement with the dense reference. Longer local sessions:
 #   go test -fuzz=FuzzFaultInjector -fuzztime=5m ./internal/fault/
 #   go test -fuzz=FuzzReadSpansJSONL -fuzztime=5m ./internal/trace/
 #   go test -fuzz=FuzzDriftDetector -fuzztime=5m ./internal/adapt/
@@ -46,6 +47,7 @@ race:
 #   go test -fuzz=FuzzChooseMatchesSweep -fuzztime=5m ./internal/alloc/
 #   go test -fuzz=FuzzResourceMatchesReference -fuzztime=5m ./internal/sim/
 #   go test -fuzz=FuzzHistogramQuantileMatchesScan -fuzztime=5m ./internal/metrics/
+#   go test -fuzz=FuzzHistogramSmallMatchesDense -fuzztime=5m ./internal/metrics/
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFaultInjector -fuzztime=10s ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzReadSpansJSONL -fuzztime=10s ./internal/trace/
@@ -56,6 +58,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzChooseMatchesSweep -fuzztime=10s ./internal/alloc/
 	$(GO) test -run='^$$' -fuzz=FuzzResourceMatchesReference -fuzztime=10s ./internal/sim/
 	$(GO) test -run='^$$' -fuzz=FuzzHistogramQuantileMatchesScan -fuzztime=10s ./internal/metrics/
+	$(GO) test -run='^$$' -fuzz=FuzzHistogramSmallMatchesDense -fuzztime=10s ./internal/metrics/
 
 # Everything CI runs, in order: the gates plus the determinism diffs.
 ci: build vet fmt test race fuzz determinism metrics-golden spans-golden serve-smoke

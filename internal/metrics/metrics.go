@@ -21,12 +21,23 @@ import (
 // [Min(), Max()] rather than reported at a bucket edge. +Inf lands in the
 // top bucket, which absorbs everything above the configured maximum; NaN
 // is not an observation and is dropped without touching any field.
+//
+// Storage has two modes. A histogram starts small: it keeps the bucket
+// indices of its first smallCap in-range observations, sorted, inline in
+// the struct, and has no bucket slice. The observation past that
+// capacity allocates the dense bucket slice and replays the indices into
+// it, and the histogram stays dense from then on. The mode changes how
+// counts are stored, never an answer: every query reads the same buckets
+// either way. A fleet gives each device its own histogram for a handful of
+// tasks, so most histograms never leave small mode.
 type Histogram struct {
 	min     float64 // lower bound of bucket 0
 	growth  float64 // bucket width factor
 	logG    float64
-	buckets []uint64
-	top     int    // one past the highest non-empty bucket; 0 when all are empty
+	buckets []uint64 // dense counts; nil while the histogram is small
+	small   [smallCap]int32
+	n       int32  // number of buckets, the overflow bucket included
+	top     int32  // one past the highest non-empty bucket; 0 when all are empty
 	under   uint64 // observations <= 0 or < min
 	count   uint64
 	sum     float64
@@ -34,18 +45,32 @@ type Histogram struct {
 	minSeen float64 // smallest observation; +Inf until the first Observe
 }
 
+// smallCap is how many in-range observations a histogram holds before it
+// allocates its bucket slice. A fleet device runs 4 (E21 quick) to 11
+// (E21 full, fleet-flash) tasks; 16 int32 indices cost 64 bytes of
+// struct against the 4.5 kB slice of the latency geometry.
+const smallCap = 16
+
 // NewHistogram returns a histogram covering [min, max] with the given
-// per-bucket growth factor (e.g. 1.05). It panics on nonsensical bounds.
+// per-bucket growth factor (e.g. 1.05). It panics on nonsensical bounds:
+// non-finite ones, and geometries past math.MaxInt32 buckets. It inlines,
+// so a histogram that does not outlive its caller, and stays small,
+// allocates nothing.
 func NewHistogram(min, max, growth float64) *Histogram {
-	if min <= 0 || max <= min || growth <= 1 {
+	h := newHistogram(min, max, growth)
+	return &h
+}
+
+func newHistogram(min, max, growth float64) Histogram {
+	n := math.Ceil(math.Log(max/min)/math.Log(growth)) + 1
+	if !(min > 0 && max > min && growth > 1) || math.IsInf(max, 0) || math.IsInf(growth, 0) || !(n <= math.MaxInt32) {
 		panic(fmt.Sprintf("metrics: bad histogram bounds min=%g max=%g growth=%g", min, max, growth))
 	}
-	n := int(math.Ceil(math.Log(max/min)/math.Log(growth))) + 1
-	return &Histogram{
+	return Histogram{
 		min:     min,
 		growth:  growth,
 		logG:    math.Log(growth),
-		buckets: make([]uint64, n),
+		n:       int32(n),
 		max:     math.Inf(-1),
 		minSeen: math.Inf(1),
 	}
@@ -62,7 +87,6 @@ func (h *Histogram) Observe(v float64) {
 	if v != v {
 		return
 	}
-	h.count++
 	h.sum += v
 	if v > h.max {
 		h.max = v
@@ -72,15 +96,47 @@ func (h *Histogram) Observe(v float64) {
 	}
 	if v < h.min {
 		h.under++
-		return
+	} else {
+		idx := h.n - 1
+		if f := math.Log(v/h.min) / h.logG; f < float64(idx) {
+			idx = int32(f)
+		}
+		h.add(idx, h.held())
+		if idx >= h.top {
+			h.top = idx + 1
+		}
 	}
-	idx := len(h.buckets) - 1
-	if f := math.Log(v/h.min) / h.logG; f < float64(idx) {
-		idx = int(f)
+	h.count++
+}
+
+// held returns the number of in-range observations: those in a bucket,
+// not the underflow.
+func (h *Histogram) held() int { return int(h.count - h.under) }
+
+// add counts one in-range observation in bucket idx, k being the number
+// the histogram held before it. A small histogram inserts idx into its
+// sorted inline indices, or goes dense when they are full.
+func (h *Histogram) add(idx int32, k int) {
+	if h.buckets == nil {
+		if k < smallCap {
+			i := k
+			for ; i > 0 && h.small[i-1] > idx; i-- {
+				h.small[i] = h.small[i-1]
+			}
+			h.small[i] = idx
+			return
+		}
+		h.densify(k)
 	}
 	h.buckets[idx]++
-	if idx >= h.top {
-		h.top = idx + 1
+}
+
+// densify moves a small histogram holding k in-range observations to the
+// dense bucket slice.
+func (h *Histogram) densify(k int) {
+	h.buckets = make([]uint64, h.n)
+	for _, i := range h.small[:k] {
+		h.buckets[i]++
 	}
 }
 
@@ -160,10 +216,19 @@ func (h *Histogram) Quantile(q float64) float64 {
 // that the underflow bucket alone falls short. With every observation in
 // the underflow or a bucket below h.top, the cumulative count at bucket
 // h.top-1 is h.count, so the walk starts there and goes down: the answer
-// is the first bucket below which the count drops under target.
+// is the first bucket below which the count drops under target. In small
+// mode the sorted indices give the same bucket directly: the
+// (target-under)-th smallest, or the highest when target exceeds Count.
 func (h *Histogram) bucketOf(target uint64) int {
+	if h.buckets == nil {
+		k := h.held()
+		if k == 0 {
+			return -1
+		}
+		return int(h.small[min(target-h.under, uint64(k))-1])
+	}
 	seen := h.count
-	for i := h.top - 1; i >= 0; i-- {
+	for i := int(h.top) - 1; i >= 0; i-- {
 		seen -= h.buckets[i]
 		if seen < target {
 			return i
@@ -175,21 +240,32 @@ func (h *Histogram) bucketOf(target uint64) int {
 // Compatible reports whether o shares this histogram's bucket geometry,
 // the precondition for Merge.
 func (h *Histogram) Compatible(o *Histogram) bool {
-	return o != nil && h.min == o.min && h.growth == o.growth && len(h.buckets) == len(o.buckets)
+	return o != nil && h.min == o.min && h.growth == o.growth && h.n == o.n
 }
 
 // Merge folds o's observations into h, as if every Observe call on o had
 // been made on h instead. Bucket counts merge exactly; Sum (and therefore
 // Mean) is a float64 accumulation, so merging in a different order can
 // move the last few ulps — callers that need byte-stable output must merge
-// in a deterministic order. o is left untouched. Merging histograms with
-// different bucket geometry is an error.
+// in a deterministic order. o is left untouched, and may be h itself.
+// A small h stays small while the merged observations fit. Merging
+// histograms with different bucket geometry is an error.
 func (h *Histogram) Merge(o *Histogram) error {
 	if !h.Compatible(o) {
 		return fmt.Errorf("metrics: merging incompatible histograms")
 	}
-	for i, c := range o.buckets {
-		h.buckets[i] += c
+	if o.buckets == nil {
+		idx, k, hk := o.small, o.held(), h.held() // copies: o may be h
+		for i, x := range idx[:k] {
+			h.add(x, hk+i)
+		}
+	} else {
+		if h.buckets == nil {
+			h.densify(h.held())
+		}
+		for i, c := range o.buckets {
+			h.buckets[i] += c
+		}
 	}
 	h.top = max(h.top, o.top)
 	h.under += o.under

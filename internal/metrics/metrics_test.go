@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -86,12 +87,20 @@ func TestHistogramPanics(t *testing.T) {
 		func() { NewHistogram(0, 10, 1.5) },
 		func() { NewHistogram(10, 5, 1.5) },
 		func() { NewHistogram(1, 10, 1.0) },
+		func() { NewHistogram(math.NaN(), 1, 1.05) },
+		func() { NewHistogram(1, math.NaN(), 1.05) },
+		func() { NewHistogram(1, 2, math.NaN()) },
+		func() { NewHistogram(1, math.Inf(1), 1.05) },
+		func() { NewHistogram(1, 2, math.Inf(1)) },
+		func() { NewHistogram(math.Inf(1), math.Inf(1), 1.05) },
+		func() { NewHistogram(1e-300, 1e300, 1+1e-15) }, // past MaxInt32 buckets
 		func() { NewLatencyHistogram().Quantile(1.5) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
+				// A runtime panic (makeslice) is not the bounds check.
+				if r := recover(); !strings.HasPrefix(fmt.Sprint(r), "metrics: ") {
+					t.Errorf("panic %v, want a metrics: panic", r)
 				}
 			}()
 			f()

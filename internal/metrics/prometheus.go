@@ -110,16 +110,30 @@ func writeHistogram(b *bufio.Writer, name string, labels []Label, h *Histogram) 
 		cum = h.under
 		writeSample(b, name, labels, "_bucket", FormatFloat(h.min), float64(cum))
 	}
-	for i, c := range h.buckets {
-		if i == len(h.buckets)-1 {
-			break // overflow bucket: no honest finite upper edge
-		}
-		if c == 0 {
-			continue
+	bucket := func(i int, c uint64) {
+		// The overflow bucket has no honest finite upper edge.
+		if c == 0 || i == int(h.n)-1 {
+			return
 		}
 		cum += c
 		edge := h.min * math.Pow(h.growth, float64(i+1))
 		writeSample(b, name, labels, "_bucket", FormatFloat(edge), float64(cum))
+	}
+	if h.buckets == nil {
+		// Small mode: each run of equal sorted indices is one bucket.
+		idx := h.small[:h.held()]
+		for j := 0; j < len(idx); {
+			k := j + 1
+			for k < len(idx) && idx[k] == idx[j] {
+				k++
+			}
+			bucket(int(idx[j]), uint64(k-j))
+			j = k
+		}
+	} else {
+		for i, c := range h.buckets {
+			bucket(i, c)
+		}
 	}
 	writeSample(b, name, labels, "_bucket", "+Inf", float64(h.count))
 	writeSample(b, name, labels, "_sum", "", h.sum)

@@ -23,7 +23,7 @@ func scanQuantile(h *Histogram, q float64) float64 {
 	if seen >= target {
 		v = h.min
 	} else {
-		for i, c := range h.buckets {
+		for i, c := range bucketCounts(h) {
 			seen += c
 			if seen >= target {
 				v = h.min * math.Pow(h.growth, float64(i+1))
@@ -101,7 +101,7 @@ func FuzzHistogramQuantileMatchesScan(f *testing.F) {
 		}
 		for name, h := range map[string]*Histogram{"a": a, "b": b, "merged": m} {
 			held := h.under
-			for _, c := range h.buckets {
+			for _, c := range bucketCounts(h) {
 				held += c
 			}
 			if held != h.count {
@@ -143,10 +143,11 @@ func TestHistogramObserveNonFinite(t *testing.T) {
 			for _, v := range tc.obs {
 				h.Observe(v)
 			}
+			buckets := bucketCounts(h)
 			if h.Count() != tc.count || h.Max() != tc.max || h.Min() != tc.min ||
-				h.buckets[len(h.buckets)-1] != tc.top || h.under != tc.under {
+				buckets[len(buckets)-1] != tc.top || h.under != tc.under {
 				t.Fatalf("count %d max %v min %v top bucket %d under %d, want %d %v %v %d %d",
-					h.Count(), h.Max(), h.Min(), h.buckets[len(h.buckets)-1], h.under,
+					h.Count(), h.Max(), h.Min(), buckets[len(buckets)-1], h.under,
 					tc.count, tc.max, tc.min, tc.top, tc.under)
 			}
 			if math.IsNaN(h.Sum()) {

@@ -221,12 +221,13 @@ func (r *Registry) Merge(o *Registry) error {
 		h, ok := r.hists[k]
 		if !ok {
 			// Clone the exact bucket geometry; deriving bounds and calling
-			// NewHistogram could mis-size the slice by a rounding step.
+			// NewHistogram could mis-size it by a rounding step. The clone
+			// starts small, and Merge densifies it only if oh is dense.
 			h = &Histogram{
 				min:     oh.min,
 				growth:  oh.growth,
 				logG:    oh.logG,
-				buckets: make([]uint64, len(oh.buckets)),
+				n:       oh.n,
 				max:     math.Inf(-1),
 				minSeen: math.Inf(1),
 			}

@@ -226,6 +226,7 @@ func (r RegionSnapshot) Availability(elapsed float64) float64 {
 
 // regionHealth is the live tracker behind one RegionSnapshot.
 type regionHealth struct {
+	f          *failover
 	name       string
 	placements []model.Placement // env placements homed here, canonical order
 
@@ -239,6 +240,11 @@ type regionHealth struct {
 	mttdSum     float64
 	mttrSum     float64
 	downSeconds float64
+
+	// The probe loop's timer and outcome callbacks, bound once so a
+	// probe allocates only its canary task.
+	probeDueFn  func()
+	probeDoneFn func(model.ExecReport)
 }
 
 // waiting is one parked task in the ladder's wait queue.
@@ -295,7 +301,8 @@ func (s *Scheduler) initFailover() error {
 		}
 		rh := byName[name]
 		if rh == nil {
-			rh = &regionHealth{name: name}
+			rh = &regionHealth{f: f, name: name}
+			rh.probeDueFn, rh.probeDoneFn = rh.probeDue, rh.probeDone
 			byName[name] = rh
 			f.regions = append(f.regions, rh)
 		}
@@ -675,12 +682,13 @@ const probeBase model.TaskID = 1 << 62
 // runs until a probe succeeds: probes are how a region with no surviving
 // traffic (the policy routed everything away) is discovered to be back.
 func (f *failover) scheduleProbe(rh *regionHealth) {
-	f.s.env.Eng.After(f.cfg.probeEvery(), func() {
-		if !rh.down {
-			return
-		}
-		f.probe(rh)
-	})
+	f.s.env.Eng.After(f.cfg.probeEvery(), rh.probeDueFn)
+}
+
+func (rh *regionHealth) probeDue() {
+	if rh.down {
+		rh.f.probe(rh)
+	}
 }
 
 // probe sends one canary execution straight to the region's first
@@ -702,17 +710,21 @@ func (f *failover) probe(rh *regionHealth) {
 		MemoryBytes: 64 * model.MB,
 		Submitted:   f.s.env.Eng.Now(),
 	}
-	exec.Execute(canary, func(rep model.ExecReport) {
-		now := f.s.env.Eng.Now()
-		if !rh.down {
-			return // genuine traffic recovered the region first
-		}
-		if rep.Err != nil && model.Transient(rep.Err) {
-			f.scheduleProbe(rh)
-			return
-		}
-		f.noteSuccess(rh, now)
-	})
+	exec.Execute(canary, rh.probeDoneFn)
+}
+
+// probeDone handles a canary's outcome.
+func (rh *regionHealth) probeDone(rep model.ExecReport) {
+	f := rh.f
+	now := f.s.env.Eng.Now()
+	if !rh.down {
+		return // genuine traffic recovered the region first
+	}
+	if rep.Err != nil && model.Transient(rep.Err) {
+		f.scheduleProbe(rh)
+		return
+	}
+	f.noteSuccess(rh, now)
 }
 
 // probeTarget resolves the substrate executor behind a placement.
