@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt race fuzz chaos ci determinism shards metrics-golden spans-golden golden offbench-bin bench bench-micro bench-json bench-gate bench-full results examples serve loadtest serve-smoke docker clean
+.PHONY: all build test vet fmt race fuzz chaos ci determinism shards metrics-golden spans-golden golden offbench-bin bench bench-micro bench-json bench-gate print-bench-pkgs bench-full results examples serve loadtest serve-smoke docker clean
 
 # The offbench binary shared by the determinism and golden targets; built
 # once per make invocation instead of once per target.
@@ -8,7 +8,7 @@ OFFBENCH_BIN = /tmp/offbench-ci
 
 # The micro-benchmark packages whose hot paths carry allocation and
 # latency contracts, and the committed baseline they gate against.
-BENCH_PKGS = ./internal/sim/ ./internal/metrics/ ./internal/trace/ ./internal/alloc/ ./internal/network/ ./internal/sched/ ./internal/core/
+BENCH_PKGS = ./internal/sim/ ./internal/metrics/ ./internal/trace/ ./internal/alloc/ ./internal/network/ ./internal/sched/ ./internal/core/ ./internal/partition/ ./internal/workload/
 BENCH_BASELINE = BENCH_2026-08-08.json
 
 all: build vet test
@@ -148,8 +148,9 @@ bench:
 
 # The hot-path micro-benchmarks: event kernel, resource grants, metric
 # touches, span and outcome recording, serverless sizing, network
-# transfers, the scheduler's remote and resilient attempts and one task
-# through the full stack-deadline stack. -count=6 gives benchstat/benchgate
+# transfers, the scheduler's remote and resilient attempts, one task
+# through the full stack-deadline stack, one partition objective and one
+# standard-mix build. -count=6 gives benchstat/benchgate
 # enough samples to tell a regression from noise.
 bench-micro:
 	mkdir -p results
@@ -168,6 +169,10 @@ bench-json: bench-micro
 bench-gate: bench-micro
 	$(GO) run ./cmd/benchgate -emit results/bench_micro.txt > results/bench_head.json
 	$(GO) run ./cmd/benchgate -old $(BENCH_BASELINE) -new results/bench_head.json
+
+# The benchmarked package list, so CI runs the same packages as bench-micro.
+print-bench-pkgs:
+	@echo $(BENCH_PKGS)
 
 # Regenerate every experiment table at full scale into results/.
 results:

@@ -83,8 +83,9 @@ func main() {
 		}
 		return
 	case "templates":
+		templates := callgraph.Templates()
 		for _, name := range callgraph.TemplateNames() {
-			g := callgraph.Templates()[name]
+			g := templates[name]
 			fmt.Printf("%-16s %2d components, %.3g Gcycles/run\n",
 				name, g.Len(), g.TotalCycles()/1e9)
 		}

@@ -73,6 +73,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	var rec *trace.Recorder
+	if *traceFlag != "" {
+		rec = &trace.Recorder{}
+		sys.Scheduler.ChainOutcomeHook(rec.Hook())
+	}
 
 	if *replayFlag != "" {
 		f, err := os.Open(*replayFlag)
@@ -90,29 +95,17 @@ func main() {
 		*tasksFlag = len(records)
 		sys.Run()
 		printSummary(sys, "replay:"+*replayFlag, *tasksFlag, 0)
-		writeTrace(sys, *traceFlag)
+		writeTrace(rec, *traceFlag)
 		return
 	}
 
-	var mix []workload.WeightedTemplate
+	names := callgraph.TemplateNames()
 	if *appFlag != "" {
-		g, ok := callgraph.Templates()[*appFlag]
-		if !ok {
-			fail(fmt.Errorf("unknown app %q (have %v)", *appFlag, callgraph.TemplateNames()))
-		}
-		t, err := workload.FromGraph(g)
-		if err != nil {
-			fail(err)
-		}
-		mix = []workload.WeightedTemplate{{Template: t, Weight: 1}}
-	} else {
-		for _, name := range callgraph.TemplateNames() {
-			t, err := workload.FromGraph(callgraph.Templates()[name])
-			if err != nil {
-				fail(err)
-			}
-			mix = append(mix, workload.WeightedTemplate{Template: t, Weight: 1})
-		}
+		names = []string{*appFlag}
+	}
+	mix, err := workload.Mix(names...)
+	if err != nil {
+		fail(err)
 	}
 	if *repsFlag > 1 {
 		runReps(cfg, mix, *policyFlag, *tasksFlag, *rateFlag, *repsFlag, *parFlag)
@@ -127,7 +120,7 @@ func main() {
 	sys.SubmitStream(workload.NewPoisson(sys.Src.Split(), *rateFlag), gen, *tasksFlag)
 	sys.Run()
 	printSummary(sys, *policyFlag, *tasksFlag, *rateFlag)
-	writeTrace(sys, *traceFlag)
+	writeTrace(rec, *traceFlag)
 }
 
 // repStats is the deterministic slice of one replication's outcome.
@@ -318,8 +311,9 @@ func printSummary(sys *core.System, label string, tasks int, rate float64) {
 	}
 }
 
-func writeTrace(sys *core.System, path string) {
-	if path == "" {
+// writeTrace writes the records of a -trace run; rec is nil without -trace.
+func writeTrace(rec *trace.Recorder, path string) {
+	if rec == nil {
 		return
 	}
 	f, err := os.Create(path)
@@ -327,10 +321,10 @@ func writeTrace(sys *core.System, path string) {
 		fail(err)
 	}
 	defer f.Close()
-	if err := sys.Recorder.WriteJSONL(f); err != nil {
+	if err := rec.WriteJSONL(f); err != nil {
 		fail(err)
 	}
-	fmt.Printf("wrote %d trace records to %s\n", sys.Recorder.Len(), path)
+	fmt.Printf("wrote %d trace records to %s\n", rec.Len(), path)
 }
 
 func fail(err error) {

@@ -88,6 +88,8 @@ func TestTraceRoundTripMatchesStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := &offload.Recorder{}
+	sys.Scheduler.ChainOutcomeHook(rec.Hook())
 	gen, err := offload.StandardMix(sys.Src.Split())
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +98,7 @@ func TestTraceRoundTripMatchesStats(t *testing.T) {
 	sys.Run()
 
 	var buf bytes.Buffer
-	if err := sys.Recorder.WriteJSONL(&buf); err != nil {
+	if err := rec.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	records, err := trace.ReadJSONL(&buf)
@@ -134,6 +136,8 @@ func TestTraceReplayReproducesWorkload(t *testing.T) {
 		return sys
 	}
 	first := build()
+	rec := &trace.Recorder{}
+	first.Scheduler.ChainOutcomeHook(rec.Hook())
 	gen, err := workload.StandardMix(first.Src.Split())
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +146,7 @@ func TestTraceReplayReproducesWorkload(t *testing.T) {
 	first.Run()
 
 	second := build()
-	if err := trace.Replay(second.Eng, first.Recorder.Records(), second.Submit); err != nil {
+	if err := trace.Replay(second.Eng, rec.Records(), second.Submit); err != nil {
 		t.Fatal(err)
 	}
 	second.Run()

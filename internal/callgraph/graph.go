@@ -155,7 +155,14 @@ func (g *Graph) Components() []Component {
 	return cp
 }
 
-// Edges returns a copy of the edge list.
+// NumEdges returns the number of edges.
+func (g *Graph) NumEdges() int { return len(g.edges) }
+
+// Edge returns the i-th edge, 0 <= i < NumEdges, without copying the edge
+// list; read-only loops use it instead of Edges.
+func (g *Graph) Edge(i int) Edge { return g.edges[i] }
+
+// Edges returns a copy of the edge list; callers may modify it.
 func (g *Graph) Edges() []Edge {
 	cp := make([]Edge, len(g.edges))
 	copy(cp, g.edges)

@@ -86,7 +86,8 @@ func New(eng *sim.Engine, cfg Config) (*Runner, error) {
 		}
 		r.functions[id] = fn
 	}
-	for _, e := range cfg.Graph.Edges() {
+	for i := 0; i < cfg.Graph.NumEdges(); i++ {
+		e := cfg.Graph.Edge(i)
 		if cfg.Assignment[e.From] != cfg.Assignment[e.To] {
 			needPath = true
 		}
@@ -105,7 +106,8 @@ func executionOrder(g *callgraph.Graph) []callgraph.ComponentID {
 	n := g.Len()
 	indeg := make([]int, n)
 	adj := make([][]callgraph.ComponentID, n)
-	for _, e := range g.Edges() {
+	for i := 0; i < g.NumEdges(); i++ {
+		e := g.Edge(i)
 		indeg[e.To]++
 		adj[e.From] = append(adj[e.From], e.To)
 	}
@@ -191,7 +193,8 @@ func (r *Runner) step(idx int, res *Result, done func(Result)) {
 	// Pull transfers: in-edges from the other side whose source already
 	// ran (forward edges; back edges are settled at the end of the run).
 	var pulls []callgraph.Edge
-	for _, e := range r.graph.Edges() {
+	for i := 0; i < r.graph.NumEdges(); i++ {
+		e := r.graph.Edge(i)
 		if e.To == id && r.assignment[e.From] != r.assignment[e.To] && r.ranBefore(e.From, idx) {
 			pulls = append(pulls, e)
 		}
@@ -249,7 +252,8 @@ func (r *Runner) finishTrailing(res *Result, done func(Result)) {
 	for i, id := range r.order {
 		pos[id] = i
 	}
-	for _, e := range r.graph.Edges() {
+	for i := 0; i < r.graph.NumEdges(); i++ {
+		e := r.graph.Edge(i)
 		if r.assignment[e.From] != r.assignment[e.To] && pos[e.To] <= pos[e.From] {
 			trailing = append(trailing, e)
 		}

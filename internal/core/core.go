@@ -245,7 +245,6 @@ type System struct {
 	Batcher   *sched.Batcher        // nil unless batching is configured
 	Shifter   *sched.OffPeakShifter // nil unless off-peak shifting is on
 	Jobs      *dag.Orchestrator     // nil unless a DAG block is configured
-	Recorder  *trace.Recorder
 
 	observer *Observer           // nil unless Observe was called
 	spanRec  *trace.SpanRecorder // nil unless EnableSpans was called
@@ -312,17 +311,10 @@ func NewSystem(cfg Config) (*System, error) {
 		pred = sched.NewNoisy(pred, src.Split(), cfg.PredictionNoise)
 	}
 
-	rec := &trace.Recorder{}
-	recHook := rec.Hook()
-	outcomeHook := recHook
+	var opts []sched.Option
 	if budget != nil {
-		charge := budget.Hook()
-		outcomeHook = func(o model.Outcome) {
-			charge(o)
-			recHook(o)
-		}
+		opts = append(opts, sched.WithOutcomeHook(budget.Hook()))
 	}
-	opts := []sched.Option{sched.WithOutcomeHook(outcomeHook)}
 	if cfg.Retries > 1 {
 		backoff := cfg.RetryBackoff
 		if backoff <= 0 {
@@ -367,7 +359,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{Eng: eng, Src: src, Env: env, Scheduler: s, Recorder: rec, adapt: ctrl, cfg: cfg}
+	sys := &System{Eng: eng, Src: src, Env: env, Scheduler: s, adapt: ctrl, cfg: cfg}
 	if cfg.Batch != nil && cfg.OffPeakShift {
 		return nil, fmt.Errorf("core: Batch and OffPeakShift are mutually exclusive")
 	}

@@ -10,6 +10,7 @@ import (
 	"offload/internal/network"
 
 	"offload/internal/serverless"
+	"offload/internal/trace"
 	"offload/internal/workload"
 )
 
@@ -66,6 +67,8 @@ func TestEndToEndRunCollectsOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := &trace.Recorder{}
+	sys.Scheduler.ChainOutcomeHook(rec.Hook())
 	gen, err := workload.StandardMix(sys.Src.Split())
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +82,8 @@ func TestEndToEndRunCollectsOutcomes(t *testing.T) {
 	if st.Failed != 0 {
 		t.Fatalf("Failed = %d", st.Failed)
 	}
-	if sys.Recorder.Len() != 50 {
-		t.Fatalf("Recorder.Len = %d", sys.Recorder.Len())
+	if rec.Len() != 50 {
+		t.Fatalf("Recorder.Len = %d", rec.Len())
 	}
 	if st.MissRate() > 0.05 {
 		t.Fatalf("deadline-aware miss rate = %g", st.MissRate())

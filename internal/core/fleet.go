@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"offload/internal/callgraph"
 	"offload/internal/cloudvm"
 	"offload/internal/device"
 	"offload/internal/edge"
@@ -134,8 +135,12 @@ func (f *Fleet) Platform() *serverless.Platform { return f.platform }
 // SubmitStreams gives every device its own arrival process (drawn from
 // the fleet's RNG) and workload generator over the standard template mix.
 func (f *Fleet) SubmitStreams(rate float64, tasksPerDevice int) error {
+	mix, err := workload.Mix(callgraph.TemplateNames()...)
+	if err != nil {
+		return err
+	}
 	for _, s := range f.Schedulers {
-		gen, err := workload.StandardMix(f.Src.Split())
+		gen, err := workload.NewGenerator(f.Src.Split(), mix)
 		if err != nil {
 			return err
 		}

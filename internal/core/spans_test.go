@@ -37,12 +37,15 @@ func spanHeavyConfig() Config {
 // event count — on a run that exercises retries, hedges, timeouts,
 // breaker transitions and fallback.
 func TestSpansAreInert(t *testing.T) {
-	run := func(spans bool) (*System, int) {
+	const tasks = 60
+	run := func(spans bool) (*System, int, []trace.Record) {
 		cfg := spanHeavyConfig()
 		sys, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rec := &trace.Recorder{}
+		sys.Scheduler.ChainOutcomeHook(rec.Hook())
 		if spans {
 			sys.EnableSpans()
 		}
@@ -50,16 +53,16 @@ func TestSpansAreInert(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.SubmitStream(workload.NewPoisson(sys.Src.Split(), 0.5), gen, 60)
+		sys.SubmitStream(workload.NewPoisson(sys.Src.Split(), 0.5), gen, tasks)
 		sys.Run()
 		n := 0
 		if set := sys.SpanSet(); set != nil {
 			n = len(set.Spans)
 		}
-		return sys, n
+		return sys, n, rec.Records()
 	}
-	plain, _ := run(false)
-	traced, spans := run(true)
+	plain, _, pr := run(false)
+	traced, spans, tr := run(true)
 	if spans == 0 {
 		t.Fatal("span recording produced no spans")
 	}
@@ -83,9 +86,8 @@ func TestSpansAreInert(t *testing.T) {
 	if plain.InfrastructureCostUSD() != traced.InfrastructureCostUSD() {
 		t.Fatal("span recording changed infrastructure cost accrual")
 	}
-	pr, tr := plain.Recorder.Records(), traced.Recorder.Records()
-	if len(pr) != len(tr) {
-		t.Fatalf("record counts differ: %d vs %d", len(pr), len(tr))
+	if len(pr) != tasks || len(tr) != tasks {
+		t.Fatalf("record counts %d and %d, want %d each", len(pr), len(tr), tasks)
 	}
 	for i := range pr {
 		if pr[i] != tr[i] {

@@ -3,6 +3,7 @@ package exp
 import (
 	"offload/internal/core"
 	"offload/internal/metrics"
+	"offload/internal/workload"
 )
 
 // e1Policies are the placement policies E1 compares. Random is omitted
@@ -56,7 +57,7 @@ func E1Placement(s Scale) ([]*metrics.Table, error) {
 		"app", "policy", "mean_s", "p95_s", "miss", "task_usd", "infra_usd", "task_mJ")
 	apps := []string{"video-transcode", "ml-batch", "photo-pipeline", "report-gen", "sci-batch"}
 	for _, app := range apps {
-		mix, err := templateMix(app)
+		mix, err := workload.Mix(app)
 		if err != nil {
 			return nil, err
 		}

@@ -3,9 +3,11 @@ package exp
 import (
 	"fmt"
 
+	"offload/internal/callgraph"
 	"offload/internal/core"
 	"offload/internal/metrics"
 	"offload/internal/model"
+	"offload/internal/workload"
 )
 
 // E10PredictionError reproduces the demand-determination ablation
@@ -20,7 +22,7 @@ import (
 // Deadline misses stay at zero throughout: the generous non-time-critical
 // budgets absorb the error, which is itself part of the paper's argument.
 func E10PredictionError(s Scale) ([]*metrics.Table, error) {
-	mix, err := standardMixTemplates()
+	mix, err := workload.Mix(callgraph.TemplateNames()...)
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,11 @@ package exp
 import (
 	"fmt"
 
+	"offload/internal/callgraph"
 	"offload/internal/core"
 	"offload/internal/metrics"
 	"offload/internal/serverless"
+	"offload/internal/workload"
 )
 
 // E11OffPeak reproduces the delay-for-price analysis (Table 5): under a
@@ -20,7 +22,7 @@ import (
 // zero in both — the shifter only delays tasks that can prove they still
 // make their deadline.
 func E11OffPeak(s Scale) ([]*metrics.Table, error) {
-	mix, err := standardMixTemplates()
+	mix, err := workload.Mix(callgraph.TemplateNames()...)
 	if err != nil {
 		return nil, err
 	}

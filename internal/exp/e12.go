@@ -6,6 +6,7 @@ import (
 	"offload/internal/core"
 	"offload/internal/metrics"
 	"offload/internal/serverless"
+	"offload/internal/workload"
 )
 
 // E12Failures reproduces the robustness analysis (Table 6): the cloud
@@ -19,7 +20,7 @@ import (
 // re-billed attempts) and completion time absorbs the backoff. Deadline
 // misses stay at zero — another place the non-time-critical budget pays.
 func E12Failures(s Scale) ([]*metrics.Table, error) {
-	mix, err := templateMix("report-gen")
+	mix, err := workload.Mix("report-gen")
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package exp
 import (
 	"offload/internal/core"
 	"offload/internal/metrics"
+	"offload/internal/workload"
 )
 
 // E13DVFS reproduces the local-execution ablation (Table 7): if the device
@@ -37,7 +38,7 @@ func E13DVFS(s Scale) ([]*metrics.Table, error) {
 		}},
 	}
 	for _, app := range apps {
-		mix, err := templateMix(app)
+		mix, err := workload.Mix(app)
 		if err != nil {
 			return nil, err
 		}

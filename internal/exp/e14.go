@@ -20,7 +20,7 @@ import (
 // serverless degrades the least because every invocation gets its own
 // container (only the device radio and the account limit are shared).
 func E14Bursts(s Scale) ([]*metrics.Table, error) {
-	mix, err := templateMix("report-gen")
+	mix, err := workload.Mix("report-gen")
 	if err != nil {
 		return nil, err
 	}

@@ -35,8 +35,9 @@ func E15Granularity(s Scale) ([]*metrics.Table, error) {
 		"E15 (Tab 9): one aggregated function vs one function per component",
 		"app", "deployment", "functions", "run_s", "run_usd", "run_mJ")
 	const runs = 5
+	templates := callgraph.Templates()
 	for _, app := range []string{"ml-batch", "sci-batch", "report-gen"} {
-		g := callgraph.Templates()[app]
+		g := templates[app]
 		mono, err := runMonolithic(s, g, runs)
 		if err != nil {
 			return nil, err

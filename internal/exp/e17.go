@@ -10,6 +10,8 @@ import (
 	"offload/internal/sched"
 	"offload/internal/serverless"
 	"offload/internal/sim"
+	"offload/internal/trace"
+	"offload/internal/workload"
 )
 
 // e17Rate is the arrival rate for the resilience study. It is an order of
@@ -44,7 +46,7 @@ const e17OutageStart sim.Time = 20
 // premium (wasted duplicates) for a tighter tail. Failed attempts are
 // billed by the platform, so resilience shows up as money too.
 func E17Resilience(s Scale) ([]*metrics.Table, error) {
-	mix, err := templateMix("report-gen")
+	mix, err := workload.Mix("report-gen")
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +97,13 @@ func E17Resilience(s Scale) ([]*metrics.Table, error) {
 				StragglerProb: 0.05, StragglerFactor: 4, StragglerAlpha: 1.5,
 			}
 			strat.apply(&cfg)
-			res, err := runCell(s, cfg, mix, e17Rate)
+			sys, err := core.NewSystem(cfg)
+			if err != nil {
+				return nil, err
+			}
+			rec := &trace.Recorder{}
+			sys.Scheduler.ChainOutcomeHook(rec.Hook())
+			res, err := driveCell(s, sys, mix, e17Rate, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -109,7 +117,7 @@ func E17Resilience(s Scale) ([]*metrics.Table, error) {
 				fmtMilliJ(st.EnergyPerTaskMilliJ()),
 				fmt.Sprintf("%d", st.Fallbacks),
 				fmt.Sprintf("%d", st.Hedges),
-				recoverySeconds(res, e17OutageStart.Add(burst)),
+				recoverySeconds(rec.Records(), e17OutageStart.Add(burst)),
 			)
 		}
 	}
@@ -120,9 +128,9 @@ func E17Resilience(s Scale) ([]*metrics.Table, error) {
 // path carried its first successful completion again — the recovery lag a
 // breaker's probing cadence adds. "-" means the run ended first (e.g. the
 // burst outlived the workload at quick scale).
-func recoverySeconds(res runResult, outEnd sim.Time) string {
+func recoverySeconds(recs []trace.Record, outEnd sim.Time) string {
 	best := -1.0
-	for _, r := range res.system.Recorder.Records() {
+	for _, r := range recs {
 		if r.Failed || r.Placement != model.PlaceFunction.String() || r.Finished < float64(outEnd) {
 			continue
 		}

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 
+	"offload/internal/callgraph"
 	"offload/internal/core"
 	"offload/internal/fault"
 	"offload/internal/metrics"
 	"offload/internal/sched"
 	"offload/internal/serverless"
 	"offload/internal/trace"
+	"offload/internal/workload"
 )
 
 // e18Rate matches the resilience study's arrival density so hedging has
@@ -49,7 +51,7 @@ const e18USDTolerance = 1e-9
 // Stats (completed + failed per-task billing) to float precision —
 // span-level accounting invents and loses nothing.
 func E18Attribution(s Scale) ([]*metrics.Table, error) {
-	mix, err := standardMixTemplates()
+	mix, err := workload.Mix(callgraph.TemplateNames()...)
 	if err != nil {
 		return nil, err
 	}

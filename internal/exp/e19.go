@@ -15,6 +15,7 @@ import (
 	"offload/internal/network"
 	"offload/internal/serverless"
 	"offload/internal/sim"
+	"offload/internal/trace"
 	"offload/internal/workload"
 )
 
@@ -174,25 +175,28 @@ func e19Cells() []e19Cell {
 }
 
 // e19RunCell builds a system, lets the cell drive it, and collects the
-// same aggregates as driveCell (Observation protocol included).
-func e19RunCell(s Scale, cfg core.Config, mix []workload.WeightedTemplate, cell e19Cell, horizon float64) (runResult, error) {
+// same aggregates as driveCell (Observation protocol included) plus the
+// per-task records the objective and the switch count read.
+func e19RunCell(s Scale, cfg core.Config, mix []workload.WeightedTemplate, cell e19Cell, horizon float64) (runResult, []trace.Record, error) {
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
-		return runResult{}, err
+		return runResult{}, nil, err
 	}
+	rec := &trace.Recorder{}
+	sys.Scheduler.ChainOutcomeHook(rec.Hook())
 	var obs *core.Observer
 	if s.Obs != nil {
 		obs = s.Obs.attach(sys)
 	}
 	gen, err := workload.NewGenerator(sys.Src.Split(), mix)
 	if err != nil {
-		return runResult{}, err
+		return runResult{}, nil, err
 	}
 	cell.drive(s, sys, gen, horizon)
 	sys.Run()
 	if s.Obs != nil {
 		if err := s.Obs.collect(obs, sys); err != nil {
-			return runResult{}, err
+			return runResult{}, nil, err
 		}
 	}
 	res := runResult{
@@ -207,7 +211,7 @@ func e19RunCell(s Scale, cfg core.Config, mix []workload.WeightedTemplate, cell 
 			res.coldRate = float64(st.ColdStarts) / float64(st.Invocations)
 		}
 	}
-	return res, nil
+	return res, rec.Records(), nil
 }
 
 // e19Objective scores one cell from its task records: mean per-task
@@ -215,8 +219,7 @@ func e19RunCell(s Scale, cfg core.Config, mix []workload.WeightedTemplate, cell 
 // spend is identical across policies within a cell (same fleet, same
 // horizon up to drain) and is deliberately excluded — the objective is
 // the marginal cost a placement decision controls.
-func e19Objective(res runResult) float64 {
-	recs := res.system.Recorder.Records()
+func e19Objective(recs []trace.Record) float64 {
 	if len(recs) == 0 {
 		return 0
 	}
@@ -239,7 +242,7 @@ func e19Objective(res runResult) float64 {
 // every static baseline and lands within bounded regret of the
 // static-best oracle (the per-cell best static, picked with hindsight).
 func E19Adaptive(s Scale) ([]*metrics.Table, error) {
-	mix, err := templateMix("report-gen")
+	mix, err := workload.Mix("report-gen")
 	if err != nil {
 		return nil, err
 	}
@@ -260,11 +263,11 @@ func E19Adaptive(s Scale) ([]*metrics.Table, error) {
 		for pi, policy := range policies {
 			cfg := e19Config(s, policy)
 			cell.prep(&cfg, horizon)
-			res, err := e19RunCell(s, cfg, mix, cell, horizon)
+			res, recs, err := e19RunCell(s, cfg, mix, cell, horizon)
 			if err != nil {
 				return nil, err
 			}
-			obj := e19Objective(res)
+			obj := e19Objective(recs)
 			objs[pi][ci] = obj
 			st := res.stats
 			sheds, drift, resizes := "-", "-", "-"
@@ -280,7 +283,7 @@ func E19Adaptive(s Scale) ([]*metrics.Table, error) {
 				seconds(st.P95Completion()),
 				usd(st.CostPerTask()),
 				pct(float64(st.Failed)/float64(st.Total())),
-				fmt.Sprintf("%d", recordSwitches(res)),
+				fmt.Sprintf("%d", recordSwitches(recs)),
 				sheds, drift, resizes,
 			)
 		}
@@ -347,8 +350,7 @@ func isAdaptivePolicy(p core.PolicyName) bool {
 // recordSwitches counts placement changes between consecutive tasks in
 // submission order — a flap rate comparable across static and adaptive
 // policies alike (failed tasks count: they were decisions too).
-func recordSwitches(res runResult) int {
-	recs := res.system.Recorder.Records()
+func recordSwitches(recs []trace.Record) int {
 	idx := make([]int, len(recs))
 	for i := range idx {
 		idx[i] = i

@@ -9,6 +9,7 @@ import (
 	"offload/internal/model"
 	"offload/internal/sched"
 	"offload/internal/sim"
+	"offload/internal/workload"
 )
 
 // E20 is the disaster drill: a three-region edge–cloud continuum (edge in
@@ -134,7 +135,7 @@ func e20Ladder() *sched.Ladder {
 // tracker's detection lag, MTTR from the canary probe cadence) prices
 // each posture's visibility into the incident.
 func E20Failover(s Scale) ([]*metrics.Table, error) {
-	mix, err := templateMix("report-gen")
+	mix, err := workload.Mix("report-gen")
 	if err != nil {
 		return nil, err
 	}

@@ -65,8 +65,9 @@ func E3Partition(s Scale) ([]*metrics.Table, error) {
 		return nil
 	}
 
+	templates := callgraph.Templates()
 	for _, name := range callgraph.TemplateNames() {
-		if err := run(name, callgraph.Templates()[name], s.Seed); err != nil {
+		if err := run(name, templates[name], s.Seed); err != nil {
 			return nil, err
 		}
 	}

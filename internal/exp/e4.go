@@ -6,6 +6,7 @@ import (
 	"offload/internal/core"
 	"offload/internal/metrics"
 	"offload/internal/sim"
+	"offload/internal/workload"
 )
 
 // E4ColdStart reproduces the cold-start analysis (Figure 3): the fraction
@@ -17,7 +18,7 @@ import (
 // every invocation is cold; batching at low rates removes most cold
 // starts (one per batch) at the price of completion latency.
 func E4ColdStart(s Scale) ([]*metrics.Table, error) {
-	mix, err := templateMix("report-gen")
+	mix, err := workload.Mix("report-gen")
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"offload/internal/device"
 	"offload/internal/metrics"
 	"offload/internal/network"
+	"offload/internal/workload"
 )
 
 // E5Energy reproduces the device-energy analysis (Figure 4): device energy
@@ -28,7 +29,7 @@ func E5Energy(s Scale) ([]*metrics.Table, error) {
 		"E5 (Fig 4): device energy per task and projected battery life",
 		"app", "policy", "task_mJ", "tasks_per_charge", "extension_x")
 	for _, app := range apps {
-		mix, err := templateMix(app)
+		mix, err := workload.Mix(app)
 		if err != nil {
 			return nil, err
 		}
@@ -72,7 +73,7 @@ func E5Energy(s Scale) ([]*metrics.Table, error) {
 		"E5b: radio tail — WiFi vs LTE connectivity for cloud offloading",
 		"app", "connectivity", "task_mJ", "extension_x")
 	for _, app := range []string{"report-gen", "sci-batch"} {
-		mix, err := templateMix(app)
+		mix, err := workload.Mix(app)
 		if err != nil {
 			return nil, err
 		}

@@ -3,8 +3,10 @@ package exp
 import (
 	"fmt"
 
+	"offload/internal/callgraph"
 	"offload/internal/core"
 	"offload/internal/metrics"
+	"offload/internal/workload"
 )
 
 // E6DeadlineSlack reproduces the non-time-critical crossover (Figure 5):
@@ -19,7 +21,7 @@ import (
 // use cases can neglect edge computing's advantage. DeadlineAware tracks
 // the best feasible option across the whole sweep.
 func E6DeadlineSlack(s Scale) ([]*metrics.Table, error) {
-	mix, err := standardMixTemplates()
+	mix, err := workload.Mix(callgraph.TemplateNames()...)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"offload/internal/core"
 	"offload/internal/edge"
 	"offload/internal/metrics"
+	"offload/internal/workload"
 )
 
 // E7CostCrossover reproduces the infrastructure-cost comparison (Table 2):
@@ -21,7 +22,7 @@ import (
 // high volume — "the required infrastructure" drawback the abstract
 // calls out.
 func E7CostCrossover(s Scale) ([]*metrics.Table, error) {
-	mix, err := templateMix("report-gen")
+	mix, err := workload.Mix("report-gen")
 	if err != nil {
 		return nil, err
 	}

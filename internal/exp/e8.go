@@ -46,8 +46,9 @@ func E8Pipeline(s Scale) ([]*metrics.Table, error) {
 		"E8 (Tab 3b): end-to-end pipeline time and overhead",
 		"app", "vanilla_s", "offload_s", "overhead")
 
+	templates := callgraph.Templates()
 	for _, app := range apps {
-		g := callgraph.Templates()[app]
+		g := templates[app]
 		vanRep, _, err := runPipeline(e8Build{build: &cicd.Build{App: g}, eng: sim.NewEngine()})
 		if err != nil {
 			return nil, err
@@ -76,7 +77,7 @@ func E8Pipeline(s Scale) ([]*metrics.Table, error) {
 	rbTbl := metrics.NewTable(
 		"E8 (Tab 3c): canary verdict and rollback on an injected regression",
 		"round", "canary_mean_s", "canary_slo_s", "passed", "rolled_back", "released")
-	g := callgraph.Templates()["report-gen"]
+	g := templates["report-gen"]
 	healthyRep, healthyCtx, err := runPipeline(newE8Build(s, g, 0, nil))
 	if err != nil {
 		return nil, err

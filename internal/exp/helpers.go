@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"offload/internal/callgraph"
 	"offload/internal/core"
 	"offload/internal/model"
 	"offload/internal/rng"
@@ -120,32 +119,6 @@ func driveCellTagged(s Scale, sys *core.System, mix []workload.WeightedTemplate,
 		}
 	}
 	return res, nil
-}
-
-// templateMix returns the single-template mix for an app name.
-func templateMix(app string) ([]workload.WeightedTemplate, error) {
-	g, ok := callgraph.Templates()[app]
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown template %q", app)
-	}
-	t, err := workload.FromGraph(g)
-	if err != nil {
-		return nil, err
-	}
-	return []workload.WeightedTemplate{{Template: t, Weight: 1}}, nil
-}
-
-// standardMixTemplates returns the five-template equal-weight mix.
-func standardMixTemplates() ([]workload.WeightedTemplate, error) {
-	var mix []workload.WeightedTemplate
-	for _, name := range callgraph.TemplateNames() {
-		t, err := workload.FromGraph(callgraph.Templates()[name])
-		if err != nil {
-			return nil, err
-		}
-		mix = append(mix, workload.WeightedTemplate{Template: t, Weight: 1})
-	}
-	return mix, nil
 }
 
 // scaleDeadlines multiplies every template deadline by factor.

@@ -3,6 +3,7 @@ package exp
 import (
 	"testing"
 
+	"offload/internal/callgraph"
 	"offload/internal/sim"
 	"offload/internal/workload"
 )
@@ -28,7 +29,7 @@ func TestFormattingHelpers(t *testing.T) {
 }
 
 func TestScaleDeadlines(t *testing.T) {
-	mix, err := standardMixTemplates()
+	mix, err := workload.Mix(callgraph.TemplateNames()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,28 +45,4 @@ func TestScaleDeadlines(t *testing.T) {
 			t.Errorf("%s: scaleDeadlines mutated its input", mix[i].Template.App)
 		}
 	}
-}
-
-func TestTemplateMixUnknownApp(t *testing.T) {
-	if _, err := templateMix("no-such-app"); err == nil {
-		t.Fatal("unknown app accepted")
-	}
-	mix, err := templateMix("report-gen")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mix) != 1 || mix[0].Template.App != "report-gen" {
-		t.Fatalf("mix = %+v", mix)
-	}
-}
-
-func TestStandardMixTemplatesCoversAll(t *testing.T) {
-	mix, err := standardMixTemplates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mix) != 5 {
-		t.Fatalf("standard mix has %d templates", len(mix))
-	}
-	var _ []workload.WeightedTemplate = mix
 }

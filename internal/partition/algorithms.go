@@ -68,7 +68,8 @@ func MinCut(g *callgraph.Graph, m CostModel) (Result, error) {
 		}
 		net.addEdge(i, snk, m.LocalCost(c))
 	}
-	for _, e := range g.Edges() {
+	for i := 0; i < g.NumEdges(); i++ {
+		e := g.Edge(i)
 		w := m.CutCost(e)
 		net.addEdge(int(e.From), int(e.To), w)
 		net.addEdge(int(e.To), int(e.From), w)

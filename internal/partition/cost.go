@@ -144,7 +144,8 @@ func Objective(g *callgraph.Graph, m CostModel, a Assignment) float64 {
 			total += m.LocalCost(c)
 		}
 	}
-	for _, e := range g.Edges() {
+	for i := 0; i < g.NumEdges(); i++ {
+		e := g.Edge(i)
 		if a[e.From] != a[e.To] {
 			total += m.CutCost(e)
 		}

@@ -364,3 +364,16 @@ func TestMoneyWeightPullsWorkBackLocal(t *testing.T) {
 		t.Fatalf("extreme money weight still offloads %d components", re.Assignment.RemoteCount())
 	}
 }
+
+// TestObjectiveAllocatesNothing holds the objective, which the searchers
+// call once per candidate, to zero allocations: it reads the edges in
+// place rather than copying the edge list.
+func TestObjectiveAllocatesNothing(t *testing.T) {
+	m := testModel()
+	for name, g := range callgraph.Templates() {
+		a := AllRemote(g)
+		if allocs := testing.AllocsPerRun(100, func() { Objective(g, m, a) }); allocs != 0 {
+			t.Errorf("%s: Objective allocates %v times per call", name, allocs)
+		}
+	}
+}

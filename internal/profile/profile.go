@@ -328,7 +328,8 @@ func (c *Catalog) EstimatedGraph(g *callgraph.Graph) (*callgraph.Graph, error) {
 			return nil, err
 		}
 	}
-	for _, e := range g.Edges() {
+	for i := 0; i < g.NumEdges(); i++ {
+		e := g.Edge(i)
 		if err := est.AddEdge(e); err != nil {
 			return nil, err
 		}

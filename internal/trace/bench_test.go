@@ -65,7 +65,7 @@ func BenchmarkSpanRecordBounded(b *testing.B) {
 }
 
 // BenchmarkRecorderAdd measures appending one outcome record, the
-// per-task cost of every System's trace.Recorder. A fresh recorder every
+// per-task cost of a trace.Recorder attached to a System. A fresh recorder every
 // 1<<14 records keeps the benchmark's memory bounded while still paying
 // for chunk allocation at its real rate.
 func BenchmarkRecorderAdd(b *testing.B) {

@@ -219,7 +219,8 @@ func JobFromGraph(g *callgraph.Graph) (*dag.Job, error) {
 	type payload struct{ in, out, interior map[int]int64 }
 	p := payload{in: map[int]int64{}, out: map[int]int64{}, interior: map[int]int64{}}
 	interiorKey := func(from, to int) int { return from*len(comps) + to }
-	for _, e := range g.Edges() {
+	for i := 0; i < g.NumEdges(); i++ {
+		e := g.Edge(i)
 		bytes := int64(float64(e.Bytes) * e.CallsPerRun)
 		fromPinned, toPinned := comps[e.From].Pinned, comps[e.To].Pinned
 		switch {

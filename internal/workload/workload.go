@@ -188,7 +188,8 @@ func FromGraph(g *callgraph.Graph) (TaskTemplate, error) {
 	}
 	t := TaskTemplate{App: g.Name(), CyclesSigma: 0.25}
 	var weighted float64
-	for _, c := range g.Components() {
+	for id := 0; id < g.Len(); id++ {
+		c := g.Component(callgraph.ComponentID(id))
 		if c.Pinned {
 			continue
 		}
@@ -203,7 +204,8 @@ func FromGraph(g *callgraph.Graph) (TaskTemplate, error) {
 		return TaskTemplate{}, fmt.Errorf("workload: %s has no offloadable work", g.Name())
 	}
 	t.ParallelFraction = weighted / t.MeanCycles
-	for _, e := range g.Edges() {
+	for i := 0; i < g.NumEdges(); i++ {
+		e := g.Edge(i)
 		fromPinned := g.Component(e.From).Pinned
 		toPinned := g.Component(e.To).Pinned
 		bytes := int64(float64(e.Bytes) * e.CallsPerRun)
@@ -242,7 +244,11 @@ func NewGenerator(src *rng.Source, mix []WeightedTemplate) (*Generator, error) {
 	if len(mix) == 0 {
 		return nil, fmt.Errorf("workload: empty template mix")
 	}
-	g := &Generator{src: src}
+	g := &Generator{
+		src:       src,
+		templates: make([]TaskTemplate, 0, len(mix)),
+		cum:       make([]float64, 0, len(mix)),
+	}
 	total := 0.0
 	for _, wt := range mix {
 		if err := wt.Template.Validate(); err != nil {
@@ -261,16 +267,31 @@ func NewGenerator(src *rng.Source, mix []WeightedTemplate) (*Generator, error) {
 	return g, nil
 }
 
-// StandardMix returns a generator over all five application templates with
-// equal weights.
-func StandardMix(src *rng.Source) (*Generator, error) {
-	var mix []WeightedTemplate
-	for _, name := range callgraph.TemplateNames() {
-		t, err := FromGraph(callgraph.Templates()[name])
+// Mix returns the equal-weight mix over the named application templates,
+// in the order given. It builds the template graphs once per call.
+func Mix(names ...string) ([]WeightedTemplate, error) {
+	graphs := callgraph.Templates()
+	mix := make([]WeightedTemplate, 0, len(names))
+	for _, name := range names {
+		g, ok := graphs[name]
+		if !ok {
+			return nil, fmt.Errorf("workload: unknown template %q (have %v)", name, callgraph.TemplateNames())
+		}
+		t, err := FromGraph(g)
 		if err != nil {
 			return nil, err
 		}
 		mix = append(mix, WeightedTemplate{Template: t, Weight: 1})
+	}
+	return mix, nil
+}
+
+// StandardMix returns a generator over all five application templates with
+// equal weights.
+func StandardMix(src *rng.Source) (*Generator, error) {
+	mix, err := Mix(callgraph.TemplateNames()...)
+	if err != nil {
+		return nil, err
 	}
 	return NewGenerator(src, mix)
 }

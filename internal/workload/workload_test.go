@@ -283,3 +283,32 @@ func TestStreamZeroCountIsNoop(t *testing.T) {
 	Stream(eng, &Fixed{Gap: 1}, gen, 0, func(*model.Task) { t.Fatal("submitted") })
 	eng.Run()
 }
+
+func TestMixUnknownTemplate(t *testing.T) {
+	if _, err := Mix("report-gen", "no-such-app"); err == nil {
+		t.Fatal("unknown template accepted")
+	}
+	mix, err := Mix("report-gen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mix) != 1 || mix[0].Template.App != "report-gen" || mix[0].Weight != 1 {
+		t.Fatalf("mix = %+v", mix)
+	}
+}
+
+func TestMixCoversStandardTemplates(t *testing.T) {
+	names := callgraph.TemplateNames()
+	mix, err := Mix(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mix) != len(names) {
+		t.Fatalf("standard mix has %d templates, want %d", len(mix), len(names))
+	}
+	for i, wt := range mix {
+		if wt.Template.App != names[i] || wt.Weight != 1 {
+			t.Errorf("mix[%d] = %s weight %g, want %s weight 1", i, wt.Template.App, wt.Weight, names[i])
+		}
+	}
+}

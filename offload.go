@@ -50,6 +50,7 @@ import (
 	"offload/internal/sched"
 	"offload/internal/serverless"
 	"offload/internal/sim"
+	"offload/internal/trace"
 	"offload/internal/workload"
 )
 
@@ -137,6 +138,12 @@ type Report = core.Report
 
 // Observer samples a live System at a fixed simulated-time interval.
 type Observer = core.Observer
+
+// Recorder keeps one record per settled task and writes them as the JSONL
+// trace that offsim -replay reads. A System keeps none by default; attach
+// one with sys.Scheduler.ChainOutcomeHook(rec.Hook()) before the first
+// submit.
+type Recorder = trace.Recorder
 
 // Fleet simulates many devices against shared remote infrastructure.
 type Fleet = core.Fleet
