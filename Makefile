@@ -225,6 +225,7 @@ examples:
 	$(GO) run ./examples/videopipeline
 	$(GO) run ./examples/mlbatch
 	$(GO) run ./examples/cicd
+	$(GO) run ./examples/fleet
 
 clean:
 	$(GO) clean ./...

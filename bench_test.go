@@ -192,21 +192,6 @@ func BenchmarkAllocChoose(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineDP splits a budget across a five-stage function chain.
-func BenchmarkPipelineDP(b *testing.B) {
-	a := alloc.New(serverless.LambdaLike())
-	reqs := []alloc.Request{
-		{Cycles: 2e9}, {Cycles: 8e9}, {Cycles: 3e10, ParallelFraction: 0.8},
-		{Cycles: 5e9}, {Cycles: 1e9},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.ChoosePipeline(reqs, 120, 200); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSchedulerThroughput measures end-to-end tasks/second through
 // the deadline-aware scheduler with all substrates live.
 func BenchmarkSchedulerThroughput(b *testing.B) {

@@ -18,6 +18,10 @@
 //	offctl scrape host:9090                    # pretty-print a /metrics endpoint
 //	offctl dag -app video-transcode            # call graph → DAG job summary
 //	offctl dag -shape fork-join -nodes 10 -dot # generated job as Graphviz DOT
+//	offctl run -policy deadline-aware -tasks 1000 -rate 0.02
+//	offctl run -app sci-batch -policy cloud-all -trace run.jsonl
+//	offctl run -replay run.jsonl               # re-run a recorded task trace
+//	offctl run -no-edge -no-vm                 # the serverless-only deployment
 package main
 
 import (
@@ -28,7 +32,6 @@ import (
 	"os"
 
 	"offload/internal/callgraph"
-	"offload/internal/chain"
 	"offload/internal/core"
 	"offload/internal/device"
 	"offload/internal/metrics"
@@ -38,7 +41,6 @@ import (
 	"offload/internal/profile"
 	"offload/internal/rng"
 	"offload/internal/serverless"
-	"offload/internal/sim"
 	"offload/internal/trace"
 )
 
@@ -79,6 +81,11 @@ func main() {
 		return
 	case "dag":
 		if err := runDAG(os.Args[2:], os.Stdout); err != nil {
+			fail(err)
+		}
+		return
+	case "run":
+		if err := runScenario(os.Args[2:], os.Stdout); err != nil {
 			fail(err)
 		}
 		return
@@ -201,43 +208,15 @@ func main() {
 // platform, and executes one run through the chain runner — the full
 // offline-to-runtime journey in one command.
 func simulatePlan(g *callgraph.Graph, seed uint64, runs int, noise float64) error {
-	plan, err := core.PlanApp(g, core.PlanOptions{
-		Device:       device.Smartphone(),
-		Serverless:   serverless.LambdaLike(),
-		CloudPath:    network.WiFiCloud(),
+	plan, results, err := core.SimulatePlan(g, core.PlanOptions{
 		Seed:         seed,
 		ProfileRuns:  runs,
 		ProfileNoise: noise,
-	})
+	}, 1)
 	if err != nil {
 		return err
 	}
-	eng := sim.NewEngine()
-	dev := device.New(eng, device.Smartphone())
-	path := network.New(eng, rng.New(seed+5), network.WiFiCloud())
-	platform := serverless.NewPlatform(eng, rng.New(seed+6), serverless.LambdaLike())
-
-	assignment := plan.Partition.Assignment
-	fns := make(map[string]*serverless.Function)
-	for _, spec := range plan.Manifest.Functions {
-		fn, err := platform.Deploy(serverless.FunctionConfig{
-			Name: spec.Name, MemoryBytes: spec.MemoryBytes,
-		})
-		if err != nil {
-			return err
-		}
-		fns[spec.Component] = fn
-	}
-	runner, err := chain.New(eng, chain.Config{
-		Graph: g, Assignment: assignment, Device: dev, Path: path, Functions: fns,
-	})
-	if err != nil {
-		return err
-	}
-	var res chain.Result
-	runner.Run(func(out chain.Result) { res = out })
-	eng.Run()
-
+	res := results[0]
 	fmt.Printf("app: %s (offloaded: %v)\n\n", plan.App, plan.Remote)
 	tbl := metrics.NewTable("one simulated run", "component", "side", "start_s", "dur_s", "transfer_s", "usd")
 	for _, cr := range res.Components {
@@ -375,7 +354,9 @@ commands:
               throughput, latency quantiles and shed rates
   scrape      fetch a Prometheus /metrics endpoint and show the top series
   dag         build a DAG job (from a call graph or the generator family)
-              and print its structure as a table or Graphviz DOT`)
+              and print its structure as a table or Graphviz DOT
+  run         simulate one scenario (policy, workload, rate, or a replayed
+              JSONL trace) and report time, money, energy and placements`)
 	os.Exit(2)
 }
 

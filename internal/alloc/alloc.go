@@ -10,11 +10,8 @@
 //     execution time when the working set barely fits, so the cost curve
 //     over the memory ladder is U-shaped (pressure-inflated billed time on
 //     the left, wasted memory on the right);
-//   - delay-tolerant tasks can trade time for money by batching
-//     invocations into one warm container, amortising cold starts.
-//
-// The pipeline allocator splits a single completion budget across a chain
-// of functions by dynamic programming over discretised time.
+//   - a cold start is paid only when no container is warm, so the arrival
+//     rate sets the expected cold-start share (ColdStartProbability).
 package alloc
 
 import (
@@ -245,48 +242,4 @@ func ColdStartProbability(ratePerSec float64, keepAlive sim.Duration) float64 {
 		return 1
 	}
 	return math.Exp(-ratePerSec * float64(keepAlive))
-}
-
-// BatchPlan describes serving batchSize delay-tolerant invocations
-// sequentially in one container: one request charge, one possible cold
-// start, batchSize executions.
-type BatchPlan struct {
-	BatchSize          int
-	MemoryBytes        int64
-	PerTaskCostUSD     float64
-	PerTaskTime        sim.Duration // mean completion time within the batch
-	TotalTime          sim.Duration
-	SavingsVsUnbatched float64 // fractional cost saving
-}
-
-// PlanBatch evaluates batched execution of req at the given memory size.
-// batchSize must be positive.
-func (a *Allocator) PlanBatch(req Request, memBytes int64, batchSize int) (BatchPlan, error) {
-	if err := req.Validate(); err != nil {
-		return BatchPlan{}, err
-	}
-	if batchSize <= 0 {
-		return BatchPlan{}, fmt.Errorf("alloc: batch size %d not positive", batchSize)
-	}
-	task := req.task()
-	exec := a.cfg.ExecTime(&task, memBytes)
-	cold := sim.Duration(req.ColdStartProb * float64(a.expectedCold(memBytes)))
-	total := cold + sim.Duration(float64(exec)*float64(batchSize))
-	batchedCost := a.cfg.Price.Bill(memBytes, total)
-	single := a.Evaluate(req, memBytes)
-	unbatched := single.ExpectedCostUSD * float64(batchSize)
-	savings := 0.0
-	if unbatched > 0 {
-		savings = 1 - batchedCost/unbatched
-	}
-	// Mean completion: task i finishes at cold + (i+1)·exec.
-	mean := float64(cold) + float64(exec)*(float64(batchSize)+1)/2
-	return BatchPlan{
-		BatchSize:          batchSize,
-		MemoryBytes:        memBytes,
-		PerTaskCostUSD:     batchedCost / float64(batchSize),
-		PerTaskTime:        sim.Duration(mean),
-		TotalTime:          total,
-		SavingsVsUnbatched: savings,
-	}, nil
 }

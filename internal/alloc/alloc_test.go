@@ -513,144 +513,3 @@ func TestColdStartProbability(t *testing.T) {
 		t.Fatal("cold-start probability not decreasing in rate")
 	}
 }
-
-func TestPlanBatchAmortisesColdStartAndRequests(t *testing.T) {
-	a := New(platformConfig())
-	req := Request{Cycles: 1e9, ColdStartProb: 1}
-	plan, err := a.PlanBatch(req, 1024*model.MB, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := a.Evaluate(req, 1024*model.MB)
-	if plan.PerTaskCostUSD >= single.ExpectedCostUSD {
-		t.Fatalf("batching did not save: %g >= %g", plan.PerTaskCostUSD, single.ExpectedCostUSD)
-	}
-	if plan.SavingsVsUnbatched <= 0 {
-		t.Fatalf("SavingsVsUnbatched = %g", plan.SavingsVsUnbatched)
-	}
-	// Batch trades latency for money: per-task time grows.
-	if plan.PerTaskTime <= single.ExpectedTime {
-		t.Fatalf("batched per-task time %v not above single %v", plan.PerTaskTime, single.ExpectedTime)
-	}
-}
-
-func TestPlanBatchValidation(t *testing.T) {
-	a := New(platformConfig())
-	if _, err := a.PlanBatch(Request{Cycles: 1}, 1024*model.MB, 0); err == nil {
-		t.Fatal("batch size 0 accepted")
-	}
-	if _, err := a.PlanBatch(Request{Cycles: -1}, 1024*model.MB, 1); err == nil {
-		t.Fatal("invalid request accepted")
-	}
-}
-
-func TestChoosePipelineUnbounded(t *testing.T) {
-	a := New(platformConfig())
-	reqs := []Request{{Cycles: 5e9}, {Cycles: 10e9}, {Cycles: 2e9}}
-	pd, err := a.ChoosePipeline(reqs, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pd.Feasible || len(pd.Stages) != 3 {
-		t.Fatalf("unbounded pipeline: %+v", pd)
-	}
-	// Must equal the sum of independent choices.
-	sum := 0.0
-	for _, r := range reqs {
-		d, err := a.Choose(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += d.ExpectedCostUSD
-	}
-	if math.Abs(pd.TotalCostUSD-sum) > 1e-12 {
-		t.Fatalf("unbounded pipeline cost %g != sum of choices %g", pd.TotalCostUSD, sum)
-	}
-}
-
-func TestChoosePipelineBudgetForcesFasterStages(t *testing.T) {
-	a := New(platformConfig())
-	reqs := []Request{{Cycles: 10e9}, {Cycles: 10e9}}
-	loose, err := a.ChoosePipeline(reqs, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight, err := a.ChoosePipeline(reqs, 25, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tight.Feasible {
-		t.Fatalf("25 s budget infeasible: total %v", tight.TotalTime)
-	}
-	if tight.TotalTime > 25 {
-		t.Fatalf("pipeline exceeded budget: %v", tight.TotalTime)
-	}
-	if tight.TotalCostUSD < loose.TotalCostUSD-1e-12 {
-		t.Fatal("tight budget cheaper than unbounded optimum")
-	}
-}
-
-func TestChoosePipelineInfeasibleBudget(t *testing.T) {
-	a := New(platformConfig())
-	reqs := []Request{{Cycles: 100e9}, {Cycles: 100e9}} // 100 s each at best
-	pd, err := a.ChoosePipeline(reqs, 10, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pd.Feasible {
-		t.Fatal("impossible pipeline budget reported feasible")
-	}
-	if len(pd.Stages) != 2 {
-		t.Fatalf("fallback did not allocate all stages: %d", len(pd.Stages))
-	}
-}
-
-func TestChoosePipelineRejectsStageBudgets(t *testing.T) {
-	a := New(platformConfig())
-	if _, err := a.ChoosePipeline([]Request{{Cycles: 1, TimeBudget: 5}}, 10, 100); err == nil {
-		t.Fatal("stage-level budget accepted in pipeline mode")
-	}
-	if _, err := a.ChoosePipeline(nil, 0, 0); err == nil {
-		t.Fatal("empty pipeline accepted")
-	}
-	if _, err := a.ChoosePipeline([]Request{{Cycles: 1}}, 10, 0); err == nil {
-		t.Fatal("zero slots with budget accepted")
-	}
-}
-
-func TestChoosePipelineMatchesBruteForceSmall(t *testing.T) {
-	// Brute-force over a coarsened ladder to validate the DP.
-	cfg := platformConfig()
-	cfg.MemoryStep = 1024 * model.MB // ladder: 1152? No — min 128: 128, 1152, 2176, 3200, 4224>max → 4 sizes
-	a := New(cfg)
-	reqs := []Request{{Cycles: 8e9}, {Cycles: 4e9}}
-	budget := sim.Duration(30)
-	pd, err := a.ChoosePipeline(reqs, budget, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ladder := cfg.MemoryLadder()
-	bestCost := math.Inf(1)
-	for _, m1 := range ladder {
-		for _, m2 := range ladder {
-			d1 := a.Evaluate(reqs[0], m1)
-			d2 := a.Evaluate(reqs[1], m2)
-			if d1.ExpectedTime+d2.ExpectedTime <= budget {
-				if c := d1.ExpectedCostUSD + d2.ExpectedCostUSD; c < bestCost {
-					bestCost = c
-				}
-			}
-		}
-	}
-	if !pd.Feasible {
-		t.Fatal("DP found no feasible plan but brute force should")
-	}
-	// DP rounds times up to slots, so it may be slightly conservative, but
-	// never better than brute force and within a small factor of it.
-	if pd.TotalCostUSD < bestCost-1e-12 {
-		t.Fatalf("DP cost %g beats brute force %g", pd.TotalCostUSD, bestCost)
-	}
-	if pd.TotalCostUSD > bestCost*1.25 {
-		t.Fatalf("DP cost %g far above brute force %g", pd.TotalCostUSD, bestCost)
-	}
-}

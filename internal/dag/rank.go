@@ -260,7 +260,7 @@ type pathChannel struct {
 // pathChannels maps each remote placement to its path's airtime channel.
 // Placements behind the same physical path share one channel — a VM in
 // the serverless region contends with function invocations for the same
-// radio. Fair-share and uncontended paths get no channel: their
+// radio. Uncontended paths get no channel: their
 // transfers overlap, so the uncontended estimate already prices them.
 func pathChannels(env *sched.Env) map[model.Placement]*pathChannel {
 	channels := make(map[model.Placement]*pathChannel)

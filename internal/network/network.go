@@ -56,11 +56,6 @@ type Config struct {
 	// Serialize makes transfers queue on a single radio (realistic for one
 	// device's cellular modem). When false, transfers overlap freely.
 	Serialize bool
-
-	// FairShare makes concurrent transfers in one direction split that
-	// direction's bandwidth equally (processor sharing) — the model for a
-	// shared bottleneck link. Mutually exclusive with Serialize.
-	FairShare bool
 }
 
 // Validate reports whether the configuration is usable.
@@ -78,8 +73,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("network: %s: both transition rates must be set together", c.Name)
 	case c.GoodToBadRate > 0 && (c.BadFactor <= 0 || c.BadFactor > 1):
 		return fmt.Errorf("network: %s: BadFactor must be in (0,1] when degradation is enabled", c.Name)
-	case c.Serialize && c.FairShare:
-		return fmt.Errorf("network: %s: Serialize and FairShare are mutually exclusive", c.Name)
 	}
 	return nil
 }
@@ -90,8 +83,7 @@ type Path struct {
 	src *rng.Source
 	cfg Config
 
-	radio  *sim.Resource             // nil unless cfg.Serialize
-	shared map[Direction]*sharedLink // nil unless cfg.FairShare
+	radio *sim.Resource // nil unless cfg.Serialize
 
 	// Lazily advanced Gilbert–Elliott state.
 	bad            bool
@@ -112,12 +104,6 @@ func New(eng *sim.Engine, src *rng.Source, cfg Config) *Path {
 	p := &Path{eng: eng, src: src, cfg: cfg}
 	if cfg.Serialize {
 		p.radio = sim.NewResource(eng, cfg.Name+"/radio", 1)
-	}
-	if cfg.FairShare {
-		p.shared = map[Direction]*sharedLink{
-			Uplink:   {path: p, dir: Uplink},
-			Downlink: {path: p, dir: Downlink},
-		}
 	}
 	if cfg.GoodToBadRate > 0 {
 		p.nextTransition = eng.Now().Add(sim.Duration(src.Exp(cfg.GoodToBadRate)))
@@ -195,10 +181,6 @@ func (p *Path) Transfer(n int64, dir Direction, done func(Report)) {
 	if done == nil {
 		panic("network: Transfer with nil callback")
 	}
-	if p.shared != nil {
-		p.transferShared(n, dir, done)
-		return
-	}
 	t := p.free.Get()
 	if t == nil {
 		t = &transfer{p: p}
@@ -212,8 +194,8 @@ func (p *Path) Transfer(n int64, dir Direction, done func(Report)) {
 	t.run()
 }
 
-// transfer is one in-flight Transfer on a path without fair sharing,
-// recycled through the path's free list with its callbacks bound once.
+// transfer is one in-flight Transfer, recycled through the path's free
+// list with its callbacks bound once.
 type transfer struct {
 	p        *Path
 	n        int64

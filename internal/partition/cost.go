@@ -168,18 +168,6 @@ func AllRemote(g *callgraph.Graph) Assignment {
 	return a
 }
 
-// FeasibleRemote returns the assignment that offloads everything the
-// model's memory bound allows, keeping pinned and oversized components on
-// the device.
-func FeasibleRemote(g *callgraph.Graph, m CostModel) Assignment {
-	a := make(Assignment, g.Len())
-	for i := range a {
-		c := g.Component(callgraph.ComponentID(i))
-		a[i] = !c.Pinned && m.RemoteFeasible(c)
-	}
-	return a
-}
-
 // Result is the outcome of one partitioning run.
 type Result struct {
 	Algorithm  string

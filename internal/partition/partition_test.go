@@ -326,22 +326,6 @@ func TestMemoryBoundPinsOversizedComponents(t *testing.T) {
 	}
 }
 
-func TestFeasibleRemoteRespectsBound(t *testing.T) {
-	g := callgraph.New("fr")
-	g.MustAddComponent(callgraph.Component{Name: "ui", Cycles: 1, Pinned: true})
-	g.MustAddComponent(callgraph.Component{Name: "ok", Cycles: 1, MemoryBytes: 1 << 20})
-	g.MustAddComponent(callgraph.Component{Name: "huge", Cycles: 1, MemoryBytes: 1 << 40})
-	m := testModel()
-	m.MaxRemoteMemory = 1 << 30
-	a := FeasibleRemote(g, m)
-	if a[0] || !a[1] || a[2] {
-		t.Fatalf("FeasibleRemote = %v", a)
-	}
-	if math.IsInf(Objective(g, m, a), 1) {
-		t.Fatal("FeasibleRemote produced an infeasible assignment")
-	}
-}
-
 func TestMoneyWeightPullsWorkBackLocal(t *testing.T) {
 	// With an extreme money weight, offloading should shrink or vanish.
 	g := callgraph.SciBatch()

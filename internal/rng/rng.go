@@ -159,68 +159,3 @@ func (r *Source) Pareto(xm, alpha float64) float64 {
 	}
 	return xm / math.Pow(u, 1/alpha)
 }
-
-// Zipf draws integers in [0, n) with probability proportional to
-// 1/(i+1)^s. It precomputes the CDF on construction, so sampling is
-// O(log n).
-type Zipf struct {
-	src *Source
-	cdf []float64
-}
-
-// NewZipf returns a Zipf sampler over [0, n) with exponent s >= 0.
-// It panics if n <= 0 or s < 0.
-func NewZipf(src *Source, n int, s float64) *Zipf {
-	if n <= 0 || s < 0 {
-		panic(fmt.Sprintf("rng: NewZipf called with n=%d s=%g", n, s))
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{src: src, cdf: cdf}
-}
-
-// Next returns the next Zipf-distributed value in [0, n).
-func (z *Zipf) Next() int {
-	u := z.src.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Empirical samples from a fixed set of observed values, uniformly. It is
-// used for trace-driven distributions (for example, measured cold-start
-// times).
-type Empirical struct {
-	src    *Source
-	values []float64
-}
-
-// NewEmpirical returns a sampler over a copy of values.
-// It panics if values is empty.
-func NewEmpirical(src *Source, values []float64) *Empirical {
-	if len(values) == 0 {
-		panic("rng: NewEmpirical called with no values")
-	}
-	cp := make([]float64, len(values))
-	copy(cp, values)
-	return &Empirical{src: src, values: cp}
-}
-
-// Next returns a uniformly chosen observed value.
-func (e *Empirical) Next() float64 {
-	return e.values[e.src.Intn(len(e.values))]
-}

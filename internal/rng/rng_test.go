@@ -255,66 +255,6 @@ func TestUniformBounds(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	r := New(11)
-	z := NewZipf(r, 100, 1.2)
-	counts := make([]int, 100)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := z.Next()
-		if v < 0 || v >= 100 {
-			t.Fatalf("Zipf out of range: %d", v)
-		}
-		counts[v]++
-	}
-	if counts[0] <= counts[50] {
-		t.Fatalf("Zipf not skewed: counts[0]=%d counts[50]=%d", counts[0], counts[50])
-	}
-	// Rank-0 frequency should approximate 1/H where H is the normalising sum.
-	if counts[0] < n/10 {
-		t.Fatalf("Zipf rank-0 frequency too low: %d", counts[0])
-	}
-}
-
-func TestZipfUniformWhenSZero(t *testing.T) {
-	r := New(12)
-	z := NewZipf(r, 10, 0)
-	counts := make([]int, 10)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[z.Next()]++
-	}
-	for i, c := range counts {
-		if math.Abs(float64(c)-n/10) > n/50 {
-			t.Fatalf("Zipf(s=0) not uniform: counts[%d]=%d", i, c)
-		}
-	}
-}
-
-func TestEmpiricalOnlyObservedValues(t *testing.T) {
-	r := New(13)
-	vals := []float64{1.5, 2.5, 42}
-	e := NewEmpirical(r, vals)
-	allowed := map[float64]bool{1.5: true, 2.5: true, 42: true}
-	for i := 0; i < 1000; i++ {
-		if v := e.Next(); !allowed[v] {
-			t.Fatalf("Empirical returned unobserved value %g", v)
-		}
-	}
-}
-
-func TestEmpiricalCopiesInput(t *testing.T) {
-	r := New(14)
-	vals := []float64{1, 2, 3}
-	e := NewEmpirical(r, vals)
-	vals[0] = 999
-	for i := 0; i < 100; i++ {
-		if e.Next() == 999 {
-			t.Fatal("Empirical did not copy its input slice")
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {

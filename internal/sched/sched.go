@@ -182,12 +182,6 @@ func WithResilience(r Resilience) Option {
 	return func(s *Scheduler) { s.res = &r }
 }
 
-// WithTracer attaches a span tracer to the scheduler. Equivalent to
-// calling SetTracer before the first Submit.
-func WithTracer(t trace.Tracer) Option {
-	return func(s *Scheduler) { s.tr = t }
-}
-
 // SetTracer attaches (or detaches, with nil) the tracer receiving the
 // scheduler's causal hook points. Call before the first Submit: attempts
 // already in flight keep reporting to the tracer they started with.

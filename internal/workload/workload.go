@@ -1,5 +1,5 @@
 // Package workload generates the task streams the evaluation runs on:
-// stochastic arrival processes (Poisson, bursty MMPP, diurnal) and task
+// stochastic arrival processes (Poisson, bursty MMPP) and task
 // populations derived from the callgraph application templates, with
 // lognormal size variation and per-application soft deadlines in the
 // minutes-to-hours range that defines "non-time-critical".
@@ -7,7 +7,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"offload/internal/callgraph"
 	"offload/internal/model"
@@ -16,7 +15,7 @@ import (
 )
 
 // Arrivals produces inter-arrival gaps. Implementations may depend on the
-// current virtual time (diurnal patterns do).
+// current virtual time.
 type Arrivals interface {
 	// Next returns the gap between the arrival at now and the next one.
 	Next(now sim.Time) sim.Duration
@@ -90,41 +89,6 @@ func (m *MMPP) Next(sim.Time) sim.Duration {
 			switchRate = m.toBurst
 		}
 		m.stateLeft = sim.Duration(m.src.Exp(switchRate))
-	}
-}
-
-// Diurnal modulates a Poisson process with a sinusoidal day curve:
-// rate(t) = base·(1 + amplitude·sin(2πt/period)), sampled by thinning.
-type Diurnal struct {
-	src       *rng.Source
-	base      float64
-	amplitude float64
-	period    float64
-}
-
-var _ Arrivals = (*Diurnal)(nil)
-
-// NewDiurnal returns a diurnal process. amplitude must be in [0, 1) so the
-// rate stays positive; period is the cycle length in seconds.
-func NewDiurnal(src *rng.Source, base, amplitude, period float64) *Diurnal {
-	if base <= 0 || amplitude < 0 || amplitude >= 1 || period <= 0 {
-		panic(fmt.Sprintf("workload: bad diurnal parameters base=%g amp=%g period=%g",
-			base, amplitude, period))
-	}
-	return &Diurnal{src: src, base: base, amplitude: amplitude, period: period}
-}
-
-// Next implements Arrivals with Lewis–Shedler thinning against the peak
-// rate.
-func (d *Diurnal) Next(now sim.Time) sim.Duration {
-	peak := d.base * (1 + d.amplitude)
-	t := float64(now)
-	for {
-		t += d.src.Exp(peak)
-		rate := d.base * (1 + d.amplitude*math.Sin(2*math.Pi*t/d.period))
-		if d.src.Float64() < rate/peak {
-			return sim.Duration(t - float64(now))
-		}
 	}
 }
 

@@ -60,27 +60,6 @@ func TestMMPPGapsPositive(t *testing.T) {
 	}
 }
 
-func TestDiurnalModulation(t *testing.T) {
-	const period = 86400.0
-	d := NewDiurnal(rng.New(4), 1, 0.9, period)
-	// Count arrivals in the peak quarter vs the trough quarter of the day.
-	countIn := func(start float64) int {
-		n := 0
-		now := sim.Time(start)
-		end := sim.Time(start + period/8)
-		for now < end {
-			now = now.Add(d.Next(now))
-			n++
-		}
-		return n
-	}
-	peak := countIn(period / 4 * 0.9) // around sin peak at period/4
-	trough := countIn(period * 3 / 4 * 0.95)
-	if peak <= trough {
-		t.Fatalf("diurnal peak (%d) not above trough (%d)", peak, trough)
-	}
-}
-
 func TestFixedArrivals(t *testing.T) {
 	f := &Fixed{Gap: 2.5}
 	for i := 0; i < 5; i++ {

@@ -140,9 +140,9 @@ type Report = core.Report
 type Observer = core.Observer
 
 // Recorder keeps one record per settled task and writes them as the JSONL
-// trace that offsim -replay reads. A System keeps none by default; attach
-// one with sys.Scheduler.ChainOutcomeHook(rec.Hook()) before the first
-// submit.
+// trace that `offctl run -replay` reads. A System keeps none by default;
+// attach one with sys.Scheduler.ChainOutcomeHook(rec.Hook()) before the
+// first submit.
 type Recorder = trace.Recorder
 
 // Fleet simulates many devices against shared remote infrastructure.
