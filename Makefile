@@ -68,7 +68,15 @@ offbench-bin:
 	$(GO) build -o $(OFFBENCH_BIN) ./cmd/offbench
 
 # Prove offbench's stdout is byte-identical serial vs parallel and still
-# matches the committed quick-scale goldens.
+# matches the committed quick-scale goldens: same seed, same bytes,
+# regardless of worker count or completion order. Then the
+# state-dependent experiments one by one: E19's bandits learn from
+# outcome feedback, E20's failover layer adds health tracking, canary
+# probes and a wait queue, E21's conservative-barrier engine must match
+# at one shard (the serial reference), two (a 2-vCPU layout) and seven (a
+# partition that divides nothing evenly), and E22's DAG jobs thread
+# precedence through the event core. CI's determinism job runs this
+# target with metrics-golden and spans-golden.
 determinism: offbench-bin
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -parallel 1 -quiet > /tmp/offbench-serial.txt
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -parallel 4 -quiet > /tmp/offbench-parallel.txt
@@ -76,11 +84,16 @@ determinism: offbench-bin
 	rm -rf /tmp/offbench-golden
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -parallel 4 -quiet -out /tmp/offbench-golden > /dev/null
 	diff -ru results/golden /tmp/offbench-golden
+	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E19 -parallel 1 -quiet > /tmp/offbench-e19-serial.txt
+	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E19 -parallel 4 -quiet > /tmp/offbench-e19-parallel.txt
+	cmp /tmp/offbench-e19-serial.txt /tmp/offbench-e19-parallel.txt
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E20 -parallel 1 -quiet > /tmp/offbench-e20-serial.txt
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E20 -parallel 4 -quiet > /tmp/offbench-e20-parallel.txt
 	cmp /tmp/offbench-e20-serial.txt /tmp/offbench-e20-parallel.txt
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E21 -shards 1 -quiet > /tmp/offbench-e21-serial.txt
+	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E21 -shards 2 -quiet > /tmp/offbench-e21-two.txt
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E21 -shards 7 -quiet > /tmp/offbench-e21-sharded.txt
+	cmp /tmp/offbench-e21-serial.txt /tmp/offbench-e21-two.txt
 	cmp /tmp/offbench-e21-serial.txt /tmp/offbench-e21-sharded.txt
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E22 -parallel 1 -quiet > /tmp/offbench-e22-serial.txt
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E22 -parallel 4 -quiet > /tmp/offbench-e22-parallel.txt

@@ -82,7 +82,7 @@ func TestPlanMatchesDeployedReality(t *testing.T) {
 }
 
 // TestTraceRoundTripMatchesStats records a run, serialises it, reads it
-// back and checks the summary agrees with the scheduler's own statistics.
+// back and checks the records agree with the scheduler's own statistics.
 func TestTraceRoundTripMatchesStats(t *testing.T) {
 	sys, err := offload.NewSystem(offload.DefaultConfig())
 	if err != nil {
@@ -105,19 +105,31 @@ func TestTraceRoundTripMatchesStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	summary := trace.Summarize(records)
+	var missed, completed uint64
+	var cost, completion float64
+	for _, r := range records {
+		cost += r.CostUSD // failed tasks were billed too
+		if r.Failed {
+			continue
+		}
+		completed++
+		completion += r.CompletionS()
+		if r.Missed {
+			missed++
+		}
+	}
 	st := sys.Stats()
-	if uint64(summary.Tasks) != st.Total() {
-		t.Fatalf("trace has %d tasks, stats %d", summary.Tasks, st.Total())
+	if uint64(len(records)) != st.Total() {
+		t.Fatalf("trace has %d tasks, stats %d", len(records), st.Total())
 	}
-	if uint64(summary.Missed) != st.Missed {
-		t.Fatalf("trace misses %d, stats %d", summary.Missed, st.Missed)
+	if missed != st.Missed {
+		t.Fatalf("trace misses %d, stats %d", missed, st.Missed)
 	}
-	if math.Abs(summary.TotalCostUSD-st.CostUSD) > 1e-12 {
-		t.Fatalf("trace cost $%g, stats $%g", summary.TotalCostUSD, st.CostUSD)
+	if math.Abs(cost-st.TotalCostUSD()) > 1e-12 {
+		t.Fatalf("trace cost $%g, stats $%g", cost, st.TotalCostUSD())
 	}
-	if math.Abs(summary.MeanCompletion-st.MeanCompletion()) > 1e-9 {
-		t.Fatalf("trace mean %g, stats %g", summary.MeanCompletion, st.MeanCompletion())
+	if mean := completion / float64(completed); math.Abs(mean-st.MeanCompletion()) > 1e-9 {
+		t.Fatalf("trace mean %g, stats %g", mean, st.MeanCompletion())
 	}
 }
 

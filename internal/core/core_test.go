@@ -48,6 +48,11 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(cfg); err == nil {
 		t.Error("invalid device accepted")
 	}
+	cfg = DefaultConfig()
+	cfg.ShardCount = 2
+	if _, err := NewSystem(cfg); err == nil {
+		t.Error("sharded config accepted")
+	}
 }
 
 func TestAllPoliciesBuild(t *testing.T) {

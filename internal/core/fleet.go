@@ -4,15 +4,9 @@ import (
 	"fmt"
 
 	"offload/internal/callgraph"
-	"offload/internal/cloudvm"
-	"offload/internal/device"
-	"offload/internal/edge"
 	"offload/internal/metrics"
 	"offload/internal/model"
-	"offload/internal/network"
 	"offload/internal/rng"
-	"offload/internal/sched"
-	"offload/internal/serverless"
 	"offload/internal/sim"
 	"offload/internal/workload"
 )
@@ -27,110 +21,33 @@ type Fleet struct {
 	Eng *sim.Engine
 	Src *rng.Source
 
-	Devices    []*device.Device
-	Schedulers []*sched.Scheduler
-
-	platform *serverless.Platform
-	edge     *edge.Cluster
-	vm       *cloudvm.Fleet
-
-	cfg Config
+	fleetUEs
 }
 
 // NewFleet builds n devices from the configuration's device template
 // (names suffixed with their index), sharing the configured remote
-// substrates. Batching and off-peak shifting are per-device features and
-// are not supported at fleet scope.
+// substrates. Features that act on one device's whole stream or on the
+// shared substrates (batching, off-peak shifting, resilience, regions,
+// the daily budget, fault injection, DAG jobs) are rejected at fleet
+// scope; see Config.check.
 func NewFleet(cfg Config, n int) (*Fleet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: fleet of %d devices", n)
 	}
-	if cfg.Batch != nil || cfg.OffPeakShift {
-		return nil, fmt.Errorf("core: fleet does not support Batch or OffPeakShift")
-	}
-	if err := cfg.Device.Validate(); err != nil {
+	if err := cfg.check(scopeFleet); err != nil {
 		return nil, err
 	}
 	eng := sim.NewEngine()
 	src := rng.New(cfg.Seed)
-	f := &Fleet{Eng: eng, Src: src, cfg: cfg}
-
-	var pool *sched.FunctionPool
-	if cfg.Serverless != nil {
-		if cfg.CloudPath == nil {
-			return nil, fmt.Errorf("core: serverless configured without a cloud path")
-		}
-		f.platform = serverless.NewPlatform(eng, src.Split(), *cfg.Serverless)
-		pool = sched.NewFunctionPool(f.platform)
-		pool.ArrivalRateHint = cfg.ArrivalRateHint * float64(n)
-		pool.RedeployTolerance = cfg.RedeployTolerance
-		pool.ProvisionedConcurrency = cfg.ProvisionedConcurrency
-	}
-	if cfg.Edge != nil {
-		if cfg.EdgePath == nil {
-			return nil, fmt.Errorf("core: edge configured without an edge path")
-		}
-		f.edge = edge.New(eng, *cfg.Edge)
-	}
-	if cfg.VM != nil {
-		if cfg.CloudPath == nil {
-			return nil, fmt.Errorf("core: VM configured without a cloud path")
-		}
-		f.vm = cloudvm.New(eng, *cfg.VM)
-	}
-
+	f := &Fleet{Eng: eng, Src: src, fleetUEs: newFleetUEs(&cfg, eng, n)}
+	f.sub.functions(src)
 	for i := 0; i < n; i++ {
-		devCfg := cfg.Device
-		devCfg.Name = fmt.Sprintf("%s-%04d", cfg.Device.Name, i)
-		env := &sched.Env{
-			Eng:    eng,
-			Device: device.New(eng, devCfg),
-		}
-		if f.edge != nil {
-			env.Edge = f.edge
-			env.EdgePath = network.New(eng, src.Split(), *cfg.EdgePath)
-		}
-		if pool != nil {
-			env.Functions = pool
-			env.CloudPath = network.New(eng, src.Split(), *cfg.CloudPath)
-		}
-		if f.vm != nil {
-			env.VM = f.vm
-			if env.CloudPath == nil {
-				env.CloudPath = network.New(eng, src.Split(), *cfg.CloudPath)
-			}
-		}
-		policy, _, err := buildPolicy(cfg, src)
-		if err != nil {
+		if err := f.addUE(cfg, i, eng, src, nil); err != nil {
 			return nil, err
 		}
-		var pred sched.Predictor = sched.NewPerApp(0.3)
-		if cfg.PredictionNoise > 0 {
-			pred = sched.NewNoisy(pred, src.Split(), cfg.PredictionNoise)
-		}
-		var opts []sched.Option
-		if cfg.Retries > 1 {
-			backoff := cfg.RetryBackoff
-			if backoff <= 0 {
-				backoff = 1
-			}
-			opts = append(opts, sched.WithRetries(sched.RetryPolicy{MaxAttempts: cfg.Retries, Backoff: backoff}))
-		}
-		s, err := sched.New(env, policy, pred, opts...)
-		if err != nil {
-			return nil, err
-		}
-		f.Devices = append(f.Devices, env.Device)
-		f.Schedulers = append(f.Schedulers, s)
 	}
 	return f, nil
 }
-
-// Size returns the number of devices.
-func (f *Fleet) Size() int { return len(f.Devices) }
-
-// Platform returns the shared serverless platform, or nil.
-func (f *Fleet) Platform() *serverless.Platform { return f.platform }
 
 // SubmitStreams gives every device its own arrival process (drawn from
 // the fleet's RNG) and workload generator over the standard template mix.
@@ -174,42 +91,6 @@ type FleetStats struct {
 	Completion *metrics.Histogram
 
 	ByPlacement map[model.Placement]uint64
-}
-
-// Stats aggregates across the fleet. Per-device histograms merge in device
-// order, so the aggregate is deterministic for a given configuration.
-func (f *Fleet) Stats() FleetStats { return aggregateStats(f.Schedulers) }
-
-// aggregateStats merges per-scheduler statistics in slice order; Fleet and
-// ShardedFleet share it so serial and sharded runs aggregate identically.
-func aggregateStats(scheds []*sched.Scheduler) FleetStats {
-	out := FleetStats{
-		ByPlacement: make(map[model.Placement]uint64),
-		Completion:  metrics.NewLatencyHistogram(),
-	}
-	var meanSum float64
-	for _, s := range scheds {
-		st := s.Stats()
-		out.Completed += st.Completed
-		out.Failed += st.Failed
-		out.Missed += st.Missed
-		out.Retries += st.Retries
-		out.CostUSD += st.CostUSD
-		out.EnergyMilliJ += st.EnergyMilliJ
-		out.FailedCostUSD += st.FailedCostUSD
-		out.FailedEnergyMilliJ += st.FailedEnergyMilliJ
-		if err := out.Completion.Merge(st.Completion); err != nil {
-			panic(err) // all schedulers use NewLatencyHistogram; cannot happen
-		}
-		meanSum += st.MeanCompletion() * float64(st.Completed)
-		for p, n := range st.ByPlacement {
-			out.ByPlacement[p] += n
-		}
-	}
-	if out.Completed > 0 {
-		out.MeanCompletion = meanSum / float64(out.Completed)
-	}
-	return out
 }
 
 // TotalCostUSD returns per-task spend across the fleet, completed and

@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"offload/internal/fault"
 	"offload/internal/model"
+	"offload/internal/sched"
 	"offload/internal/serverless"
 )
 
@@ -26,6 +28,56 @@ func TestFleetValidation(t *testing.T) {
 	bad.CloudPath = nil
 	if _, err := NewFleet(bad, 2); err == nil {
 		t.Error("fleet without cloud path accepted")
+	}
+}
+
+// TestFleetRejectsUnsupported: a fleet cannot honour features that act
+// on one device's whole stream or on the shared substrates, and says so
+// instead of silently ignoring them.
+func TestFleetRejectsUnsupported(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"resilience", func(c *Config) { c.Resilience = &sched.Resilience{} }},
+		{"regions", func(c *Config) { c.Regions = &RegionsConfig{} }},
+		{"budget", func(c *Config) { c.DailyBudgetUSD = 1 }},
+		{"fault", func(c *Config) { c.Fault = &fault.Config{} }},
+		{"edge fault", func(c *Config) { c.EdgeFault = &fault.Config{} }},
+		{"vm fault", func(c *Config) { c.VMFault = &fault.Config{} }},
+		{"dag", func(c *Config) { c.DAG = &DAGConfig{} }},
+		{"shards", func(c *Config) { c.ShardCount = 2 }},
+		{"shard interval", func(c *Config) { c.ShardInterval = 1 }},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig()
+		tc.mutate(&cfg)
+		if _, err := NewFleet(cfg, 2); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestFleetHonoursPerUEFeatures: retry jitter with a backoff cap and
+// local DVFS reach every fleet UE's scheduler.
+func TestFleetHonoursPerUEFeatures(t *testing.T) {
+	run := func(dvfs float64) FleetStats {
+		cfg := DefaultConfig()
+		cfg.Policy = PolicyLocalOnly
+		cfg.Retries, cfg.RetryMaxBackoff, cfg.RetryJitter = 3, 5, true
+		cfg.LocalDVFSMinScale = dvfs
+		fleet, err := NewFleet(cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fleet.SubmitStreams(0.05, 5); err != nil {
+			t.Fatal(err)
+		}
+		fleet.Run()
+		return fleet.Stats()
+	}
+	if with, without := run(0.4), run(0); with.EnergyMilliJ >= without.EnergyMilliJ {
+		t.Errorf("fleet energy with DVFS %g mJ, without %g mJ: want lower", with.EnergyMilliJ, without.EnergyMilliJ)
 	}
 }
 

@@ -56,15 +56,9 @@ type Server struct {
 // maxInFlight caps concurrently outstanding tasks (0 = uncapped).
 //
 // Batch and OffPeakShift are batch-run features (their flush semantics
-// assume a finite workload) and are rejected here.
+// assume a finite workload) and are rejected here, as is sharding.
 func NewServer(cfg Config, clock sim.Clock, maxInFlight int) (*Server, error) {
-	if cfg.Batch != nil || cfg.OffPeakShift {
-		return nil, fmt.Errorf("core: serve mode does not support Batch or OffPeakShift")
-	}
-	if cfg.ShardCount > 1 {
-		return nil, fmt.Errorf("core: serve mode does not support sharding")
-	}
-	sys, err := NewSystem(cfg)
+	sys, err := newSystem(cfg, scopeServe)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"offload/internal/fault"
 	"offload/internal/model"
 	"offload/internal/sched"
+	"offload/internal/serverless"
 	"offload/internal/trace"
 )
 
@@ -17,12 +18,8 @@ import (
 // exact (bit-level) fingerprint of everything observable: aggregate
 // stats, per-placement counts, completion-distribution quantiles and the
 // merged span set.
-func shardedFingerprint(t *testing.T, shards, devices, tasks int) (string, *trace.SpanSet) {
+func shardedFingerprint(t *testing.T, cfg Config, shards, devices, tasks int) (string, *trace.SpanSet) {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Policy = PolicyDeadlineAware
-	cfg.PredictionNoise = 0.2
-	cfg.Retries = 3
 	cfg.ShardCount = shards
 	f, err := NewShardedFleet(cfg, devices)
 	if err != nil {
@@ -53,18 +50,66 @@ func shardedFingerprint(t *testing.T, shards, devices, tasks int) (string, *trac
 // serial reference.
 func TestShardedFleetMatchesAcrossShardCounts(t *testing.T) {
 	const devices, tasks = 30, 5
-	refFP, refSpans := shardedFingerprint(t, 1, devices, tasks)
+	cfg := DefaultConfig()
+	cfg.Policy = PolicyDeadlineAware
+	cfg.PredictionNoise = 0.2
+	cfg.Retries = 3
+	refFP, refSpans := shardedFingerprint(t, cfg, 1, devices, tasks)
 	if refSpans == nil || len(refSpans.Spans) == 0 {
 		t.Fatal("serial reference recorded no spans")
 	}
 	for _, shards := range []int{2, 4, 7} {
-		fp, spans := shardedFingerprint(t, shards, devices, tasks)
+		fp, spans := shardedFingerprint(t, cfg, shards, devices, tasks)
 		if fp != refFP {
 			t.Errorf("shards=%d stats diverged:\n serial: %s\nsharded: %s", shards, refFP, fp)
 		}
 		if !reflect.DeepEqual(refSpans, spans) {
 			t.Errorf("shards=%d spans diverged: %d vs %d spans", shards, len(refSpans.Spans), len(spans.Spans))
 		}
+	}
+}
+
+// TestShardedFleetJitterDVFSMatchesAcrossShardCounts: retry jitter, a
+// backoff cap and local DVFS are per-UE features drawing only per-UE
+// streams, so a sharded fleet honours them with byte-identical results at
+// every shard count, and DVFS saves device energy.
+func TestShardedFleetJitterDVFSMatchesAcrossShardCounts(t *testing.T) {
+	const devices, tasks = 21, 6
+	cfg := DefaultConfig()
+	cfg.Policy = PolicyRandom
+	sl := serverless.LambdaLike()
+	sl.FailureRate = 0.3
+	cfg.Serverless = &sl
+	cfg.Retries, cfg.RetryBackoff, cfg.RetryMaxBackoff, cfg.RetryJitter = 4, 2, 5, true
+	plain := cfg
+	cfg.LocalDVFSMinScale = 0.4
+
+	refFP, _ := shardedFingerprint(t, cfg, 1, devices, tasks)
+	for _, shards := range []int{2, 7} {
+		if fp, _ := shardedFingerprint(t, cfg, shards, devices, tasks); fp != refFP {
+			t.Errorf("shards=%d stats diverged:\n serial: %s\nsharded: %s", shards, refFP, fp)
+		}
+	}
+
+	energy := func(cfg Config) (float64, uint64) {
+		f, err := NewShardedFleet(cfg, devices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.SubmitStreams(0.05, tasks); err != nil {
+			t.Fatal(err)
+		}
+		f.Run()
+		st := f.Stats()
+		return st.EnergyMilliJ + st.FailedEnergyMilliJ, st.Retries
+	}
+	dvfs, retries := energy(cfg)
+	full, _ := energy(plain)
+	if dvfs >= full {
+		t.Errorf("device energy with DVFS %g mJ, without %g mJ: want lower", dvfs, full)
+	}
+	if retries == 0 {
+		t.Error("no retries: the jittered backoff was never exercised")
 	}
 }
 

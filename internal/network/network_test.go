@@ -205,7 +205,6 @@ func TestPresetsValid(t *testing.T) {
 		"lte-cloud":  LTECloud(),
 		"lan-edge":   LANEdge(),
 		"5g-edge":    FiveGEdge(),
-		"instant":    Instant(),
 	}
 	for name, cfg := range presets {
 		if err := cfg.Validate(); err != nil {

@@ -60,14 +60,3 @@ func FiveGEdge() Config {
 		Serialize:   true,
 	}
 }
-
-// Instant returns an idealised zero-cost path, useful in unit tests and for
-// intra-cloud traffic between a function and cloud storage.
-func Instant() Config {
-	return Config{
-		Name:        "instant",
-		OneWayDelay: 0,
-		UplinkBps:   1e15,
-		DownlinkBps: 1e15,
-	}
-}

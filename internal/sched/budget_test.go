@@ -91,10 +91,11 @@ func TestBudgetedSchedulerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := &BudgetedPolicy{Inner: CloudAll{}, Budget: b}
-	s, err := New(env, pol, Exact{}, WithOutcomeHook(b.Hook()))
+	s, err := New(env, pol, Exact{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.ChainOutcomeHook(b.Hook())
 	for i := 0; i < 6; i++ {
 		task := heavyTask(model.TaskID(i + 1))
 		task.Cycles = 20e9

@@ -158,12 +158,6 @@ type RetryPolicy struct {
 // Option configures a Scheduler.
 type Option func(*Scheduler)
 
-// WithOutcomeHook registers fn to receive every completed outcome, for
-// tracing or custom aggregation.
-func WithOutcomeHook(fn func(model.Outcome)) Option {
-	return func(s *Scheduler) { s.onDone = fn }
-}
-
 // WithRetries enables transparent retries of transient failures.
 func WithRetries(rp RetryPolicy) Option {
 	return func(s *Scheduler) { s.retry = rp }
@@ -302,10 +296,10 @@ func (s *Scheduler) SubmitThen(task *model.Task, then func(model.Outcome)) {
 	s.Submit(task)
 }
 
-// ChainOutcomeHook appends fn behind the outcome hook already installed
-// (if any): every settled task reaches both. Call before the first
-// Submit; the serve layer chains its accounting hook after core's
-// recorder this way without disturbing existing wiring.
+// ChainOutcomeHook appends fn behind the outcome hooks already installed
+// (if any): every settled task reaches each of them, in the order they
+// were chained. Call before the first Submit; core chains the daily
+// budget's hook first, and the serve layer its accounting hook after.
 func (s *Scheduler) ChainOutcomeHook(fn func(model.Outcome)) {
 	if fn == nil {
 		return

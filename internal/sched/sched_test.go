@@ -114,10 +114,11 @@ func TestAvailablePlacements(t *testing.T) {
 func runOne(t *testing.T, env *Env, p Policy, task *model.Task) model.Outcome {
 	t.Helper()
 	var out model.Outcome
-	s, err := New(env, p, Exact{}, WithOutcomeHook(func(o model.Outcome) { out = o }))
+	s, err := New(env, p, Exact{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.ChainOutcomeHook(func(o model.Outcome) { out = o })
 	s.Submit(task)
 	env.Eng.Run()
 	return out

@@ -281,49 +281,6 @@ func TestAttributeGuards(t *testing.T) {
 	}
 }
 
-// TestSummarizeGuards: the legacy record summary must handle empty and
-// single-record inputs without dividing by zero, and must aggregate the
-// new attempts field.
-func TestSummarizeGuards(t *testing.T) {
-	cases := []struct {
-		name         string
-		records      []Record
-		tasks        int
-		missRate     float64
-		meanAttempts float64
-		retryRate    float64
-	}{
-		{"empty", nil, 0, 0, 0, 0},
-		{"single completed", []Record{
-			{TaskID: 1, Placement: "local", Submitted: 0, Finished: 2},
-		}, 1, 0, 1, 0},
-		{"single failed", []Record{
-			{TaskID: 1, Placement: "function", Failed: true, Attempts: 3},
-		}, 1, 0, 3, 1},
-		{"all missed", []Record{
-			{TaskID: 1, Placement: "edge", Finished: 2, Missed: true, Attempts: 2},
-			{TaskID: 2, Placement: "edge", Finished: 4, Missed: true},
-		}, 2, 1, 1.5, 0.5},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := Summarize(tc.records)
-			if s.Tasks != tc.tasks {
-				t.Fatalf("tasks = %d, want %d", s.Tasks, tc.tasks)
-			}
-			if got := s.MissRate(); got != tc.missRate {
-				t.Errorf("miss rate = %g, want %g", got, tc.missRate)
-			}
-			if s.MeanAttempts != tc.meanAttempts {
-				t.Errorf("mean attempts = %g, want %g", s.MeanAttempts, tc.meanAttempts)
-			}
-			if s.RetryRate != tc.retryRate {
-				t.Errorf("retry rate = %g, want %g", s.RetryRate, tc.retryRate)
-			}
-		})
-	}
-}
-
 // TestRecordAttemptsRoundTrip: the attempts field must survive the
 // outcome → record → JSONL → record path (the bug this field fixes was
 // its silent loss at the first hop).
