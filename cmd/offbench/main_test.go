@@ -263,3 +263,42 @@ func TestRunList(t *testing.T) {
 		t.Errorf("list output missing claims:\n%s", stdout.String())
 	}
 }
+
+// TestFullScaleMatchesCommittedOutput runs every experiment but E21 (a
+// million-UE drill) at full scale and requires stdout to equal the
+// committed results/offbench_full.txt with its E21 section cut out: the
+// full-scale tables are the suite's published output, and a section that
+// drifts only at full scale would otherwise go unnoticed here.
+func TestFullScaleMatchesCommittedOutput(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "results", "offbench_full.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := string(raw)
+	start := strings.Index(committed, "### E21 ")
+	end := strings.Index(committed, "### E22 ")
+	if start < 0 || end < start {
+		t.Fatal("committed output has no E21 section ahead of E22")
+	}
+	want := committed[:start] + committed[end:]
+
+	var ids []string
+	for _, e := range exp.Registry() {
+		if e.ID != "E21" {
+			ids = append(ids, e.ID)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-scale", "full", "-quiet", "-exp", strings.Join(ids, ",")}, exp.Registry(), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code %d, stderr:\n%s", code, stderr.String())
+	}
+	if got := stdout.String(); got != want {
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("full-scale output differs from the committed output at line %d:\n got %q\nwant %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("full-scale output has %d lines, the committed output %d", len(gl), len(wl))
+	}
+}
