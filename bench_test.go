@@ -26,14 +26,20 @@ import (
 	"offload/internal/sched"
 	"offload/internal/serverless"
 	"offload/internal/sim"
+	"offload/internal/trace"
 	"offload/internal/workload"
 )
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	e, err := exp.ByID(id)
-	if err != nil {
-		b.Fatal(err)
+	var e exp.Experiment
+	for _, x := range exp.Registry() {
+		if x.ID == id {
+			e = x
+		}
+	}
+	if e.Run == nil {
+		b.Fatalf("no experiment %s in the registry", id)
 	}
 	scale := exp.Quick()
 	b.ResetTimer()
@@ -278,7 +284,7 @@ func BenchmarkDecideDeadlineAware(b *testing.B) {
 // evolving as they do in a live run.
 func BenchmarkDecideBanditUCB(b *testing.B) {
 	env := benchDecideEnv(b)
-	c, err := adapt.NewBandit(adapt.BanditUCB, adapt.DefaultConfig(), rng.New(1))
+	c, err := adapt.NewBandit(adapt.BanditUCB, adapt.DefaultConfig(), rng.New(1), env)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -287,10 +293,10 @@ func BenchmarkDecideBanditUCB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		task := benchDecideTask(i)
 		placement := c.Decide(task, env, pred)
-		c.ObserveOutcome(model.Outcome{
+		c.OnEvent(trace.Event{Kind: trace.KindSettle, Outcome: model.Outcome{
 			Task: task, Placement: placement,
 			Started: 0, Finished: 2, CostUSD: 1e-4,
-		}, env)
+		}})
 	}
 }
 

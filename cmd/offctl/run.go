@@ -59,7 +59,7 @@ func runScenario(args []string, w io.Writer) error {
 	var rec *trace.Recorder
 	if *traceFlag != "" {
 		rec = &trace.Recorder{}
-		sys.Scheduler.ChainOutcomeHook(rec.Hook())
+		sys.Env.Events.Subscribe(rec)
 	}
 
 	label, tasks, rate := *policyFlag, *tasksFlag, *rateFlag

@@ -33,8 +33,8 @@ func main() {
 	sys.SubmitStream(offload.NewPoisson(sys.Src.Split(), 0.02), gen, 200)
 	sys.Run()
 
-	// Report is the same summary the bench tables and the CI/CD SLO gate
-	// read — one source of truth for every consumer.
+	// Report is the same summary the offloadd daemon serves — one source
+	// of truth for every consumer.
 	rep := sys.Report()
 	fmt.Printf("tasks completed:   %d (failed %d)\n", rep.Completed, rep.Failed)
 	fmt.Printf("mean completion:   %.1f s (p95 %.1f s)\n", rep.MeanCompletionS, rep.P95CompletionS)

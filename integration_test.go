@@ -89,7 +89,7 @@ func TestTraceRoundTripMatchesStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &offload.Recorder{}
-	sys.Scheduler.ChainOutcomeHook(rec.Hook())
+	sys.Env.Events.Subscribe(rec)
 	gen, err := offload.StandardMix(sys.Src.Split())
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestTraceReplayReproducesWorkload(t *testing.T) {
 	}
 	first := build()
 	rec := &trace.Recorder{}
-	first.Scheduler.ChainOutcomeHook(rec.Hook())
+	first.Env.Events.Subscribe(rec)
 	gen, err := workload.StandardMix(first.Src.Split())
 	if err != nil {
 		t.Fatal(err)

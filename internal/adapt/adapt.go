@@ -15,11 +15,11 @@
 //   - an admission controller bounds in-flight offloads and localizes
 //     traffic under backpressure or failure streaks.
 //
-// The Controller implements sched.Policy plus the scheduler's outcome
-// feedback hook; it can also wrap a static policy to add only the
-// tuning/drift/admission layers. All randomness comes from one rng.Source
-// split handed in at construction, so runs stay byte-identical at any
-// parallelism.
+// The Controller implements sched.Policy and subscribes to the UE's
+// lifecycle stream for settled outcomes and region transitions; it can
+// also wrap a static policy to add only the tuning/drift/admission
+// layers. All randomness comes from one rng.Source split handed in at
+// construction, so runs stay byte-identical at any parallelism.
 package adapt
 
 import (
@@ -30,6 +30,7 @@ import (
 	"offload/internal/rng"
 	"offload/internal/sched"
 	"offload/internal/sim"
+	"offload/internal/trace"
 )
 
 // Config is the Adapt block of core.Config: reward shaping for the bandit
@@ -108,14 +109,8 @@ func DefaultConfig() Config {
 	}.withDefaults()
 }
 
-// Tracer receives the controller's control-plane events. It is
-// implemented by *trace.SpanRecorder; implementations must be passive
-// (record only — the controller behaves identically with or without one).
-type Tracer interface {
-	AdaptEvent(kind, subject string, at sim.Time)
-}
-
-// Control-plane event kinds emitted through the Tracer.
+// Control-plane decision kinds, emitted as trace.KindAdapt events with
+// the kind in Status and the subject in Name.
 const (
 	EventDriftReset = "drift_reset" // detector fired; subject = backend
 	EventResize     = "resize"      // tuner re-deployed; subject = app
@@ -135,8 +130,7 @@ type Controller struct {
 	tuner  *tuner       // nil unless MemoryTune
 	adm    *admission   // nil unless Admission
 	drift  map[model.Placement]*PageHinkley
-
-	tr Tracer
+	env    *sched.Env // where the controller places; it emits into env.Events
 
 	decisions    map[model.Placement]uint64
 	last         model.Placement
@@ -148,14 +142,14 @@ type Controller struct {
 }
 
 var _ sched.Policy = (*Controller)(nil)
-var _ sched.FeedbackPolicy = (*Controller)(nil)
-var _ sched.RegionAwarePolicy = (*Controller)(nil)
+var _ trace.Subscriber = (*Controller)(nil)
 
-// NewBandit returns a bandit-driven controller. src feeds every random
-// draw the controller will ever make; both kinds consume the source
-// identically at construction, so switching kinds leaves sibling streams
-// untouched.
-func NewBandit(kind BanditKind, cfg Config, src *rng.Source) (*Controller, error) {
+// NewBandit returns a bandit-driven controller placing tasks in env. src
+// feeds every random draw the controller will ever make; both kinds
+// consume the source identically at construction, so switching kinds
+// leaves sibling streams untouched. Subscribe the controller to
+// env.Events for it to learn.
+func NewBandit(kind BanditKind, cfg Config, src *rng.Source, env *sched.Env) (*Controller, error) {
 	if src == nil {
 		return nil, fmt.Errorf("adapt: bandit without an rng source")
 	}
@@ -164,23 +158,24 @@ func NewBandit(kind BanditKind, cfg Config, src *rng.Source) (*Controller, error
 	if kind == BanditGreedy {
 		name = "bandit-greedy"
 	}
-	c := newController(cfg, name)
+	c := newController(cfg, name, env)
 	c.bandit = newBandit(kind, cfg.Epsilon, cfg.UCBC, src)
 	return c, nil
 }
 
-// Wrap returns a controller that delegates placement to inner and layers
-// the configured tuning, drift detection and admission control on top.
-func Wrap(inner sched.Policy, cfg Config) (*Controller, error) {
+// Wrap returns a controller that delegates placement in env to inner and
+// layers the configured tuning, drift detection and admission control on
+// top. Subscribe it to env.Events for it to learn.
+func Wrap(inner sched.Policy, cfg Config, env *sched.Env) (*Controller, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("adapt: wrapping a nil policy")
 	}
-	c := newController(cfg.withDefaults(), inner.Name()+"+adapt")
+	c := newController(cfg.withDefaults(), inner.Name()+"+adapt", env)
 	c.inner = inner
 	return c, nil
 }
 
-func newController(cfg Config, name string) *Controller {
+func newController(cfg Config, name string, env *sched.Env) *Controller {
 	if cfg.Drift != nil {
 		d := cfg.Drift.withDefaults()
 		cfg.Drift = &d
@@ -190,6 +185,7 @@ func newController(cfg Config, name string) *Controller {
 		name:      name,
 		decisions: make(map[model.Placement]uint64),
 		drift:     make(map[model.Placement]*PageHinkley),
+		env:       env,
 	}
 	if cfg.MemoryTune {
 		c.tuner = newTuner(cfg)
@@ -199,9 +195,6 @@ func newController(cfg Config, name string) *Controller {
 	}
 	return c
 }
-
-// SetTracer attaches (or detaches, with nil) the control-plane event sink.
-func (c *Controller) SetTracer(t Tracer) { c.tr = t }
 
 // Name implements sched.Policy.
 func (c *Controller) Name() string { return c.name }
@@ -232,11 +225,21 @@ func (c *Controller) Decide(task *model.Task, env *sched.Env, pred sched.Predict
 	return p
 }
 
-// ObserveOutcome implements sched.FeedbackPolicy: every settled outcome
-// feeds the admission ledger, the per-backend drift detector, the bandit
-// reward and the memory tuner.
-func (c *Controller) ObserveOutcome(o model.Outcome, env *sched.Env) {
-	now := env.Eng.Now()
+// OnEvent implements trace.Subscriber: settled outcomes and region
+// transitions are what the controller learns from.
+func (c *Controller) OnEvent(ev trace.Event) {
+	switch ev.Kind {
+	case trace.KindSettle:
+		c.observeOutcome(ev.Outcome, ev.At)
+	case trace.KindRegion:
+		c.observeRegion(ev.Name, ev.Placements, ev.Down, ev.At)
+	}
+}
+
+// observeOutcome feeds one settled outcome (retries and hedges already
+// folded in) to the admission ledger, the per-backend drift detector, the
+// bandit reward and the memory tuner.
+func (c *Controller) observeOutcome(o model.Outcome, now sim.Time) {
 	if c.adm != nil && c.adm.noteOutcome(o, now) {
 		c.event(EventLocalize, o.Placement.String(), now)
 	}
@@ -247,7 +250,7 @@ func (c *Controller) ObserveOutcome(o model.Outcome, env *sched.Env) {
 		c.bandit.observe(contextKey(o.Task), o.Placement, c.reward(o))
 	}
 	if c.tuner != nil {
-		if mem := c.tuner.observe(o, env); mem != 0 {
+		if mem := c.tuner.observe(o, c.env); mem != 0 {
 			c.event(EventResize, fmt.Sprintf("%s:%dMB", o.Task.App, mem>>20), now)
 		}
 	}
@@ -281,14 +284,14 @@ func (c *Controller) feedDrift(o model.Outcome, now sim.Time) {
 	c.event(EventDriftReset, o.Placement.String(), now)
 }
 
-// ObserveRegion implements sched.RegionAwarePolicy: a region dying is a
+// observeRegion handles a failover region transition. A region dying is a
 // regime change far sharper than per-outcome drift statistics can see, so
 // the controller resets every dead placement's bandit arm and drift
 // detector immediately — the bandit re-learns from the survivors and
 // rediscovers the region after recovery instead of trusting stale means.
 // Recovery resets the arms again: post-incident latencies are a new
 // regime too.
-func (c *Controller) ObserveRegion(region string, placements []model.Placement, down bool, now sim.Time) {
+func (c *Controller) observeRegion(region string, placements []model.Placement, down bool, now sim.Time) {
 	c.regionResets++
 	for _, p := range placements {
 		if c.bandit != nil {
@@ -324,9 +327,7 @@ func (c *Controller) reward(o model.Outcome) float64 {
 }
 
 func (c *Controller) event(kind, subject string, at sim.Time) {
-	if c.tr != nil {
-		c.tr.AdaptEvent(kind, subject, at)
-	}
+	c.env.Events.Emit(trace.Event{Kind: trace.KindAdapt, At: at, Status: kind, Name: subject})
 }
 
 // Switches returns how many consecutive decisions changed placement.

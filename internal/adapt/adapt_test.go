@@ -12,6 +12,7 @@ import (
 	"offload/internal/sched"
 	"offload/internal/serverless"
 	"offload/internal/sim"
+	"offload/internal/trace"
 )
 
 // --- Page–Hinkley -----------------------------------------------------
@@ -330,12 +331,18 @@ func TestTunerIgnoresNonServerlessAndFailures(t *testing.T) {
 
 // --- controller -------------------------------------------------------
 
-type fakeTracer struct {
-	events []string
+// adaptEvents collects the controller's decisions as kind:subject.
+type adaptEvents []string
+
+func (a *adaptEvents) OnEvent(ev trace.Event) {
+	if ev.Kind == trace.KindAdapt {
+		*a = append(*a, ev.Status+":"+ev.Name)
+	}
 }
 
-func (f *fakeTracer) AdaptEvent(kind, subject string, _ sim.Time) {
-	f.events = append(f.events, kind+":"+subject)
+// settle delivers one settled outcome to the controller.
+func settle(c *Controller, o model.Outcome) {
+	c.OnEvent(trace.Event{Kind: trace.KindSettle, At: c.env.Eng.Now(), Outcome: o})
 }
 
 func testEnv(t *testing.T) *sched.Env {
@@ -349,14 +356,14 @@ func testEnv(t *testing.T) *sched.Env {
 }
 
 func TestNewBanditRequiresSource(t *testing.T) {
-	if _, err := NewBandit(BanditUCB, DefaultConfig(), nil); err == nil {
+	if _, err := NewBandit(BanditUCB, DefaultConfig(), nil, testEnv(t)); err == nil {
 		t.Fatal("nil rng source accepted")
 	}
 }
 
 func TestControllerBanditNames(t *testing.T) {
 	for kind, want := range map[BanditKind]string{BanditUCB: "bandit-ucb", BanditGreedy: "bandit-greedy"} {
-		c, err := NewBandit(kind, Config{}, rng.New(1))
+		c, err := NewBandit(kind, Config{}, rng.New(1), testEnv(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,36 +374,36 @@ func TestControllerBanditNames(t *testing.T) {
 }
 
 func TestWrapDelegatesAndRenames(t *testing.T) {
-	c, err := Wrap(sched.LocalOnly{}, Config{})
+	env := testEnv(t)
+	c, err := Wrap(sched.LocalOnly{}, Config{}, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Name() != "local-only+adapt" {
 		t.Fatalf("Name() = %q", c.Name())
 	}
-	env := testEnv(t)
 	task := &model.Task{ID: 1, App: "a"}
 	if p := c.Decide(task, env, nil); p != model.PlaceLocal {
 		t.Fatalf("wrapped local-only decided %v", p)
 	}
-	c.ObserveOutcome(model.Outcome{Task: task, Placement: model.PlaceLocal, Finished: 2}, env)
+	settle(c, model.Outcome{Task: task, Placement: model.PlaceLocal, Finished: 2})
 	if c.Arms() != nil {
 		t.Fatal("wrapping controller reports bandit arms")
 	}
-	if _, err := Wrap(nil, Config{}); err == nil {
+	if _, err := Wrap(nil, Config{}, env); err == nil {
 		t.Fatal("nil inner policy accepted")
 	}
 }
 
 func TestControllerDriftResetClearsArmAndTraces(t *testing.T) {
 	cfg := Config{Drift: &DriftConfig{Lambda: 5, MinSamples: 2, FailurePenaltyS: 100}}
-	c, err := NewBandit(BanditUCB, cfg, rng.New(3))
+	env := testEnv(t)
+	c, err := NewBandit(BanditUCB, cfg, rng.New(3), env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &fakeTracer{}
-	c.SetTracer(tr)
-	env := testEnv(t)
+	var events adaptEvents
+	env.Events.Subscribe(&events)
 
 	outcome := func(id model.TaskID, completion sim.Time, failed bool) model.Outcome {
 		return model.Outcome{
@@ -406,12 +413,12 @@ func TestControllerDriftResetClearsArmAndTraces(t *testing.T) {
 			Failed:    failed,
 		}
 	}
-	c.ObserveOutcome(outcome(1, 2, false), env)
-	c.ObserveOutcome(outcome(2, 2, false), env)
+	settle(c, outcome(1, 2, false))
+	settle(c, outcome(2, 2, false))
 	if c.DriftResets() != 0 {
 		t.Fatal("drift fired on a steady stream")
 	}
-	c.ObserveOutcome(outcome(3, 0, true), env)
+	settle(c, outcome(3, 0, true))
 	if c.DriftResets() != 1 {
 		t.Fatalf("drift resets = %d after failure spike, want 1", c.DriftResets())
 	}
@@ -420,13 +427,13 @@ func TestControllerDriftResetClearsArmAndTraces(t *testing.T) {
 	}
 	want := EventDriftReset + ":edge"
 	found := false
-	for _, e := range tr.events {
+	for _, e := range events {
 		if e == want {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("tracer events %v missing %q", tr.events, want)
+		t.Fatalf("adapt events %v missing %q", events, want)
 	}
 	// The reset wiped the arm's history; the failure that confirmed the
 	// drift is evidence from the new regime, so it alone restocks the arm
@@ -440,18 +447,18 @@ func TestControllerDriftResetClearsArmAndTraces(t *testing.T) {
 
 func TestControllerAdmissionShedsAndCounts(t *testing.T) {
 	cfg := Config{Admission: &AdmissionConfig{MaxInFlight: 1}}
-	c, err := NewBandit(BanditUCB, cfg, rng.New(5))
+	env := testEnv(t)
+	c, err := NewBandit(BanditUCB, cfg, rng.New(5), env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := testEnv(t)
 	// Untried-first walks OBSERVED arms in availability order: local is
 	// settled, edge is dispatched but never settles, so it holds the
 	// in-flight cap and the third decision (which would explore VM) is
 	// localized instead.
 	t1 := &model.Task{ID: 1, App: "a"}
 	p1 := c.Decide(t1, env, nil)
-	c.ObserveOutcome(model.Outcome{Task: t1, Placement: p1, Finished: 2}, env)
+	settle(c, model.Outcome{Task: t1, Placement: p1, Finished: 2})
 	p2 := c.Decide(&model.Task{ID: 2, App: "a"}, env, nil)
 	p3 := c.Decide(&model.Task{ID: 3, App: "a"}, env, nil)
 	if p1 != model.PlaceLocal || p2 != model.PlaceEdge {
@@ -469,7 +476,7 @@ func TestControllerAdmissionShedsAndCounts(t *testing.T) {
 }
 
 func TestControllerRewardShape(t *testing.T) {
-	c, err := NewBandit(BanditUCB, Config{}, rng.New(1))
+	c, err := NewBandit(BanditUCB, Config{}, rng.New(1), testEnv(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,15 +495,15 @@ func TestControllerRewardShape(t *testing.T) {
 }
 
 func TestControllerFillRegistry(t *testing.T) {
-	c, err := NewBandit(BanditUCB, DefaultConfig(), rng.New(2))
+	env := testEnv(t)
+	c, err := NewBandit(BanditUCB, DefaultConfig(), rng.New(2), env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := testEnv(t)
 	for i := 0; i < 6; i++ {
 		task := &model.Task{ID: model.TaskID(i), App: "a", InputBytes: 1 << 10}
 		p := c.Decide(task, env, nil)
-		c.ObserveOutcome(model.Outcome{Task: task, Placement: p, Finished: sim.Time(i + 1)}, env)
+		settle(c, model.Outcome{Task: task, Placement: p, Finished: sim.Time(i + 1)})
 	}
 	reg := metrics.NewRegistry("t")
 	c.FillRegistry(reg)

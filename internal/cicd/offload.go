@@ -43,21 +43,9 @@ type Manifest struct {
 	Functions []FunctionSpec `json:"functions"`
 }
 
-// MarshalJSON is the manifest's archival format (pretty-printed).
+// Encode returns the manifest's archival format (pretty-printed JSON).
 func (m *Manifest) Encode() ([]byte, error) {
 	return json.MarshalIndent(m, "", "  ")
-}
-
-// DecodeManifest parses an archived manifest.
-func DecodeManifest(data []byte) (*Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("cicd: parsing manifest: %w", err)
-	}
-	if m.App == "" {
-		return nil, fmt.Errorf("cicd: manifest without app")
-	}
-	return &m, nil
 }
 
 // CanarySpec configures the post-deploy verification stage.

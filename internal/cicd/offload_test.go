@@ -249,33 +249,6 @@ func TestIncrementalProfilingShortensPipeline(t *testing.T) {
 	}
 }
 
-func TestManifestRoundTrip(t *testing.T) {
-	m := &Manifest{
-		App:    "x",
-		Remote: []string{"a", "b"},
-		Functions: []FunctionSpec{
-			{Name: "x-a", Component: "a", MemoryBytes: 512 * model.MB},
-		},
-	}
-	data, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeManifest(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.App != m.App || len(back.Functions) != 1 || back.Functions[0] != m.Functions[0] {
-		t.Fatalf("round trip changed manifest: %+v", back)
-	}
-	if _, err := DecodeManifest([]byte("{}")); err == nil {
-		t.Fatal("manifest without app accepted")
-	}
-	if _, err := DecodeManifest([]byte("{bad")); err == nil {
-		t.Fatal("malformed manifest accepted")
-	}
-}
-
 func TestBuildValidation(t *testing.T) {
 	if _, err := (&Build{}).Pipeline(); err == nil {
 		t.Error("build without app accepted")

@@ -118,7 +118,8 @@ func (sub *substrates) functions(src *rng.Source) *sched.FunctionPool {
 // fixed order: edge path, serverless platform (on the substrates' first
 // functions call), cloud path, policy, prediction noise, retry jitter.
 // remote, when non-nil, carries the remote executions (a shard's port to
-// the hub).
+// the hub). The adaptive controller, then the daily budget, subscribe to
+// the UE's lifecycle stream here, ahead of any recorder.
 func newUE(cfg *Config, eng *sim.Engine, src *rng.Source, sub *substrates, remote sched.RemoteBackends) (*sched.Scheduler, *adapt.Controller, error) {
 	env := &sched.Env{Eng: eng, Device: device.New(eng, cfg.Device), Remote: remote}
 	if sub.edge != nil {
@@ -136,7 +137,7 @@ func newUE(cfg *Config, eng *sim.Engine, src *rng.Source, sub *substrates, remot
 		}
 	}
 
-	policy, ctrl, err := buildPolicy(cfg, src)
+	policy, ctrl, err := buildPolicy(cfg, src, env)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -181,8 +182,11 @@ func newUE(cfg *Config, eng *sim.Engine, src *rng.Source, sub *substrates, remot
 	if err != nil {
 		return nil, nil, err
 	}
+	if ctrl != nil {
+		env.Events.Subscribe(ctrl)
+	}
 	if budget != nil {
-		s.ChainOutcomeHook(budget.Hook())
+		env.Events.Subscribe(budget)
 	}
 	return s, ctrl, nil
 }

@@ -391,11 +391,11 @@ func (s *System) substrate(p model.Placement) faultable {
 }
 
 // buildPolicy resolves the configured policy, constructing the adaptive
-// controller when the policy is a bandit or an Adapt block asks for the
-// wrap. The controller (nil otherwise) is also returned so the System can
-// expose its learned state. Only bandit policies draw from src here —
-// configurations without them consume the stream exactly as before.
-func buildPolicy(cfg *Config, src *rng.Source) (sched.Policy, *adapt.Controller, error) {
+// controller for env when the policy is a bandit or an Adapt block asks
+// for the wrap. The controller (nil otherwise) is also returned so the
+// System can expose its learned state. Only bandit policies draw from src
+// here — configurations without them consume the stream exactly as before.
+func buildPolicy(cfg *Config, src *rng.Source, env *sched.Env) (sched.Policy, *adapt.Controller, error) {
 	acfg := adapt.DefaultConfig()
 	if cfg.Adapt != nil {
 		acfg = *cfg.Adapt
@@ -406,7 +406,7 @@ func buildPolicy(cfg *Config, src *rng.Source) (sched.Policy, *adapt.Controller,
 		if cfg.Policy == PolicyBanditGreedy {
 			kind = adapt.BanditGreedy
 		}
-		ctrl, err := adapt.NewBandit(kind, acfg, src.Split())
+		ctrl, err := adapt.NewBandit(kind, acfg, src.Split(), env)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -419,7 +419,7 @@ func buildPolicy(cfg *Config, src *rng.Source) (sched.Policy, *adapt.Controller,
 	if cfg.Adapt == nil {
 		return base, nil, nil
 	}
-	ctrl, err := adapt.Wrap(base, acfg)
+	ctrl, err := adapt.Wrap(base, acfg, env)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -499,22 +499,16 @@ func (s *System) Stats() *sched.Stats { return s.Scheduler.Stats() }
 // Policy returns the configured placement policy name.
 func (s *System) Policy() PolicyName { return s.cfg.Policy }
 
-// EnableSpans attaches a span recorder to the scheduler's causal hook
-// points and returns it. Call before Run. Idempotent: a second call
-// returns the recorder already installed. Span recording is
-// observability only — it adds no events and draws no randomness, so
-// enabling it never changes simulated results (TestSpansAreInert).
+// EnableSpans subscribes a span recorder to the lifecycle stream and
+// returns it. Call before Run. Idempotent: a second call returns the
+// recorder already subscribed. Span recording is observability only — it
+// adds no events and draws no randomness, so enabling it never changes
+// simulated results (TestSpansAreInert).
 func (s *System) EnableSpans() *trace.SpanRecorder {
 	if s.spanRec == nil {
 		s.spanRec = trace.NewSpanRecorder()
 		s.spanRec.SetMeta("run", string(s.cfg.Policy))
-		s.Scheduler.SetTracer(s.spanRec)
-		if s.adapt != nil {
-			s.adapt.SetTracer(s.spanRec)
-		}
-		if s.Jobs != nil {
-			s.Jobs.SetTracer(s.spanRec)
-		}
+		s.Env.Events.Subscribe(s.spanRec)
 	}
 	return s.spanRec
 }

@@ -73,7 +73,7 @@ func TestEndToEndRunCollectsOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &trace.Recorder{}
-	sys.Scheduler.ChainOutcomeHook(rec.Hook())
+	sys.Env.Events.Subscribe(rec)
 	gen, err := workload.StandardMix(sys.Src.Split())
 	if err != nil {
 		t.Fatal(err)

@@ -58,8 +58,8 @@ func TestStatsCostIdentityUnderPermanentFailures(t *testing.T) {
 }
 
 // TestReportMatchesStats: the Report summary must carry exactly the
-// numbers Stats holds — one source of truth for examples, SLO gate and
-// bench tables.
+// numbers Stats holds — one source of truth for the examples and the
+// daemon.
 func TestReportMatchesStats(t *testing.T) {
 	sys := runFaulty(t)
 	st := sys.Stats()

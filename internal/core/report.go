@@ -6,7 +6,7 @@ import (
 )
 
 // Report is the run summary every consumer reads from the same place: the
-// examples, the CI/CD SLO gate and the offbench tables all see identical
+// examples and the offloadd daemon's /v1/report endpoint see identical
 // numbers because they all come through here.
 type Report struct {
 	Policy PolicyName

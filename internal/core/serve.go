@@ -11,6 +11,7 @@ import (
 	"offload/internal/metrics"
 	"offload/internal/model"
 	"offload/internal/sim"
+	"offload/internal/trace"
 )
 
 // Serve-mode errors the daemon maps onto HTTP statuses.
@@ -71,9 +72,11 @@ func NewServer(cfg Config, clock sim.Clock, maxInFlight int) (*Server, error) {
 	}
 	// Count settlements on the loop goroutine; InFlight derives from the
 	// accepted/settled pair without touching scheduler internals.
-	sys.Scheduler.ChainOutcomeHook(func(model.Outcome) {
-		s.settled.Add(1)
-	})
+	sys.Env.Events.Subscribe(trace.SubscriberFunc(func(ev trace.Event) {
+		if ev.Kind == trace.KindSettle {
+			s.settled.Add(1)
+		}
+	}))
 	return s, nil
 }
 

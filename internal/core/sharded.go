@@ -181,9 +181,10 @@ func (f *ShardedFleet) Events() uint64 {
 	return total
 }
 
-// EnableSpans attaches one span recorder per shard (each single-threaded
-// on its shard) to every scheduler's causal hook points. Call before Run;
-// idempotent. SpanSet merges the per-shard recordings canonically.
+// EnableSpans subscribes one span recorder per shard (each
+// single-threaded on its shard) to the lifecycle stream of every UE on
+// the shard. Call before Run; idempotent. SpanSet merges the per-shard
+// recordings canonically.
 func (f *ShardedFleet) EnableSpans() {
 	if f.spanRecs != nil {
 		return
@@ -194,7 +195,7 @@ func (f *ShardedFleet) EnableSpans() {
 		f.spanRecs[i].SetMeta("run", string(f.policy))
 	}
 	for i, s := range f.Schedulers {
-		s.SetTracer(f.spanRecs[i%len(f.spanRecs)])
+		s.Env().Events.Subscribe(f.spanRecs[i%len(f.spanRecs)])
 	}
 }
 

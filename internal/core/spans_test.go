@@ -45,7 +45,7 @@ func TestSpansAreInert(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := &trace.Recorder{}
-		sys.Scheduler.ChainOutcomeHook(rec.Hook())
+		sys.Env.Events.Subscribe(rec)
 		if spans {
 			sys.EnableSpans()
 		}

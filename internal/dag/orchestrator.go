@@ -157,11 +157,13 @@ type Orchestrator struct {
 	active map[uint64]*jobState
 	stats  Stats
 	onDone func(Result)
-	tr     trace.JobTracer
 }
 
 // NewOrchestrator returns an orchestrator submitting through s. A nil
-// placer defaults to Oblivious.
+// placer defaults to Oblivious. It emits each node's adoption by its job
+// and each job's settlement into the scheduler's lifecycle stream
+// (s.Env().Events), where the span recorder parents node task spans under
+// one root span per job.
 func NewOrchestrator(s *sched.Scheduler, placer Placer) *Orchestrator {
 	if placer == nil {
 		placer = Oblivious{}
@@ -181,11 +183,6 @@ func (o *Orchestrator) InFlight() int { return len(o.active) }
 // OnJobDone registers fn to receive every settled job, after the stats
 // update. Call before the first Submit.
 func (o *Orchestrator) OnJobDone(fn func(Result)) { o.onDone = fn }
-
-// SetTracer attaches a job tracer (the span recorder): node task spans
-// are adopted under one root span per job. Tracers are passive —
-// attaching one never changes simulated results.
-func (o *Orchestrator) SetTracer(t trace.JobTracer) { o.tr = t }
 
 // Submit validates the job, plans placements if the placer does, and
 // releases its entry nodes. Node completions cascade inside the
@@ -244,9 +241,7 @@ func (o *Orchestrator) release(st *jobState, nid NodeID) {
 		ParallelFraction: node.ParallelFraction,
 		Deadline:         st.job.Deadline(),
 	}
-	if o.tr != nil {
-		o.tr.AdoptTrace(task.ID, st.id)
-	}
+	o.s.Env().Events.Emit(trace.Event{Kind: trace.KindAdopt, At: o.s.Env().Eng.Now(), Task: task.ID, Job: st.id})
 	then := func(out model.Outcome) { o.nodeDone(st, nid, out) }
 	if st.placements != nil {
 		task.Submitted = o.s.Env().Eng.Now()
@@ -342,16 +337,15 @@ func (o *Orchestrator) finalize(st *jobState) {
 		}
 	}
 
-	if o.tr != nil {
-		status := trace.StatusOK
-		switch {
-		case res.Failed:
-			status = trace.StatusFailed
-		case res.MissedDeadline():
-			status = trace.StatusMissed
-		}
-		o.tr.JobDone(st.id, st.job.App(), st.start, end, status, st.costUSD)
+	status := trace.StatusOK
+	switch {
+	case res.Failed:
+		status = trace.StatusFailed
+	case res.MissedDeadline():
+		status = trace.StatusMissed
 	}
+	o.s.Env().Events.Emit(trace.Event{Kind: trace.KindJobDone, At: end, Job: st.id, Name: st.job.App(),
+		Start: st.start, Status: status, CostUSD: st.costUSD})
 	if o.onDone != nil {
 		o.onDone(res)
 	}

@@ -102,7 +102,7 @@ func E17Resilience(s Scale) ([]*metrics.Table, error) {
 				return nil, err
 			}
 			rec := &trace.Recorder{}
-			sys.Scheduler.ChainOutcomeHook(rec.Hook())
+			sys.Env.Events.Subscribe(rec)
 			res, err := driveCell(s, sys, mix, e17Rate, 0)
 			if err != nil {
 				return nil, err

@@ -183,7 +183,7 @@ func e19RunCell(s Scale, cfg core.Config, mix []workload.WeightedTemplate, cell 
 		return runResult{}, nil, err
 	}
 	rec := &trace.Recorder{}
-	sys.Scheduler.ChainOutcomeHook(rec.Hook())
+	sys.Env.Events.Subscribe(rec)
 	var obs *core.Observer
 	if s.Obs != nil {
 		obs = s.Obs.attach(sys)

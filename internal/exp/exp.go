@@ -9,12 +9,7 @@
 // unit tests all share one implementation.
 package exp
 
-import (
-	"fmt"
-	"sort"
-
-	"offload/internal/metrics"
-)
+import "offload/internal/metrics"
 
 // Scale controls how much work an experiment does. Quick keeps unit tests
 // and smoke runs fast; Full is what offbench and the recorded
@@ -96,19 +91,4 @@ func Registry() []Experiment {
 		reg[i].Seq = i
 	}
 	return reg
-}
-
-// ByID returns the experiment with the given ID.
-func ByID(id string) (Experiment, error) {
-	for _, e := range Registry() {
-		if e.ID == id {
-			return e, nil
-		}
-	}
-	var ids []string
-	for _, e := range Registry() {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return Experiment{}, fmt.Errorf("exp: unknown experiment %q (have %v)", id, ids)
 }

@@ -6,6 +6,7 @@ import (
 
 	"offload/internal/model"
 	"offload/internal/sim"
+	"offload/internal/trace"
 )
 
 // Budget caps serverless spending per virtual day. When the cap is
@@ -50,12 +51,12 @@ func (b *Budget) Remaining() float64 {
 // Exhausted reports whether today's budget is gone.
 func (b *Budget) Exhausted() bool { return b.Remaining() <= 0 }
 
-// Hook returns an outcome callback that charges the budget; register it
-// with the scheduler (core does this automatically).
-func (b *Budget) Hook() func(model.Outcome) {
-	return func(o model.Outcome) {
+// OnEvent implements trace.Subscriber: every settled task charges the
+// budget. Subscribe it to the scheduler's lifecycle stream (core does).
+func (b *Budget) OnEvent(ev trace.Event) {
+	if ev.Kind == trace.KindSettle {
 		b.roll()
-		b.spent += o.CostUSD
+		b.spent += ev.Outcome.CostUSD
 	}
 }
 
@@ -90,13 +91,5 @@ func (p *BudgetedPolicy) Decide(task *model.Task, env *Env, pred Predictor) mode
 		return model.PlaceVM
 	default:
 		return model.PlaceLocal
-	}
-}
-
-// ObserveOutcome forwards outcome feedback to the wrapped policy when it
-// learns online, so budget capping composes with adaptive placement.
-func (p *BudgetedPolicy) ObserveOutcome(o model.Outcome, env *Env) {
-	if fp, ok := p.Inner.(FeedbackPolicy); ok {
-		fp.ObserveOutcome(o, env)
 	}
 }

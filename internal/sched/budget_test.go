@@ -5,6 +5,7 @@ import (
 
 	"offload/internal/model"
 	"offload/internal/sim"
+	"offload/internal/trace"
 )
 
 func TestBudgetValidation(t *testing.T) {
@@ -25,15 +26,17 @@ func TestBudgetChargesAndExhausts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook := b.Hook()
+	charge := func(usd float64) {
+		b.OnEvent(trace.Event{Kind: trace.KindSettle, Outcome: model.Outcome{CostUSD: usd}})
+	}
 	if b.Exhausted() {
 		t.Fatal("fresh budget exhausted")
 	}
-	hook(model.Outcome{CostUSD: 0.0006})
+	charge(0.0006)
 	if b.Exhausted() {
 		t.Fatal("half-spent budget exhausted")
 	}
-	hook(model.Outcome{CostUSD: 0.0006})
+	charge(0.0006)
 	if !b.Exhausted() {
 		t.Fatal("overspent budget not exhausted")
 	}
@@ -48,7 +51,7 @@ func TestBudgetResetsDaily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Hook()(model.Outcome{CostUSD: 1})
+	b.OnEvent(trace.Event{Kind: trace.KindSettle, Outcome: model.Outcome{CostUSD: 1}})
 	if !b.Exhausted() {
 		t.Fatal("not exhausted")
 	}
@@ -69,7 +72,7 @@ func TestBudgetedPolicyOverridesWhenExhausted(t *testing.T) {
 	if got := pol.Decide(task, env, Exact{}); got != model.PlaceFunction {
 		t.Fatalf("fresh budget placed at %v", got)
 	}
-	b.Hook()(model.Outcome{CostUSD: 1}) // blow the budget
+	b.OnEvent(trace.Event{Kind: trace.KindSettle, Outcome: model.Outcome{CostUSD: 1}}) // blow the budget
 	if got := pol.Decide(task, env, Exact{}); got != model.PlaceEdge {
 		t.Fatalf("exhausted budget placed at %v, want edge fallback", got)
 	}
@@ -95,7 +98,7 @@ func TestBudgetedSchedulerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ChainOutcomeHook(b.Hook())
+	env.Events.Subscribe(b)
 	for i := 0; i < 6; i++ {
 		task := heavyTask(model.TaskID(i + 1))
 		task.Cycles = 20e9

@@ -14,7 +14,7 @@ func TestLocalDVFSStretchesToDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out model.Outcome
-	s.onDone = func(o model.Outcome) { out = o }
+	onSettle(s, func(o model.Outcome) { out = o })
 	// 10 s of full-speed work with a 100 s deadline: the policy should run
 	// at scale 10/(100·0.8) = 0.125 → 80 s execution.
 	task := &model.Task{ID: 1, App: "x", Cycles: 10e9, Deadline: 100}
@@ -42,7 +42,7 @@ func TestLocalDVFSFloorsAtMinScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out model.Outcome
-	s.onDone = func(o model.Outcome) { out = o }
+	onSettle(s, func(o model.Outcome) { out = o })
 	// No deadline: fully delay tolerant, runs at the floor (0.5 → 2x time).
 	task := &model.Task{ID: 2, App: "x", Cycles: 10e9}
 	s.Submit(task)
@@ -59,7 +59,7 @@ func TestLocalDVFSFullSpeedForTightDeadlines(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out model.Outcome
-	s.onDone = func(o model.Outcome) { out = o }
+	onSettle(s, func(o model.Outcome) { out = o })
 	// Deadline barely above full-speed time: no stretching possible.
 	task := &model.Task{ID: 3, App: "x", Cycles: 10e9, Deadline: 11}
 	s.Submit(task)
@@ -76,7 +76,7 @@ func TestDVFSDisabledRunsFullSpeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out model.Outcome
-	s.onDone = func(o model.Outcome) { out = o }
+	onSettle(s, func(o model.Outcome) { out = o })
 	task := &model.Task{ID: 4, App: "x", Cycles: 10e9, Deadline: 100}
 	s.Submit(task)
 	env.Eng.Run()

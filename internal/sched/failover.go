@@ -175,15 +175,6 @@ func (m DegradationMode) String() string {
 	return fmt.Sprintf("degradation-mode(%d)", int(m))
 }
 
-// RegionAwarePolicy is implemented by policies (notably the adaptive
-// controller) that want region up/down transitions as context: a region
-// going dark is a regime change worth resetting learned state over, long
-// before per-outcome drift statistics would notice.
-type RegionAwarePolicy interface {
-	Policy
-	ObserveRegion(region string, placements []model.Placement, down bool, now sim.Time)
-}
-
 // FailoverStats counts what the failover layer did to tasks.
 type FailoverStats struct {
 	Shed      uint64 // distinct low-priority tasks parked by the ladder (drain re-parks don't re-count)
@@ -429,12 +420,6 @@ func (s *Scheduler) FlushFailover() int {
 	return len(q)
 }
 
-// regionTracer returns the attached tracer's region hooks, if it has any.
-func (f *failover) regionTracer() (trace.RegionTracer, bool) {
-	rt, ok := f.s.tr.(trace.RegionTracer)
-	return rt, ok && f.s.tr != nil
-}
-
 // rungAt computes the ladder rung at time now from how long the oldest
 // still-down region has been down. Read-only.
 func (f *failover) rungAt(now sim.Time) DegradationMode {
@@ -462,7 +447,7 @@ func (f *failover) rungAt(now sim.Time) DegradationMode {
 	return DegradeHealthy
 }
 
-// noteRung emits a degradation span event when the rung moved since last
+// noteRung emits a degradation event when the rung moved since last
 // observed. Called from the event-driven paths; the rung itself advances
 // continuously and is sampled read-only by observers.
 func (f *failover) noteRung(now sim.Time) {
@@ -470,9 +455,7 @@ func (f *failover) noteRung(now sim.Time) {
 	if cur == f.lastRung {
 		return
 	}
-	if rt, ok := f.regionTracer(); ok {
-		rt.DegradationChange(f.lastRung.String(), cur.String(), now)
-	}
+	f.s.env.Events.Emit(trace.Event{Kind: trace.KindDegrade, At: now, From: f.lastRung.String(), To: cur.String()})
 	f.lastRung = cur
 }
 
@@ -548,10 +531,7 @@ func (f *failover) rehome(task *model.Task, from, to model.Placement) {
 	f.s.sunkUSD[task.ID] += cost
 	f.stats.StateTransferUSD += cost
 	f.stats.ReHomed++
-	now := f.s.env.Eng.Now()
-	if rt, ok := f.regionTracer(); ok {
-		rt.TaskRehomed(task.ID, from, to, now)
-	}
+	f.s.env.Events.Emit(trace.Event{Kind: trace.KindRehome, At: f.s.env.Eng.Now(), Task: task.ID, Placement: from, Target: to})
 	f.s.env.Eng.After(link.TransferTime(task.InputBytes), func() {
 		f.s.dispatchDirect(task, to)
 	})
@@ -646,12 +626,7 @@ func (f *failover) markDown(rh *regionHealth, now sim.Time) {
 	if f.nDown == 1 {
 		f.unionDownStart = now
 	}
-	if rp, ok := f.s.policy.(RegionAwarePolicy); ok {
-		rp.ObserveRegion(rh.name, rh.placements, true, now)
-	}
-	if rt, ok := f.regionTracer(); ok {
-		rt.RegionTransition(rh.name, true, now)
-	}
+	f.s.env.Events.Emit(trace.Event{Kind: trace.KindRegion, At: now, Name: rh.name, Placements: rh.placements, Down: rh.down})
 	f.noteRung(now)
 	f.scheduleProbe(rh)
 }
@@ -665,12 +640,7 @@ func (f *failover) markUp(rh *regionHealth, now sim.Time) {
 	if f.nDown == 0 {
 		f.unionDownSecs += float64(now.Sub(f.unionDownStart))
 	}
-	if rp, ok := f.s.policy.(RegionAwarePolicy); ok {
-		rp.ObserveRegion(rh.name, rh.placements, false, now)
-	}
-	if rt, ok := f.regionTracer(); ok {
-		rt.RegionTransition(rh.name, false, now)
-	}
+	f.s.env.Events.Emit(trace.Event{Kind: trace.KindRegion, At: now, Name: rh.name, Placements: rh.placements, Down: rh.down})
 	f.noteRung(now)
 	f.drain()
 }
@@ -766,9 +736,7 @@ func (f *failover) retarget(task *model.Task, p model.Placement) model.Placement
 		f.s.sunkUSD[task.ID] += cost
 		f.stats.StateTransferUSD += cost
 		f.stats.ReHomed++
-		if rt, ok := f.regionTracer(); ok {
-			rt.TaskRehomed(task.ID, p, alt, f.s.env.Eng.Now())
-		}
+		f.s.env.Events.Emit(trace.Event{Kind: trace.KindRehome, At: f.s.env.Eng.Now(), Task: task.ID, Placement: p, Target: alt})
 		return alt
 	}
 	f.stats.Localized++

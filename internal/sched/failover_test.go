@@ -76,13 +76,13 @@ func TestFailoverRehomesOnOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed, completed := 0, 0
-	s.onDone = func(o model.Outcome) {
+	onSettle(s, func(o model.Outcome) {
 		if o.Failed {
 			failed++
 		} else {
 			completed++
 		}
-	}
+	})
 	// Staggered arrivals: the first failure and the threshold-crossing one
 	// land at different instants, so detection has a measurable lag.
 	for i := 1; i <= 8; i++ {
@@ -149,11 +149,11 @@ func TestLadderShedsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := map[model.TaskID]bool{}
-	s.onDone = func(o model.Outcome) {
+	onSettle(s, func(o model.Outcome) {
 		if o.Task != nil && !o.Failed {
 			done[o.Task.ID] = true
 		}
-	}
+	})
 	for i := 1; i <= 6; i++ {
 		task := heavyTask(model.TaskID(i))
 		task.Cycles = 1e9
@@ -218,11 +218,11 @@ func TestFlushLocalizesStrandedWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	completed := 0
-	s.onDone = func(o model.Outcome) {
+	onSettle(s, func(o model.Outcome) {
 		if !o.Failed {
 			completed++
 		}
-	}
+	})
 	for i := 1; i <= 4; i++ {
 		task := heavyTask(model.TaskID(i))
 		task.Cycles = 1e9
@@ -272,11 +272,11 @@ func TestDrainTwiceMidIncidentCountsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	settled := map[model.TaskID]int{}
-	s.onDone = func(o model.Outcome) {
+	onSettle(s, func(o model.Outcome) {
 		if o.Task != nil {
 			settled[o.Task.ID]++
 		}
-	}
+	})
 	const n = 4
 	for i := 1; i <= n; i++ {
 		task := heavyTask(model.TaskID(i))

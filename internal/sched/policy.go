@@ -17,18 +17,6 @@ type Policy interface {
 	Decide(task *model.Task, env *Env, pred Predictor) model.Placement
 }
 
-// FeedbackPolicy is a Policy that learns online. The scheduler reports
-// every settled outcome (success or terminal failure — retries and hedges
-// already folded in) right after recording it, giving adaptive policies
-// their reward signal. Implementations must not schedule events; they may
-// only update internal state.
-type FeedbackPolicy interface {
-	Policy
-	// ObserveOutcome receives one settled outcome and the environment it
-	// ran in.
-	ObserveOutcome(o model.Outcome, env *Env)
-}
-
 // LocalOnly never offloads: the no-offloading baseline.
 type LocalOnly struct{}
 

@@ -298,6 +298,7 @@ type taskState struct {
 	task      *model.Task
 	placement model.Placement // primary target; retries and hedges aim here
 
+	tries    int  // attempts launched, hedges included
 	inFlight int  // attempts whose outcome has not arrived yet
 	pending  bool // a backoff timer was armed and none has fired since
 	backoffs int  // backoff timers armed and not yet fired, stale ones included
@@ -321,9 +322,9 @@ type attempt struct {
 	placement model.Placement // actual target (fallback may differ)
 	isHedge   bool
 	abandoned bool // per-attempt timeout fired
+	ordinal   int  // 1-based among the task's attempts, hedges included
 	launched  sim.Time
 	timeoutEv sim.EventRef
-	traceID   uint64 // span handle when a tracer is attached
 
 	timeoutFn func()
 	doneFn    func(model.Outcome)
@@ -378,9 +379,8 @@ func (s *Scheduler) breakerFor(p model.Placement) *Breaker {
 		panic(err) // config validated in New
 	}
 	b.OnTransition(func(from, to BreakerState) {
-		if s.tr != nil {
-			s.tr.BreakerTransition(p, from.String(), to.String(), s.env.Eng.Now())
-		}
+		s.env.Events.Emit(trace.Event{Kind: trace.KindBreaker, At: s.env.Eng.Now(),
+			Placement: p, From: from.String(), To: to.String()})
 	})
 	s.breakers[p] = b
 	return b
@@ -405,9 +405,11 @@ func (s *Scheduler) launchAttempt(st *taskState, isHedge bool) {
 		a = &attempt{s: s}
 		a.timeoutFn, a.doneFn = a.timeout, a.finished
 	}
-	a.st, a.placement, a.isHedge, a.launched = st, target, isHedge, s.env.Eng.Now()
-	if s.tr != nil {
-		a.traceID = s.tr.AttemptStart(st.task, target, isHedge, a.launched)
+	st.tries++
+	a.st, a.placement, a.isHedge, a.ordinal, a.launched = st, target, isHedge, st.tries, s.env.Eng.Now()
+	if s.env.Events.Active() {
+		s.env.Events.Emit(trace.Event{Kind: trace.KindAttemptStart, At: a.launched,
+			Task: st.task.ID, Attempt: a.ordinal, Placement: target, Hedge: isHedge})
 	}
 	st.inFlight++
 	if isHedge {
@@ -483,9 +485,7 @@ func (s *Scheduler) onAttemptTimeout(a *attempt) {
 		Exec:   model.ExecReport{Start: a.launched, End: now, Err: ErrAttemptTimeout},
 		Failed: true,
 	}
-	if s.tr != nil {
-		s.tr.AttemptEnd(a.traceID, abandoned, trace.StatusTimeout, now)
-	}
+	s.attemptEnd(a, abandoned, trace.StatusTimeout)
 	s.handleAttemptFailure(st, abandoned)
 	s.settleIfDrained(st)
 }
@@ -505,9 +505,8 @@ func (s *Scheduler) onAttemptDone(a *attempt, o model.Outcome) {
 		// attempt cost. No breaker feedback: the timeout already reported.
 		s.sunkUSD[st.task.ID] += o.CostUSD
 		s.sunkMJ[st.task.ID] += o.EnergyMilliJ
-		if s.tr != nil {
-			s.tr.AttemptCost(a.traceID, o.CostUSD)
-		}
+		s.env.Events.Emit(trace.Event{Kind: trace.KindAttemptCost, At: s.env.Eng.Now(),
+			Task: st.task.ID, Attempt: a.ordinal, CostUSD: o.CostUSD})
 	case st.settled || st.failed:
 		// The task was decided while this attempt was in flight (a losing
 		// hedge, or a late attempt after a terminal failure). Its cost
@@ -516,13 +515,11 @@ func (s *Scheduler) onAttemptDone(a *attempt, o model.Outcome) {
 		s.sunkMJ[st.task.ID] += o.EnergyMilliJ
 		s.breakerFeedback(br, o)
 		s.foFeedback(a.placement, o)
-		if s.tr != nil {
-			status := trace.StatusLose
-			if o.Failed {
-				status = trace.StatusFailed
-			}
-			s.tr.AttemptEnd(a.traceID, o, status, s.env.Eng.Now())
+		status := trace.StatusLose
+		if o.Failed {
+			status = trace.StatusFailed
 		}
+		s.attemptEnd(a, o, status)
 	case !o.Failed:
 		if br != nil {
 			br.OnSuccess()
@@ -534,25 +531,29 @@ func (s *Scheduler) onAttemptDone(a *attempt, o model.Outcome) {
 		if a.isHedge {
 			s.stats.HedgeWins++
 		}
-		if s.tr != nil {
-			s.tr.AttemptEnd(a.traceID, o, trace.StatusWin, s.env.Eng.Now())
-		}
+		s.attemptEnd(a, o, trace.StatusWin)
 		st.settled = true
 		st.winner = o
 	default:
 		s.breakerFeedback(br, o)
 		s.foFeedback(a.placement, o)
-		if s.tr != nil {
-			status := trace.StatusFailed
-			if s.shouldRetryErr(st.task, o.Exec.Err) {
-				status = trace.StatusRetry
-			}
-			s.tr.AttemptEnd(a.traceID, o, status, s.env.Eng.Now())
+		status := trace.StatusFailed
+		if s.shouldRetryErr(st.task, o.Exec.Err) {
+			status = trace.StatusRetry
 		}
+		s.attemptEnd(a, o, status)
 		s.handleAttemptFailure(st, o)
 	}
 	s.releaseAttempt(a)
 	s.settleIfDrained(st)
+}
+
+// attemptEnd emits the end of attempt a with its outcome and status.
+func (s *Scheduler) attemptEnd(a *attempt, o model.Outcome, status string) {
+	if s.env.Events.Active() {
+		s.env.Events.Emit(trace.Event{Kind: trace.KindAttemptEnd, At: s.env.Eng.Now(),
+			Task: a.st.task.ID, Attempt: a.ordinal, Outcome: o, Status: status})
+	}
 }
 
 // breakerFeedback translates a genuine attempt completion into breaker
@@ -637,17 +638,15 @@ func (s *Scheduler) settleIfDrained(st *taskState) {
 	if st.hedgeEv.Scheduled() {
 		s.env.Eng.Cancel(st.hedgeEv)
 		st.hedgeEv = sim.EventRef{}
-		if s.tr != nil {
-			s.tr.HedgeCanceled(st.task.ID, s.env.Eng.Now())
-		}
+		s.env.Events.Emit(trace.Event{Kind: trace.KindHedgeCancel, At: s.env.Eng.Now(), Task: st.task.ID})
 	}
 	delete(s.inflight, st.task.ID)
 	o := st.failure
 	if st.settled {
 		o = st.winner
 	}
-	// The record goes back before finish runs: its hooks may submit a
-	// task that reuses it.
+	// The record goes back before finish runs: its subscribers and
+	// continuations may submit a task that reuses it.
 	if st.backoffs == 0 {
 		s.releaseTask(st)
 	}

@@ -157,10 +157,11 @@ func TestResilientCyclesAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestSettledRecordReusedByHookSubmission settles task A, whose hook at
-// once dispatches task B. B reuses A's records, and A's armed hedge timer
-// and attempt timeout were cancelled before they went back: B must hedge
-// on its own schedule and must not be timed out by A's timer.
+// TestSettledRecordReusedByHookSubmission settles task A, whose settle
+// subscriber at once dispatches task B. B reuses A's records, and A's
+// armed hedge timer and attempt timeout were cancelled before they went
+// back: B must hedge on its own schedule and must not be timed out by A's
+// timer.
 func TestSettledRecordReusedByHookSubmission(t *testing.T) {
 	// A wins at about 1 s with its hedge armed for 2 s and its timeout for
 	// 5 s; B runs 4.5 s, past both of A's deadlines, within its own.
@@ -169,16 +170,16 @@ func TestSettledRecordReusedByHookSubmission(t *testing.T) {
 	b := &model.Task{ID: 2, App: "pool", InputBytes: 1 << 10, OutputBytes: 1 << 10, Cycles: 1e9}
 	var settledA sim.Time
 	spare := -1
-	r.s.onDone = func(o model.Outcome) {
+	onSettle(r.s, func(o model.Outcome) {
 		if o.Task.ID == 1 {
 			settledA = r.eng.Now()
 			spare = r.s.freeTasks.Len()
 			r.s.Dispatch(b, model.PlaceEdge)
 		}
-	}
+	})
 	r.cycle()
 	if spare != 1 {
-		t.Fatalf("%d task records spare when A's hook ran, want A's own", spare)
+		t.Fatalf("%d task records spare when A's subscriber ran, want A's own", spare)
 	}
 	st := r.s.Stats()
 	if st.Completed != 2 || st.Timeouts != 0 {
@@ -196,7 +197,7 @@ func TestSettledRecordReusedByHookSubmission(t *testing.T) {
 // TestStaleRetryTimerKeepsRecord arms two backoff timers for one task (the
 // primary and the hedge both fail transiently) and lets it settle between
 // them. Its record must stay off the free list until the second timer has
-// fired: a task the hook submits at settlement gets a fresh record, and
+// fired: a task the settle subscriber submits gets a fresh record, and
 // the stale timer does not launch an attempt for it.
 func TestStaleRetryTimerKeepsRecord(t *testing.T) {
 	// The primary fails at 3 s (first retry at 4 s); the hedge, launched at
@@ -208,12 +209,12 @@ func TestStaleRetryTimerKeepsRecord(t *testing.T) {
 		step{d: 0.5}, step{d: 1.5})
 	b := &model.Task{ID: 2, App: "pool", InputBytes: 1 << 10, OutputBytes: 1 << 10, Cycles: 1e9}
 	spare := -1
-	r.s.onDone = func(o model.Outcome) {
+	onSettle(r.s, func(o model.Outcome) {
 		if o.Task.ID == 1 {
 			spare = r.s.freeTasks.Len()
 			r.s.Dispatch(b, model.PlaceEdge)
 		}
-	}
+	})
 	r.cycle()
 	if spare != 0 {
 		t.Fatalf("A's record was on the free list at settlement (%d spare) with a retry timer armed", spare)

@@ -235,11 +235,11 @@ func TestAttemptTimeoutKillsStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	completed := 0
-	s.onDone = func(o model.Outcome) {
+	onSettle(s, func(o model.Outcome) {
 		if !o.Failed {
 			completed++
 		}
-	}
+	})
 	const tasks = 20
 	for i := 0; i < tasks; i++ {
 		task := heavyTask(model.TaskID(i + 1))
@@ -273,7 +273,7 @@ func TestAttemptTimeoutExhausts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out model.Outcome
-	s.onDone = func(o model.Outcome) { out = o }
+	onSettle(s, func(o model.Outcome) { out = o })
 	task := heavyTask(1)
 	task.Cycles = 1e9
 	s.Submit(task)
@@ -321,14 +321,14 @@ func TestHedgingBeatsStragglers(t *testing.T) {
 	const tasks = 30
 	completed := 0
 	var worst sim.Duration
-	s.onDone = func(o model.Outcome) {
+	onSettle(s, func(o model.Outcome) {
 		if !o.Failed {
 			completed++
 			if d := o.CompletionTime(); d > worst {
 				worst = d
 			}
 		}
-	}
+	})
 	for i := 0; i < tasks; i++ {
 		task := heavyTask(model.TaskID(i + 1))
 		task.Cycles = 1e9
@@ -470,11 +470,11 @@ func TestBatcherWithRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	completed := 0
-	s.onDone = func(o model.Outcome) {
+	onSettle(s, func(o model.Outcome) {
 		if !o.Failed {
 			completed++
 		}
-	}
+	})
 	const tasks = 20
 	for i := 0; i < tasks; i++ {
 		task := heavyTask(model.TaskID(i + 1))
@@ -532,14 +532,14 @@ func TestShifterWithRetries(t *testing.T) {
 	}
 	completed := 0
 	var earliest sim.Time = math.MaxFloat64
-	s.onDone = func(o model.Outcome) {
+	onSettle(s, func(o model.Outcome) {
 		if !o.Failed {
 			completed++
 			if o.Finished < earliest {
 				earliest = o.Finished
 			}
 		}
-	}
+	})
 	const tasks = 10
 	for i := 0; i < tasks; i++ {
 		task := heavyTask(model.TaskID(i + 1))

@@ -31,7 +31,7 @@ func TestTransientFailuresSurfaceWithoutRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out model.Outcome
-	s.onDone = func(o model.Outcome) { out = o }
+	onSettle(s, func(o model.Outcome) { out = o })
 	task := heavyTask(1)
 	task.Cycles = 1e9
 	s.Submit(task)
@@ -55,14 +55,14 @@ func TestRetriesRecoverTransientFailures(t *testing.T) {
 	}
 	completed := 0
 	maxAttempts := 0
-	s.onDone = func(o model.Outcome) {
+	onSettle(s, func(o model.Outcome) {
 		if !o.Failed {
 			completed++
 		}
 		if o.Attempts > maxAttempts {
 			maxAttempts = o.Attempts
 		}
-	}
+	})
 	for i := 0; i < 50; i++ {
 		task := heavyTask(model.TaskID(i + 1))
 		task.Cycles = 1e9
@@ -90,7 +90,7 @@ func TestRetriesExhaust(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out model.Outcome
-	s.onDone = func(o model.Outcome) { out = o }
+	onSettle(s, func(o model.Outcome) { out = o })
 	task := heavyTask(1)
 	task.Cycles = 1e9
 	s.Submit(task)
@@ -113,7 +113,7 @@ func TestRetryAccumulatesSunkCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out model.Outcome
-	s.onDone = func(o model.Outcome) { out = o }
+	onSettle(s, func(o model.Outcome) { out = o })
 	task := heavyTask(1)
 	task.Cycles = 1e9
 	s.Submit(task)
@@ -137,7 +137,7 @@ func TestRetryBackoffDelaysRedispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var finished sim.Time
-	s.onDone = func(o model.Outcome) { finished = o.Finished }
+	onSettle(s, func(o model.Outcome) { finished = o.Finished })
 	task := heavyTask(1)
 	task.Cycles = 1e9
 	s.Submit(task)
@@ -156,7 +156,7 @@ func TestNonTransientErrorsAreNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out model.Outcome
-	s.onDone = func(o model.Outcome) { out = o }
+	onSettle(s, func(o model.Outcome) { out = o })
 	task := heavyTask(1)
 	task.MemoryBytes = 64 * 1 << 30 // can never fit: permanent error
 	s.Submit(task)

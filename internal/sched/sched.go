@@ -47,6 +47,11 @@ type Env struct {
 	// at the substrate pointers above, which the sharded runtime keeps
 	// quiescent while shard code runs.
 	Remote RemoteBackends
+
+	// Events is the UE's lifecycle stream. The scheduler, its failover
+	// layer, the adaptive controller and the DAG orchestrator emit into
+	// it; the budget, the controller and every recorder subscribe.
+	Events trace.Stream
 }
 
 // RemoteBackends executes one remote attempt on behalf of the scheduler.
@@ -104,7 +109,6 @@ type Scheduler struct {
 	policy       Policy
 	pred         Predictor
 	stats        Stats
-	onDone       func(model.Outcome)
 	afterTask    map[model.TaskID]func(model.Outcome)
 	retry        RetryPolicy
 	src          *rng.Source // backoff jitter; nil disables jitter
@@ -131,15 +135,9 @@ type Scheduler struct {
 	fo *failover
 
 	// freeAttempts holds finished remote-attempt records for reuse, and
-	// finishFn is s.finish, bound on the first untraced plain dispatch.
+	// plainDoneFn is s.plainDone, bound on the first plain dispatch.
 	freeAttempts sim.FreeList[remoteAttempt]
-	finishFn     func(model.Outcome)
-
-	// tr receives causal hook points (attempt lifecycle, breaker
-	// transitions, hedge cancels, task settlement) when span tracing is
-	// enabled. Tracers are passive: they record, never steer — dispatch
-	// takes the same decisions with or without one.
-	tr trace.Tracer
+	plainDoneFn  func(model.Outcome)
 }
 
 // RetryPolicy re-dispatches tasks that failed with a transient
@@ -175,14 +173,6 @@ func WithRNG(src *rng.Source) Option {
 func WithResilience(r Resilience) Option {
 	return func(s *Scheduler) { s.res = &r }
 }
-
-// SetTracer attaches (or detaches, with nil) the tracer receiving the
-// scheduler's causal hook points. Call before the first Submit: attempts
-// already in flight keep reporting to the tracer they started with.
-func (s *Scheduler) SetTracer(t trace.Tracer) { s.tr = t }
-
-// Tracer returns the attached tracer, or nil.
-func (s *Scheduler) Tracer() trace.Tracer { return s.tr }
 
 // WithLocalDVFS makes local executions of deadline-carrying tasks run at
 // the slowest frequency that still meets the deadline (floored at
@@ -273,8 +263,8 @@ func (s *Scheduler) BreakerOpens() uint64 {
 }
 
 // Submit routes one task according to the policy. The outcome lands in
-// Stats (and the outcome hook) when the task's results are back on the
-// device.
+// Stats (and on the lifecycle stream) when the task's results are back on
+// the device.
 func (s *Scheduler) Submit(task *model.Task) {
 	if err := task.Validate(); err != nil {
 		s.finish(model.Outcome{Task: task, Started: s.env.Eng.Now(), Finished: s.env.Eng.Now(), Failed: true})
@@ -286,7 +276,7 @@ func (s *Scheduler) Submit(task *model.Task) {
 }
 
 // SubmitThen routes the task per the policy and invokes then exactly once
-// with its final outcome, after the global outcome hook. The serve path
+// with its final outcome, after the settle event. The serve path
 // uses this to answer a caller waiting on one specific task. A task that
 // fails validation settles immediately, so then still fires.
 func (s *Scheduler) SubmitThen(task *model.Task, then func(model.Outcome)) {
@@ -294,25 +284,6 @@ func (s *Scheduler) SubmitThen(task *model.Task, then func(model.Outcome)) {
 		s.afterTask[task.ID] = then
 	}
 	s.Submit(task)
-}
-
-// ChainOutcomeHook appends fn behind the outcome hooks already installed
-// (if any): every settled task reaches each of them, in the order they
-// were chained. Call before the first Submit; core chains the daily
-// budget's hook first, and the serve layer its accounting hook after.
-func (s *Scheduler) ChainOutcomeHook(fn func(model.Outcome)) {
-	if fn == nil {
-		return
-	}
-	prev := s.onDone
-	if prev == nil {
-		s.onDone = fn
-		return
-	}
-	s.onDone = func(o model.Outcome) {
-		prev(o)
-		fn(o)
-	}
 }
 
 // Dispatch runs the task at an explicit placement, bypassing the policy.
@@ -330,28 +301,34 @@ func (s *Scheduler) Dispatch(task *model.Task, placement model.Placement) {
 }
 
 // dispatchDirect is Dispatch past the failover routing decision: the
-// resilience machinery, or one traced plain attempt.
+// resilience machinery, or one plain attempt.
 func (s *Scheduler) dispatchDirect(task *model.Task, placement model.Placement) {
 	if s.res != nil {
 		s.resilientDispatch(task, placement)
 		return
 	}
-	if s.tr == nil {
-		if s.finishFn == nil {
-			s.finishFn = s.finish
-		}
-		s.dispatchTo(task, placement, s.finishFn)
-		return
+	if s.plainDoneFn == nil {
+		s.plainDoneFn = s.plainDone
 	}
-	aid := s.tr.AttemptStart(task, placement, false, s.env.Eng.Now())
-	s.dispatchTo(task, placement, func(o model.Outcome) {
-		s.tr.AttemptEnd(aid, o, s.plainStatus(o), s.env.Eng.Now())
-		s.finish(o)
-	})
+	if s.env.Events.Active() {
+		s.env.Events.Emit(trace.Event{Kind: trace.KindAttemptStart, At: s.env.Eng.Now(),
+			Task: task.ID, Attempt: s.attempts[task.ID] + 1, Placement: placement})
+	}
+	s.dispatchTo(task, placement, s.plainDoneFn)
 }
 
-// plainStatus classifies a non-resilient attempt's ending the same way
-// finish is about to: a failure either consumes a retry or is terminal.
+// plainDone ends one plain attempt. Its ordinal is the retries so far
+// plus one, which finish is about to move on.
+func (s *Scheduler) plainDone(o model.Outcome) {
+	if s.env.Events.Active() {
+		s.env.Events.Emit(trace.Event{Kind: trace.KindAttemptEnd, At: s.env.Eng.Now(),
+			Task: o.Task.ID, Attempt: s.attempts[o.Task.ID] + 1, Outcome: o, Status: s.plainStatus(o)})
+	}
+	s.finish(o)
+}
+
+// plainStatus classifies a plain attempt's ending the same way finish is
+// about to: a failure either consumes a retry or is terminal.
 func (s *Scheduler) plainStatus(o model.Outcome) string {
 	switch {
 	case !o.Failed:
@@ -546,7 +523,7 @@ func (a *remoteAttempt) finish() {
 }
 
 // DispatchThen runs the task at an explicit placement and invokes then
-// once the outcome is recorded, in addition to the scheduler-wide hook.
+// once the outcome is recorded, after the settle event.
 func (s *Scheduler) DispatchThen(task *model.Task, placement model.Placement, then func(model.Outcome)) {
 	if then != nil {
 		s.afterTask[task.ID] = then
@@ -582,15 +559,9 @@ func (s *Scheduler) finish(o model.Outcome) {
 	if o.Task != nil && !o.Failed {
 		s.pred.Observe(o.Task, o.Task.Cycles)
 	}
-	if fp, ok := s.policy.(FeedbackPolicy); ok {
-		fp.ObserveOutcome(o, s.env)
-	}
 	s.stats.record(o)
-	if s.tr != nil {
-		s.tr.TaskDone(o, s.env.Eng.Now())
-	}
-	if s.onDone != nil {
-		s.onDone(o)
+	if s.env.Events.Active() {
+		s.env.Events.Emit(trace.Event{Kind: trace.KindSettle, At: s.env.Eng.Now(), Outcome: o})
 	}
 	if o.Task != nil {
 		if cb, ok := s.afterTask[o.Task.ID]; ok {

@@ -12,6 +12,7 @@ import (
 	"offload/internal/rng"
 	"offload/internal/serverless"
 	"offload/internal/sim"
+	"offload/internal/trace"
 )
 
 // testEnv builds a full environment with deterministic (no-jitter, no
@@ -118,10 +119,19 @@ func runOne(t *testing.T, env *Env, p Policy, task *model.Task) model.Outcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ChainOutcomeHook(func(o model.Outcome) { out = o })
+	onSettle(s, func(o model.Outcome) { out = o })
 	s.Submit(task)
 	env.Eng.Run()
 	return out
+}
+
+// onSettle subscribes fn to every outcome the scheduler settles.
+func onSettle(s *Scheduler, fn func(model.Outcome)) {
+	s.env.Events.Subscribe(trace.SubscriberFunc(func(ev trace.Event) {
+		if ev.Kind == trace.KindSettle {
+			fn(ev.Outcome)
+		}
+	}))
 }
 
 func TestLocalOnlyRunsLocal(t *testing.T) {
@@ -381,11 +391,11 @@ func TestWarmReuseAcrossTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	colds := 0
-	s.onDone = func(o model.Outcome) {
+	onSettle(s, func(o model.Outcome) {
 		if o.Exec.ColdStart > 0 {
 			colds++
 		}
-	}
+	})
 	// Submissions 5 s apart, well inside the 420 s keep-alive, inside one
 	// simulation run so warm containers survive between tasks.
 	for i := 0; i < 4; i++ {

@@ -52,7 +52,7 @@ func TestShifterDelaysSlackRichTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out model.Outcome
-	s.onDone = func(o model.Outcome) { out = o }
+	onSettle(s, func(o model.Outcome) { out = o })
 	// Submitted at 20:00 with an 8-hour deadline: can afford the 2 h wait.
 	task := heavyTask(1)
 	task.Cycles = 2e9
@@ -82,7 +82,7 @@ func TestShifterDispatchesTightDeadlineImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out model.Outcome
-	s.onDone = func(o model.Outcome) { out = o }
+	onSettle(s, func(o model.Outcome) { out = o })
 	// 10-minute deadline at 20:00: cannot wait for 22:00.
 	task := heavyTask(2)
 	task.Cycles = 2e9

@@ -37,10 +37,10 @@ func BenchmarkSpanRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		task.ID = model.TaskID(i + 1)
 		at := sim.Time(float64(i))
-		id := r.AttemptStart(task, model.PlaceFunction, false, at)
+		attemptStart(r, task.ID, 1, model.PlaceFunction, false, at)
 		o := benchOutcome(task, at)
-		r.AttemptEnd(id, o, StatusWin, at+2)
-		r.TaskDone(o, at+2)
+		attemptEnd(r, task.ID, 1, o, StatusWin, at+2)
+		settle(r, o, at+2)
 	}
 }
 
@@ -57,10 +57,10 @@ func BenchmarkSpanRecordBounded(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		task.ID = model.TaskID(i + 1)
 		at := sim.Time(float64(i))
-		id := r.AttemptStart(task, model.PlaceFunction, false, at)
+		attemptStart(r, task.ID, 1, model.PlaceFunction, false, at)
 		o := benchOutcome(task, at)
-		r.AttemptEnd(id, o, StatusWin, at+2)
-		r.TaskDone(o, at+2)
+		attemptEnd(r, task.ID, 1, o, StatusWin, at+2)
+		settle(r, o, at+2)
 	}
 }
 

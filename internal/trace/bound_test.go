@@ -15,10 +15,10 @@ func recordTask(r *SpanRecorder, i int) {
 	task := recordScratch
 	task.ID = model.TaskID(i + 1)
 	at := sim.Time(float64(i))
-	id := r.AttemptStart(task, model.PlaceFunction, false, at)
+	attemptStart(r, task.ID, 1, model.PlaceFunction, false, at)
 	o := benchOutcome(task, at)
-	r.AttemptEnd(id, o, StatusWin, at+2)
-	r.TaskDone(o, at+2)
+	attemptEnd(r, task.ID, 1, o, StatusWin, at+2)
+	settle(r, o, at+2)
 }
 
 // TestSpanRecordSteadyStateAlloc pins the recorder's hot-path contract:
@@ -93,7 +93,7 @@ func TestBoundedRecorderKeepsOpenTraces(t *testing.T) {
 
 	// Open a long-lived task and leave its attempt in flight.
 	straggler := &model.Task{ID: 9999, App: "straggler"}
-	sid := r.AttemptStart(straggler, model.PlaceVM, false, 0)
+	attemptStart(r, straggler.ID, 1, model.PlaceVM, false, 0)
 
 	// Churn enough settled tasks to force several compactions.
 	for i := 0; i < 300; i++ {
@@ -116,12 +116,12 @@ func TestBoundedRecorderKeepsOpenTraces(t *testing.T) {
 	// Closing the straggler must still find and finish its span.
 	at := sim.Time(400)
 	o := benchOutcome(straggler, at-2)
-	r.AttemptEnd(sid, o, StatusWin, at)
-	r.TaskDone(o, at)
+	attemptEnd(r, straggler.ID, 1, o, StatusWin, at)
+	settle(r, o, at)
 	for _, sp := range r.Set().Spans {
 		if sp.Trace == 9999 && sp.Name == SpanAttempt {
 			if sp.Status != StatusWin {
-				t.Fatalf("straggler attempt status = %q after AttemptEnd, want %q", sp.Status, StatusWin)
+				t.Fatalf("straggler attempt status = %q after its end event, want %q", sp.Status, StatusWin)
 			}
 			return
 		}

@@ -81,61 +81,7 @@ type Span struct {
 // DurationS returns the span's width in simulated seconds.
 func (s Span) DurationS() float64 { return s.End - s.Start }
 
-// Tracer receives the scheduler's causal hook points. Implementations
-// must be passive: they may record, but must not schedule events, draw
-// randomness, or mutate tasks — attaching a tracer never changes
-// simulated results (TestSpansAreInert enforces this).
-//
-// AttemptStart returns an attempt handle that the scheduler threads back
-// into AttemptEnd / AttemptCost, so overlapping attempts of one task
-// (hedges) stay distinguishable.
-type Tracer interface {
-	// AttemptStart marks one dispatch of the task at the placement.
-	AttemptStart(task *model.Task, placement model.Placement, hedge bool, at sim.Time) uint64
-	// AttemptEnd closes the attempt with its outcome and status (one of
-	// the Status* constants).
-	AttemptEnd(id uint64, o model.Outcome, status string, at sim.Time)
-	// AttemptCost folds money billed by an attempt after it was already
-	// closed (a timed-out attempt's zombie completion).
-	AttemptCost(id uint64, costUSD float64)
-	// BreakerTransition records a circuit-breaker state change on a
-	// backend; states arrive as strings ("closed", "open", "half-open").
-	BreakerTransition(placement model.Placement, from, to string, at sim.Time)
-	// HedgeCanceled records an armed hedge timer dismissed unfired.
-	HedgeCanceled(task model.TaskID, at sim.Time)
-	// TaskDone records the task's settled end-to-end outcome.
-	TaskDone(o model.Outcome, at sim.Time)
-}
-
-// JobTracer is the optional extension a Tracer can implement to receive
-// the DAG orchestrator's hook points: node tasks adopted under a job
-// trace, and the job's settlement. Kept separate from Tracer so existing
-// implementations stay valid. The same passivity contract applies.
-type JobTracer interface {
-	// AdoptTrace parents the task's (future) root span under the job's
-	// root span. Call before the task settles.
-	AdoptTrace(task model.TaskID, job uint64)
-	// JobDone records the settled job as a root span on the job trace.
-	JobDone(job uint64, app string, start, end sim.Time, status string, costUSD float64)
-}
-
-// RegionTracer is the optional extension a Tracer can implement to
-// receive the regional failover layer's hook points. Kept separate from
-// Tracer so existing implementations stay valid; the scheduler
-// type-asserts for it. The same passivity contract applies.
-type RegionTracer interface {
-	// RegionTransition records a region going down or coming back up.
-	RegionTransition(region string, down bool, at sim.Time)
-	// DegradationChange records the graceful-degradation ladder moving
-	// between rungs (rung names: healthy, shed-low, localize-critical,
-	// queue-and-wait).
-	DegradationChange(from, to string, at sim.Time)
-	// TaskRehomed records a task re-dispatched from a dead region's
-	// placement to a surviving one, paying the state-transfer cost.
-	TaskRehomed(task model.TaskID, from, to model.Placement, at sim.Time)
-}
-
-// SpanRecorder assembles Spans from the scheduler's Tracer hook points.
+// SpanRecorder assembles Spans from a lifecycle Stream it subscribes to.
 // It reconstructs per-attempt phase spans from each attempt's outcome and
 // synthesizes the submit/backoff gaps when the task settles. IDs are
 // assigned in event order, so a recorder driven by a deterministic
@@ -149,7 +95,7 @@ type SpanRecorder struct {
 
 	byID    map[uint64]int       // attempt span id → index in spans
 	traces  map[uint64]*traceRec // open trace → its bookkeeping
-	adopted map[uint64]uint64    // task trace → owning job trace (AdoptTrace)
+	adopted map[uint64]uint64    // task trace → owning job trace (KindAdopt)
 
 	// freeRecs pools settled traces' records, attempt-id slices included,
 	// so steady-state recording allocates no bookkeeping per task.
@@ -165,9 +111,8 @@ type SpanRecorder struct {
 // traceRec is the recorder's bookkeeping for one trace, from its first
 // span until it settles.
 type traceRec struct {
-	root     uint64   // reserved root span ID; 0 when none is reserved
-	attempts int      // attempts started so far
-	ids      []uint64 // attempt span IDs, start order
+	root uint64   // reserved root span ID; 0 when none is reserved
+	ids  []uint64 // attempt span IDs, start order
 }
 
 // NewSpanRecorder returns an empty recorder.
@@ -289,32 +234,96 @@ func (r *SpanRecorder) open(trace uint64) *traceRec {
 	return t
 }
 
-// AttemptStart implements Tracer.
-func (r *SpanRecorder) AttemptStart(task *model.Task, placement model.Placement, hedge bool, at sim.Time) uint64 {
-	trace := uint64(task.ID)
+// OnEvent implements Subscriber.
+func (r *SpanRecorder) OnEvent(ev Event) {
+	switch ev.Kind {
+	case KindAttemptStart:
+		r.attemptStart(&ev)
+	case KindAttemptEnd:
+		r.attemptEnd(&ev)
+	case KindAttemptCost:
+		if sp := r.attempt(ev.Task, ev.Attempt); sp != nil {
+			sp.CostUSD += ev.CostUSD
+		}
+	case KindSettle:
+		r.taskDone(&ev.Outcome)
+	case KindAdopt:
+		// When the task settles, its root span is parented under the
+		// job's root span instead of standing alone.
+		r.adopted[uint64(ev.Task)] = ev.Job
+	case KindJobDone:
+		r.jobDone(&ev)
+	case KindBreaker:
+		r.mark(EventBreaker, 0, ev.Placement.String(), ev.From+">"+ev.To, ev.At)
+	case KindAdapt:
+		r.mark(EventAdapt, 0, ev.Name, ev.Status, ev.At)
+	case KindRegion:
+		status := "up"
+		if ev.Down {
+			status = "down"
+		}
+		r.mark(EventRegion, 0, ev.Name, status, ev.At)
+	case KindDegrade:
+		r.mark(EventDegrade, 0, "", ev.From+">"+ev.To, ev.At)
+	case KindRehome:
+		r.mark(EventRehome, uint64(ev.Task), "", ev.Placement.String()+">"+ev.Target.String(), ev.At)
+	case KindHedgeCancel:
+		r.mark(EventHedgeCancel, uint64(ev.Task), "", "", ev.At)
+	}
+}
+
+// mark appends a zero-width event span: run-scoped when trace is 0,
+// otherwise parented under the trace's root span.
+func (r *SpanRecorder) mark(name string, trace uint64, backend, status string, at sim.Time) {
+	sp := Span{
+		ID: r.id(), Trace: trace, Name: name, Backend: backend,
+		Start: float64(at), End: float64(at), Status: status,
+	}
+	if trace != 0 {
+		sp.Parent = r.open(trace).root
+	}
+	r.spans = append(r.buf(), sp)
+}
+
+// attemptStart opens an attempt span under the task's root.
+func (r *SpanRecorder) attemptStart(ev *Event) {
+	trace := uint64(ev.Task)
 	t := r.open(trace)
-	t.attempts++
 	id := r.id()
 	r.byID[id] = len(r.spans)
 	t.ids = append(t.ids, id)
 	r.spans = append(r.buf(), Span{
 		ID: id, Trace: trace, Parent: t.root,
-		Name: SpanAttempt, Backend: placement.String(),
-		Start: float64(at), End: float64(at),
-		Attempt: t.attempts, Hedge: hedge,
+		Name: SpanAttempt, Backend: ev.Placement.String(),
+		Start: float64(ev.At), End: float64(ev.At),
+		Attempt: ev.Attempt, Hedge: ev.Hedge,
 	})
-	return id
 }
 
-// AttemptEnd implements Tracer.
-func (r *SpanRecorder) AttemptEnd(id uint64, o model.Outcome, status string, at sim.Time) {
-	idx, ok := r.byID[id]
+// attempt returns the open span of the task's attempt with that ordinal,
+// or nil.
+func (r *SpanRecorder) attempt(task model.TaskID, ordinal int) *Span {
+	t, ok := r.traces[uint64(task)]
 	if !ok {
+		return nil
+	}
+	for _, id := range t.ids {
+		if idx, ok := r.byID[id]; ok && r.spans[idx].Attempt == ordinal {
+			return &r.spans[idx]
+		}
+	}
+	return nil
+}
+
+// attemptEnd closes the attempt span with its outcome and status.
+func (r *SpanRecorder) attemptEnd(ev *Event) {
+	sp := r.attempt(ev.Task, ev.Attempt)
+	if sp == nil {
 		return
 	}
-	sp := &r.spans[idx]
-	sp.End = float64(at)
-	sp.Status = status
+	o := &ev.Outcome
+	sp.End = float64(ev.At)
+	sp.Status = ev.Status
 	sp.CostUSD += o.CostUSD
 	if o.Failed && o.Exec.Err != nil {
 		if model.Transient(o.Exec.Err) {
@@ -323,17 +332,10 @@ func (r *SpanRecorder) AttemptEnd(id uint64, o model.Outcome, status string, at 
 			sp.Fault = FaultFatal
 		}
 	}
-	if status != StatusTimeout {
+	if ev.Status != StatusTimeout {
 		// A timed-out attempt's synthetic outcome says nothing about where
 		// the straggler was stuck; leave it undecomposed.
-		r.emitPhases(sp, &o)
-	}
-}
-
-// AttemptCost implements Tracer.
-func (r *SpanRecorder) AttemptCost(id uint64, costUSD float64) {
-	if idx, ok := r.byID[id]; ok {
-		r.spans[idx].CostUSD += costUSD
+		r.emitPhases(sp, o)
 	}
 }
 
@@ -368,76 +370,10 @@ func (r *SpanRecorder) emitPhases(a *Span, o *model.Outcome) {
 	}
 }
 
-// BreakerTransition implements Tracer.
-func (r *SpanRecorder) BreakerTransition(placement model.Placement, from, to string, at sim.Time) {
-	r.spans = append(r.buf(), Span{
-		ID: r.id(), Name: EventBreaker, Backend: placement.String(),
-		Start: float64(at), End: float64(at),
-		Status: from + ">" + to,
-	})
-}
-
-// AdaptEvent records a control-plane decision of the adaptive layer
-// (internal/adapt) as a zero-width run-scoped event span: Status carries
-// the decision kind (drift_reset, resize, localize), Backend its subject.
-func (r *SpanRecorder) AdaptEvent(kind, subject string, at sim.Time) {
-	r.spans = append(r.buf(), Span{
-		ID: r.id(), Name: EventAdapt, Backend: subject,
-		Start: float64(at), End: float64(at),
-		Status: kind,
-	})
-}
-
-// RegionTransition implements RegionTracer as a zero-width run-scoped
-// event span: Backend carries the region name, Status "down" or "up".
-func (r *SpanRecorder) RegionTransition(region string, down bool, at sim.Time) {
-	status := "up"
-	if down {
-		status = "down"
-	}
-	r.spans = append(r.buf(), Span{
-		ID: r.id(), Name: EventRegion, Backend: region,
-		Start: float64(at), End: float64(at),
-		Status: status,
-	})
-}
-
-// DegradationChange implements RegionTracer: a zero-width run-scoped
-// event span whose Status carries "from>to" rung names.
-func (r *SpanRecorder) DegradationChange(from, to string, at sim.Time) {
-	r.spans = append(r.buf(), Span{
-		ID: r.id(), Name: EventDegrade,
-		Start: float64(at), End: float64(at),
-		Status: from + ">" + to,
-	})
-}
-
-// TaskRehomed implements RegionTracer: a zero-width span on the task's
-// trace whose Status carries the "from>to" placements.
-func (r *SpanRecorder) TaskRehomed(task model.TaskID, from, to model.Placement, at sim.Time) {
-	trace := uint64(task)
-	r.spans = append(r.buf(), Span{
-		ID: r.id(), Trace: trace, Parent: r.open(trace).root,
-		Name:  EventRehome,
-		Start: float64(at), End: float64(at),
-		Status: from.String() + ">" + to.String(),
-	})
-}
-
-// HedgeCanceled implements Tracer.
-func (r *SpanRecorder) HedgeCanceled(task model.TaskID, at sim.Time) {
-	trace := uint64(task)
-	r.spans = append(r.buf(), Span{
-		ID: r.id(), Trace: trace, Parent: r.open(trace).root,
-		Name:  EventHedgeCancel,
-		Start: float64(at), End: float64(at),
-	})
-}
-
-// TaskDone implements Tracer: it appends the root span and the
-// submit/backoff gaps — the sub-intervals of [Started, Finished] during
-// which no attempt was in flight.
-func (r *SpanRecorder) TaskDone(o model.Outcome, at sim.Time) {
+// taskDone appends the root span and the submit/backoff gaps — the
+// sub-intervals of [Started, Finished] during which no attempt was in
+// flight.
+func (r *SpanRecorder) taskDone(o *model.Outcome) {
 	if o.Task == nil {
 		return
 	}
@@ -455,7 +391,7 @@ func (r *SpanRecorder) TaskDone(o model.Outcome, at sim.Time) {
 	}
 
 	// A task adopted under a DAG job parents its root span there; the job
-	// root's ID is reserved now and materialises at JobDone.
+	// root's ID is reserved now and materialises when the job settles.
 	var parent uint64
 	if job, ok := r.adopted[trace]; ok {
 		parent = r.open(job).root
@@ -492,27 +428,21 @@ func (r *SpanRecorder) release(t *traceRec) {
 	r.freeRecs.Put(t)
 }
 
-// AdoptTrace implements JobTracer: when the task settles, its root span
-// will be parented under the job's root span instead of standing alone.
-func (r *SpanRecorder) AdoptTrace(task model.TaskID, job uint64) {
-	r.adopted[uint64(task)] = job
-}
-
-// JobDone implements JobTracer: it appends the job's root span — the
-// parent every adopted node task span points at — closing the job trace.
-func (r *SpanRecorder) JobDone(job uint64, app string, start, end sim.Time, status string, costUSD float64) {
-	t := r.open(job)
+// jobDone appends the job's root span — the parent every adopted node
+// task span points at — closing the job trace.
+func (r *SpanRecorder) jobDone(ev *Event) {
+	t := r.open(ev.Job)
 	r.spans = append(r.buf(), Span{
-		ID: t.root, Trace: job,
-		Name: SpanJob, Backend: app,
-		Start: float64(start), End: float64(end),
-		Status: status, CostUSD: costUSD,
+		ID: t.root, Trace: ev.Job,
+		Name: SpanJob, Backend: ev.Name,
+		Start: float64(ev.Start), End: float64(ev.At),
+		Status: ev.Status, CostUSD: ev.CostUSD,
 	})
 	// The job's root is appended; a job trace carries no attempts of its
 	// own, but should a task share its ID their bookkeeping stays.
 	t.root = 0
-	if t.attempts == 0 {
-		delete(r.traces, job)
+	if len(t.ids) == 0 {
+		delete(r.traces, ev.Job)
 		r.release(t)
 	}
 	if r.limit > 0 && len(r.spans) > 2*r.limit {

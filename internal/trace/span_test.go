@@ -6,7 +6,22 @@ import (
 	"testing"
 
 	"offload/internal/model"
+	"offload/internal/sim"
 )
+
+// attemptStart, attemptEnd and settle deliver the scheduler's lifecycle
+// events for one attempt (task ID and per-task ordinal) to a recorder.
+func attemptStart(r *SpanRecorder, task model.TaskID, attempt int, p model.Placement, hedge bool, at sim.Time) {
+	r.OnEvent(Event{Kind: KindAttemptStart, At: at, Task: task, Attempt: attempt, Placement: p, Hedge: hedge})
+}
+
+func attemptEnd(r *SpanRecorder, task model.TaskID, attempt int, o model.Outcome, status string, at sim.Time) {
+	r.OnEvent(Event{Kind: KindAttemptEnd, At: at, Task: task, Attempt: attempt, Outcome: o, Status: status})
+}
+
+func settle(r *SpanRecorder, o model.Outcome, at sim.Time) {
+	r.OnEvent(Event{Kind: KindSettle, At: at, Outcome: o})
+}
 
 // driveRetryHedge replays a hand-built scheduler history against a
 // recorder: task 1 retries once (transient fault, backoff gap) and then
@@ -17,46 +32,46 @@ func driveRetryHedge(r *SpanRecorder) {
 	t2 := &model.Task{ID: 2}
 
 	// Task 1, attempt 1: fails transiently at t=4 after 1s uplink + 2s exec.
-	a1 := r.AttemptStart(t1, model.PlaceFunction, false, 1)
-	r.AttemptEnd(a1, model.Outcome{
+	attemptStart(r, 1, 1, model.PlaceFunction, false, 1)
+	attemptEnd(r, 1, 1, model.Outcome{
 		Task: t1, Placement: model.PlaceFunction,
 		UplinkTime: 1,
 		Exec:       model.ExecReport{Start: 2, End: 4, Err: fmt.Errorf("boom: %w", model.ErrTransient)},
 		CostUSD:    0.01, Failed: true,
 	}, StatusRetry, 4)
 
-	r.BreakerTransition(model.PlaceFunction, "closed", "open", 4)
+	r.OnEvent(Event{Kind: KindBreaker, At: 4, Placement: model.PlaceFunction, From: "closed", To: "open"})
 
 	// Task 1, attempt 2 after 2s backoff: wins at t=10.
-	b1 := r.AttemptStart(t1, model.PlaceFunction, false, 6)
-	r.AttemptEnd(b1, model.Outcome{
+	attemptStart(r, 1, 2, model.PlaceFunction, false, 6)
+	attemptEnd(r, 1, 2, model.Outcome{
 		Task: t1, Placement: model.PlaceFunction,
 		UplinkTime: 1, DownlinkTime: 1,
 		Exec:    model.ExecReport{Start: 7, End: 9, QueueWait: 0.5, ColdStart: 0.5},
 		CostUSD: 0.02,
 	}, StatusWin, 10)
-	r.TaskDone(model.Outcome{
+	settle(r, model.Outcome{
 		Task: t1, Placement: model.PlaceFunction,
 		Started: 1, Finished: 10, CostUSD: 0.03, Attempts: 2,
 	}, 10)
 
 	// Task 2: primary straggles, hedge fires at t=15 and the primary still
 	// wins at t=20; the hedge drains at t=22 as a loser.
-	p2 := r.AttemptStart(t2, model.PlaceFunction, false, 12)
-	h2 := r.AttemptStart(t2, model.PlaceFunction, true, 15)
-	r.AttemptEnd(p2, model.Outcome{
+	attemptStart(r, 2, 1, model.PlaceFunction, false, 12)
+	attemptStart(r, 2, 2, model.PlaceFunction, true, 15)
+	attemptEnd(r, 2, 1, model.Outcome{
 		Task: t2, Placement: model.PlaceFunction,
 		UplinkTime: 1, DownlinkTime: 1,
 		Exec:    model.ExecReport{Start: 13, End: 19},
 		CostUSD: 0.04,
 	}, StatusWin, 20)
-	r.AttemptEnd(h2, model.Outcome{
+	attemptEnd(r, 2, 2, model.Outcome{
 		Task: t2, Placement: model.PlaceFunction,
 		UplinkTime: 1,
 		Exec:       model.ExecReport{Start: 16, End: 21},
 		CostUSD:    0.05,
 	}, StatusLose, 22)
-	r.TaskDone(model.Outcome{
+	settle(r, model.Outcome{
 		Task: t2, Placement: model.PlaceFunction,
 		Started: 12, Finished: 20, CostUSD: 0.09, Attempts: 2,
 	}, 20)
@@ -171,12 +186,12 @@ func TestSpanRecorderTree(t *testing.T) {
 func TestSpanRecorderTimeoutCost(t *testing.T) {
 	r := NewSpanRecorder()
 	task := &model.Task{ID: 7}
-	a := r.AttemptStart(task, model.PlaceFunction, false, 0)
-	r.AttemptEnd(a, model.Outcome{Task: task, Placement: model.PlaceFunction, Failed: true},
+	attemptStart(r, 7, 1, model.PlaceFunction, false, 0)
+	attemptEnd(r, 7, 1, model.Outcome{Task: task, Placement: model.PlaceFunction, Failed: true},
 		StatusTimeout, 30)
 	// The zombie completes later and bills money onto the closed attempt.
-	r.AttemptCost(a, 0.5)
-	r.TaskDone(model.Outcome{Task: task, Placement: model.PlaceLocal,
+	r.OnEvent(Event{Kind: KindAttemptCost, At: 35, Task: 7, Attempt: 1, CostUSD: 0.5})
+	settle(r, model.Outcome{Task: task, Placement: model.PlaceLocal,
 		Started: 0, Finished: 40, CostUSD: 0.5, Attempts: 1}, 40)
 
 	set := r.Set()

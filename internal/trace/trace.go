@@ -118,15 +118,18 @@ func (r Record) CompletionS() float64 { return r.Finished - r.Submitted }
 // on every growth of one large slice.
 const recordChunk = 1024
 
-// Recorder accumulates records; plug Hook into a scheduler.
+// Recorder accumulates one record per settled task; subscribe it to a
+// lifecycle Stream.
 type Recorder struct {
 	chunks [][]Record // every chunk but the last holds recordChunk records
 	n      int
 }
 
-// Hook returns an outcome callback that appends to the recorder.
-func (rec *Recorder) Hook() func(model.Outcome) {
-	return func(o model.Outcome) { rec.Add(FromOutcome(o)) }
+// OnEvent implements Subscriber: each settled task appends its record.
+func (rec *Recorder) OnEvent(ev Event) {
+	if ev.Kind == KindSettle {
+		rec.Add(FromOutcome(ev.Outcome))
+	}
 }
 
 // Add appends a record directly.

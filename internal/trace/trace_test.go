@@ -44,9 +44,11 @@ func TestFromOutcome(t *testing.T) {
 
 func TestRecorderHook(t *testing.T) {
 	var rec Recorder
-	hook := rec.Hook()
-	hook(model.Outcome{Task: &model.Task{ID: 1}, Placement: model.PlaceLocal})
-	hook(model.Outcome{Task: &model.Task{ID: 2}, Placement: model.PlaceEdge, Failed: true})
+	var events Stream
+	events.Subscribe(&rec)
+	events.Emit(Event{Kind: KindAttemptStart, Task: 1})
+	events.Emit(Event{Kind: KindSettle, Outcome: model.Outcome{Task: &model.Task{ID: 1}, Placement: model.PlaceLocal}})
+	events.Emit(Event{Kind: KindSettle, Outcome: model.Outcome{Task: &model.Task{ID: 2}, Placement: model.PlaceEdge, Failed: true}})
 	if rec.Len() != 2 {
 		t.Fatalf("Len = %d", rec.Len())
 	}

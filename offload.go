@@ -132,8 +132,7 @@ type (
 func NewSystem(cfg Config) (*System, error) { return core.NewSystem(cfg) }
 
 // Report is the run summary every consumer reads from the same place: the
-// examples, the CI/CD SLO gate and the offbench tables see the same
-// numbers.
+// examples and the offloadd daemon see the same numbers.
 type Report = core.Report
 
 // Observer samples a live System at a fixed simulated-time interval.
@@ -141,8 +140,8 @@ type Observer = core.Observer
 
 // Recorder keeps one record per settled task and writes them as the JSONL
 // trace that `offctl run -replay` reads. A System keeps none by default;
-// attach one with sys.Scheduler.ChainOutcomeHook(rec.Hook()) before the
-// first submit.
+// subscribe one to the lifecycle stream with sys.Env.Events.Subscribe(rec)
+// before the first submit.
 type Recorder = trace.Recorder
 
 // Fleet simulates many devices against shared remote infrastructure.
