@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt race fuzz chaos ci determinism shards metrics-golden spans-golden golden offbench-bin bench bench-micro bench-json bench-gate print-bench-pkgs bench-full results examples serve loadtest serve-smoke docker clean
+.PHONY: all build test vet fmt race fuzz chaos ci determinism shards metrics-golden spans-golden golden offbench-bin bench bench-micro bench-json bench-gate bench-check print-bench-pkgs bench-full results examples serve loadtest serve-smoke docker clean
 
 # The offbench binary shared by the determinism and golden targets; built
 # once per make invocation instead of once per target.
@@ -182,6 +182,21 @@ bench-json: bench-micro
 bench-gate: bench-micro
 	$(GO) run ./cmd/benchgate -emit results/bench_micro.txt > results/bench_head.json
 	$(GO) run ./cmd/benchgate -old $(BENCH_BASELINE) -new results/bench_head.json
+
+# Run each repository benchmark workload briefly and fail unless the last
+# line of its result says its output was correct. Tracing is off: the
+# traced serve ladder (--trace 1) is load-sensitive, so run that only on
+# an idle machine.
+BENCH_WORKLOADS = fleet-flash stack-deadline suite-full
+
+bench-check:
+	@for w in $(BENCH_WORKLOADS); do \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1); \
+		case "$$last" in \
+		*'"correct":true'*) echo "bench-check: $$w correct" ;; \
+		*) echo "bench-check: $$w not correct: $$last"; exit 1 ;; \
+		esac; \
+	done
 
 # The benchmarked package list, so CI runs the same packages as bench-micro.
 print-bench-pkgs:
