@@ -36,8 +36,10 @@ race:
 # validator/topological-sort invariants, the serverless sizer's
 # agreement with the full memory sweep, the pooled sim.Resource's
 # agreement with the closure-based reference, the histogram
-# quantile's agreement with the ascending scan and the small-mode
-# histogram's agreement with the dense reference. Longer local sessions:
+# quantile's agreement with the ascending scan, the small-mode
+# histogram's agreement with the dense reference and the partition
+# searchers' agreement with their Objective-driven references. CI's fuzz
+# smoke step runs this target. Longer local sessions:
 #   go test -fuzz=FuzzFaultInjector -fuzztime=5m ./internal/fault/
 #   go test -fuzz=FuzzReadSpansJSONL -fuzztime=5m ./internal/trace/
 #   go test -fuzz=FuzzDriftDetector -fuzztime=5m ./internal/adapt/
@@ -48,6 +50,7 @@ race:
 #   go test -fuzz=FuzzResourceMatchesReference -fuzztime=5m ./internal/sim/
 #   go test -fuzz=FuzzHistogramQuantileMatchesScan -fuzztime=5m ./internal/metrics/
 #   go test -fuzz=FuzzHistogramSmallMatchesDense -fuzztime=5m ./internal/metrics/
+#   go test -fuzz=FuzzSearchMatchesReference -fuzztime=5m ./internal/partition/
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFaultInjector -fuzztime=10s ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzReadSpansJSONL -fuzztime=10s ./internal/trace/
@@ -59,6 +62,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzResourceMatchesReference -fuzztime=10s ./internal/sim/
 	$(GO) test -run='^$$' -fuzz=FuzzHistogramQuantileMatchesScan -fuzztime=10s ./internal/metrics/
 	$(GO) test -run='^$$' -fuzz=FuzzHistogramSmallMatchesDense -fuzztime=10s ./internal/metrics/
+	$(GO) test -run='^$$' -fuzz=FuzzSearchMatchesReference -fuzztime=10s ./internal/partition/
 
 # Everything CI runs, in order: the gates plus the determinism diffs.
 ci: build vet fmt test race fuzz determinism metrics-golden spans-golden serve-smoke

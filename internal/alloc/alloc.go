@@ -82,6 +82,16 @@ type Allocator struct {
 	gbFull float64
 }
 
+// rung holds the values of one memory size that do not depend on the
+// request, each computed exactly as Config.ExecTime, expectedCold and
+// PriceTable.Bill compute it from the size.
+type rung struct {
+	mem   int64
+	gb    float64      // mem in GB
+	share float64      // vCPUs, Config.CPUShare(mem)
+	cold  sim.Duration // mean cold start, expectedCold(mem)
+}
+
 // New returns an allocator for the given platform configuration. It panics
 // if the configuration is invalid.
 func New(cfg serverless.Config) *Allocator {
@@ -106,35 +116,39 @@ func (a *Allocator) expectedCold(memBytes int64) sim.Duration {
 	return sim.Duration(a.coldMean + cs.PerGBExtra*float64(memBytes)/float64(model.GB))
 }
 
-// task returns the request as the task the platform model prices.
-func (r *Request) task() model.Task {
-	return model.Task{
-		Cycles:           r.Cycles,
-		ParallelFraction: r.ParallelFraction,
-		MemoryBytes:      r.MemoryFloorBytes,
+// newRung builds the record of a memory size, on the ladder or off it.
+func (a *Allocator) newRung(memBytes int64) rung {
+	return rung{
+		mem:   memBytes,
+		gb:    float64(memBytes) / float64(model.GB),
+		share: a.cfg.CPUShare(memBytes),
+		cold:  a.expectedCold(memBytes),
 	}
 }
 
 // Evaluate computes the expected time and cost of serving the request with
 // the given memory size.
 func (a *Allocator) Evaluate(req Request, memBytes int64) Decision {
-	task := req.task()
-	return a.evaluate(&req, &task, memBytes)
+	r := a.newRung(memBytes)
+	return a.evaluate(&req, req.Cycles/a.cfg.BaselineHz, &r)
 }
 
-// evaluate is Evaluate for a task already built from req.
-func (a *Allocator) evaluate(req *Request, task *model.Task, memBytes int64) Decision {
-	exec := a.cfg.ExecTime(task, memBytes)
-	cold := a.expectedCold(memBytes)
-	expTime := exec + sim.Duration(req.ColdStartProb*float64(cold))
+// evaluate prices req at rung r, given serial = Cycles/BaselineHz, through
+// the platform's own rules (serverless.RunTime and PriceTable.BillGB) on
+// r's precomputed values, so every float equals what Config.ExecTime and
+// PriceTable.Bill return for r's size, bit for bit.
+func (a *Allocator) evaluate(req *Request, serial float64, r *rung) Decision {
+	exec := serverless.RunTime(serial, req.ParallelFraction,
+		a.cfg.PressureSlowdown(req.MemoryFloorBytes, r.mem), r.share)
+	expTime := exec + sim.Duration(req.ColdStartProb*float64(r.cold))
 	// Expected bill: cold invocations are billed for init + run.
-	cost := req.ColdStartProb*a.cfg.Price.Bill(memBytes, cold+exec) +
-		(1-req.ColdStartProb)*a.cfg.Price.Bill(memBytes, exec)
+	cost := req.ColdStartProb*a.cfg.Price.BillGB(r.gb, r.cold+exec, 1) +
+		(1-req.ColdStartProb)*a.cfg.Price.BillGB(r.gb, exec, 1)
 	d := Decision{
-		MemoryBytes:     memBytes,
+		MemoryBytes:     r.mem,
 		ExpectedTime:    expTime,
 		ExpectedCostUSD: cost,
-		Feasible:        memBytes >= req.MemoryFloorBytes,
+		Feasible:        r.mem >= req.MemoryFloorBytes,
 	}
 	if req.TimeBudget > 0 && expTime > req.TimeBudget {
 		d.Feasible = false
@@ -142,19 +156,18 @@ func (a *Allocator) evaluate(req *Request, task *model.Task, memBytes int64) Dec
 	return d
 }
 
-// lowerBound returns a bound on the expected cost of serving req at
-// memBytes or at any larger size, given serial = Cycles/BaselineHz:
+// lowerBound returns a bound on the expected cost of serving req at rung r
+// or at any larger size, given serial = Cycles/BaselineHz:
 //
-//	PerRequest + PerGBSecond·(serial·((1−p)·gb + p·gbFull) + pc·gb·cold(memBytes))
+//	PerRequest + PerGBSecond·(serial·((1−p)·gb + p·gbFull) + pc·gb·cold(r))
 //
 // The warm bill gb·exec is at least serial·((1−p)·gb + p·gbFull) at every
 // size, because the pressure slowdown is at least 1 and gb/share is at
 // least gbFull; a bill never charges less than the run it covers. Every
-// term is non-negative and non-decreasing in memBytes, so the bound is too.
-func (a *Allocator) lowerBound(req *Request, serial float64, memBytes int64) float64 {
-	gb := float64(memBytes) / float64(model.GB)
+// term is non-negative and non-decreasing in the size, so the bound is too.
+func (a *Allocator) lowerBound(req *Request, serial float64, r *rung) float64 {
 	p := req.ParallelFraction
-	gbSec := serial*((1-p)*gb+p*a.gbFull) + req.ColdStartProb*gb*float64(a.expectedCold(memBytes))
+	gbSec := serial*((1-p)*r.gb+p*a.gbFull) + req.ColdStartProb*r.gb*float64(r.cold)
 	return a.cfg.Price.PerRequestUSD + a.cfg.Price.PerGBSecondUSD*gbSec
 }
 
@@ -164,10 +177,11 @@ func (a *Allocator) Sweep(req Request) ([]Decision, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	task := req.task()
+	serial := req.Cycles / a.cfg.BaselineHz
 	out := make([]Decision, a.cfg.LadderLen())
 	for i := range out {
-		out[i] = a.evaluate(&req, &task, a.cfg.Rung(i))
+		r := a.newRung(a.cfg.Rung(i))
+		out[i] = a.evaluate(&req, serial, &r)
 	}
 	return out, nil
 }
@@ -186,18 +200,17 @@ func (a *Allocator) Choose(req Request) (Decision, error) {
 	if err := req.Validate(); err != nil {
 		return Decision{}, err
 	}
-	task := req.task()
 	serial := req.Cycles / a.cfg.BaselineHz
 	var best Decision
 	haveBest := false
 	var fastest Decision
 	haveFastest := false
 	for i, n := a.firstRung(req.MemoryFloorBytes), a.cfg.LadderLen(); i < n; i++ {
-		m := a.cfg.Rung(i)
-		if haveBest && a.lowerBound(&req, serial, m)*(1-1e-9) > best.ExpectedCostUSD {
+		r := a.newRung(a.cfg.Rung(i))
+		if haveBest && a.lowerBound(&req, serial, &r)*(1-1e-9) > best.ExpectedCostUSD {
 			break
 		}
-		d := a.evaluate(&req, &task, m)
+		d := a.evaluate(&req, serial, &r)
 		if !haveFastest || d.ExpectedTime < fastest.ExpectedTime {
 			fastest, haveFastest = d, true
 		}

@@ -228,11 +228,68 @@ func TestEvaluateTimeMonotoneNonIncreasingInMemory(t *testing.T) {
 	}
 }
 
+// refEvaluate is evaluate as it was before rung records, kept verbatim
+// as the reference for the sizing arithmetic: it prices a size through
+// Config.ExecTime and PriceTable.Bill, recomputing everything per size.
+func refEvaluate(a *Allocator, req *Request, memBytes int64) Decision {
+	task := model.Task{
+		Cycles:           req.Cycles,
+		ParallelFraction: req.ParallelFraction,
+		MemoryBytes:      req.MemoryFloorBytes,
+	}
+	exec := a.cfg.ExecTime(&task, memBytes)
+	cold := refExpectedCold(a, memBytes)
+	expTime := exec + sim.Duration(req.ColdStartProb*float64(cold))
+	// Expected bill: cold invocations are billed for init + run.
+	cost := req.ColdStartProb*a.cfg.Price.Bill(memBytes, cold+exec) +
+		(1-req.ColdStartProb)*a.cfg.Price.Bill(memBytes, exec)
+	d := Decision{
+		MemoryBytes:     memBytes,
+		ExpectedTime:    expTime,
+		ExpectedCostUSD: cost,
+		Feasible:        memBytes >= req.MemoryFloorBytes,
+	}
+	if req.TimeBudget > 0 && expTime > req.TimeBudget {
+		d.Feasible = false
+	}
+	return d
+}
+
+// refExpectedCold is expectedCold, kept verbatim for refEvaluate.
+func refExpectedCold(a *Allocator, memBytes int64) sim.Duration {
+	cs := a.cfg.ColdStart
+	if cs.MedianSec == 0 {
+		return 0
+	}
+	return sim.Duration(a.coldMean + cs.PerGBExtra*float64(memBytes)/float64(model.GB))
+}
+
+// refSweep is Sweep through refEvaluate.
+func refSweep(a *Allocator, req Request) ([]Decision, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	out := make([]Decision, a.cfg.LadderLen())
+	for i := range out {
+		out[i] = refEvaluate(a, &req, a.cfg.Rung(i))
+	}
+	return out, nil
+}
+
+// sameDecision reports whether two decisions agree in every field, the
+// floats bit for bit.
+func sameDecision(x, y Decision) bool {
+	return x.MemoryBytes == y.MemoryBytes && x.Feasible == y.Feasible &&
+		math.Float64bits(float64(x.ExpectedTime)) == math.Float64bits(float64(y.ExpectedTime)) &&
+		math.Float64bits(x.ExpectedCostUSD) == math.Float64bits(y.ExpectedCostUSD)
+}
+
 // chooseBySweep is the reference selection Choose must reproduce: scan the
-// whole Sweep in ascending memory, skip sizes below the floor, keep the
-// fastest, and keep the cheapest feasible with ties toward smaller memory.
+// whole reference sweep in ascending memory, skip sizes below the floor,
+// keep the fastest, and keep the cheapest feasible with ties toward
+// smaller memory.
 func chooseBySweep(a *Allocator, req Request) (Decision, error) {
-	decisions, err := a.Sweep(req)
+	decisions, err := refSweep(a, req)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -256,6 +313,44 @@ func chooseBySweep(a *Allocator, req Request) (Decision, error) {
 		return fastest, nil
 	}
 	return Decision{}, fmt.Errorf("reference: floor %d above every ladder size", req.MemoryFloorBytes)
+}
+
+// checkSizingMatchesReference holds Sweep at every rung, and Evaluate on
+// and off the ladder, to refEvaluate in every field, bit for bit.
+func checkSizingMatchesReference(t *testing.T, a *Allocator, platform string, req Request) {
+	t.Helper()
+	got, gotErr := a.Sweep(req)
+	want, wantErr := refSweep(a, req)
+	if (gotErr != nil) != (wantErr != nil) || len(got) != len(want) {
+		t.Fatalf("%s %+v: Sweep returned %d decisions (error %v), reference %d (error %v)",
+			platform, req, len(got), gotErr, len(want), wantErr)
+	}
+	for i := range got {
+		if !sameDecision(got[i], want[i]) {
+			t.Fatalf("%s %+v: Sweep rung %d = %+v, reference = %+v", platform, req, i, got[i], want[i])
+		}
+	}
+	cfg := &a.cfg
+	sizes := []int64{
+		1,
+		cfg.MinMemory - 1,
+		cfg.MinMemory,
+		cfg.MinMemory + cfg.MemoryStep/3,
+		cfg.Rung(cfg.LadderLen()/2) + 1,
+		cfg.MaxMemory,
+		cfg.MaxMemory + cfg.MemoryStep/2,
+		cfg.FullShareBytes,
+		req.MemoryFloorBytes,
+		req.MemoryFloorBytes + 1,
+	}
+	for _, m := range sizes {
+		if m <= 0 {
+			continue
+		}
+		if got, want := a.Evaluate(req, m), refEvaluate(a, &req, m); !sameDecision(got, want) {
+			t.Fatalf("%s %+v: Evaluate(%d) = %+v, reference = %+v", platform, req, m, got, want)
+		}
+	}
 }
 
 // TestChooseAlwaysMatchesSweepArgmin holds Choose to the reference
@@ -321,12 +416,13 @@ func budgets(t *testing.T, a *Allocator, req Request) []sim.Duration {
 
 func checkChooseMatchesReference(t *testing.T, a *Allocator, platform string, req Request) {
 	t.Helper()
+	checkSizingMatchesReference(t, a, platform, req)
 	got, gotErr := a.Choose(req)
 	want, wantErr := chooseBySweep(a, req)
 	if (gotErr != nil) != (wantErr != nil) {
 		t.Fatalf("%s %+v: Choose error %v, reference error %v", platform, req, gotErr, wantErr)
 	}
-	if got != want {
+	if !sameDecision(got, want) {
 		t.Fatalf("%s %+v: Choose = %+v, reference = %+v", platform, req, got, want)
 	}
 }
@@ -400,7 +496,8 @@ func cutRung(t testing.TB, a *Allocator, req Request) int {
 	serial := req.Cycles / a.cfg.BaselineHz
 	n := a.cfg.LadderLen()
 	for i := a.firstRung(req.MemoryFloorBytes); i < n; i++ {
-		if best.Feasible && a.lowerBound(&req, serial, a.cfg.Rung(i))*(1-1e-9) > best.ExpectedCostUSD {
+		r := a.newRung(a.cfg.Rung(i))
+		if best.Feasible && a.lowerBound(&req, serial, &r)*(1-1e-9) > best.ExpectedCostUSD {
 			return i
 		}
 	}
@@ -417,7 +514,8 @@ func TestChooseLowerBoundHolds(t *testing.T) {
 		n := a.cfg.LadderLen()
 		prev := math.Inf(-1)
 		for i := 0; i < n; i++ {
-			lb := a.lowerBound(&req, serial, a.cfg.Rung(i))
+			r := a.newRung(a.cfg.Rung(i))
+			lb := a.lowerBound(&req, serial, &r)
 			if lb < prev {
 				t.Fatalf("%s %+v: bound falls from %g to %g at rung %d", name, req, prev, lb, i)
 			}

@@ -18,25 +18,21 @@ func BruteForce(g *callgraph.Graph, m CostModel) (Result, error) {
 	if err := precheck(g, m); err != nil {
 		return Result{}, err
 	}
-	var free []int // non-pinned component indices
-	for i := 0; i < g.Len(); i++ {
-		if !g.Component(callgraph.ComponentID(i)).Pinned {
-			free = append(free, i)
-		}
-	}
+	free := freeComponents(g)
 	if len(free) > BruteForceLimit {
 		return Result{}, fmt.Errorf("partition: brute force over %d free components (limit %d)",
 			len(free), BruteForceLimit)
 	}
+	ev := newEvaluator(g, m)
 	best := AllLocal(g)
-	bestObj := Objective(g, m, best)
+	bestObj := ev.objective(best)
 	evals := 1
 	a := AllLocal(g)
 	for mask := uint64(1); mask < uint64(1)<<len(free); mask++ {
 		for bit, idx := range free {
 			a[idx] = mask&(1<<bit) != 0
 		}
-		if obj := Objective(g, m, a); obj < bestObj {
+		if obj := ev.objective(a); obj < bestObj {
 			bestObj = obj
 			best = a.Clone()
 		}
@@ -99,24 +95,27 @@ func Greedy(g *callgraph.Graph, m CostModel) (Result, error) {
 	if err := precheck(g, m); err != nil {
 		return Result{}, err
 	}
+	ev := newEvaluator(g, m)
+	return greedy(g, &ev, freeComponents(g)), nil
+}
+
+// greedy is Greedy over a checked graph's evaluator and free components.
+func greedy(g *callgraph.Graph, ev *evaluator, free []int) Result {
 	a := AllLocal(g)
-	obj := Objective(g, m, a)
+	obj := ev.objective(a)
 	evals := 1
 	for {
 		bestIdx, bestObj := -1, obj
-		for i := 0; i < g.Len(); i++ {
-			if g.Component(callgraph.ComponentID(i)).Pinned {
-				continue
-			}
+		for _, i := range free {
 			a[i] = !a[i]
-			if cand := Objective(g, m, a); cand < bestObj {
+			if cand := ev.objective(a); cand < bestObj {
 				bestObj, bestIdx = cand, i
 			}
 			a[i] = !a[i]
 			evals++
 		}
 		if bestIdx < 0 {
-			return Result{Algorithm: "greedy", Assignment: a, Objective: obj, Evaluations: evals}, nil
+			return Result{Algorithm: "greedy", Assignment: a, Objective: obj, Evaluations: evals}
 		}
 		a[bestIdx] = !a[bestIdx]
 		obj = bestObj
@@ -146,16 +145,9 @@ func Anneal(g *callgraph.Graph, m CostModel, src *rng.Source, cfg AnnealConfig) 
 	if cfg.Iterations <= 0 || cfg.StartTemp <= 0 || cfg.Cooling <= 0 || cfg.Cooling >= 1 {
 		return Result{}, fmt.Errorf("partition: bad anneal config %+v", cfg)
 	}
-	seedRes, err := Greedy(g, m)
-	if err != nil {
-		return Result{}, err
-	}
-	var free []int
-	for i := 0; i < g.Len(); i++ {
-		if !g.Component(callgraph.ComponentID(i)).Pinned {
-			free = append(free, i)
-		}
-	}
+	ev := newEvaluator(g, m)
+	free := freeComponents(g)
+	seedRes := greedy(g, &ev, free)
 	cur := seedRes.Assignment.Clone()
 	curObj := seedRes.Objective
 	best := cur.Clone()
@@ -170,7 +162,7 @@ func Anneal(g *callgraph.Graph, m CostModel, src *rng.Source, cfg AnnealConfig) 
 	for it := 0; it < cfg.Iterations; it++ {
 		idx := free[src.Intn(len(free))]
 		cur[idx] = !cur[idx]
-		cand := Objective(g, m, cur)
+		cand := ev.objective(cur)
 		evals++
 		delta := cand - curObj
 		if delta <= 0 || src.Float64() < math.Exp(-delta/temp) {
@@ -192,6 +184,18 @@ func precheck(g *callgraph.Graph, m CostModel) error {
 		return err
 	}
 	return m.Validate()
+}
+
+// freeComponents lists the unpinned component indices in graph order: the
+// only components a searcher flips.
+func freeComponents(g *callgraph.Graph) []int {
+	free := make([]int, 0, g.Len())
+	for i := 0; i < g.Len(); i++ {
+		if !g.Component(callgraph.ComponentID(i)).Pinned {
+			free = append(free, i)
+		}
+	}
+	return free
 }
 
 // flowNet is a Dinic max-flow network over float64 capacities.

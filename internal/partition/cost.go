@@ -153,6 +153,65 @@ func Objective(g *callgraph.Graph, m CostModel, a Assignment) float64 {
 	return total
 }
 
+// evaluator is one (graph, model) pair flattened for a search: the
+// component and edge costs Objective derives on every call, computed once.
+// Its objective adds the same terms in the same order as Objective, so the
+// two agree bit for bit on every assignment a searcher produces.
+type evaluator struct {
+	local, remote []float64 // per-component cost on each side
+	infeasible    []bool    // remote placement exceeds MaxRemoteMemory
+	from, to      []callgraph.ComponentID
+	cut           []float64 // per-edge cost when the edge crosses the cut
+}
+
+func newEvaluator(g *callgraph.Graph, m CostModel) evaluator {
+	n, ne := g.Len(), g.NumEdges()
+	costs := make([]float64, 2*n+ne)
+	ends := make([]callgraph.ComponentID, 2*ne)
+	ev := evaluator{
+		local:      costs[:n:n],
+		remote:     costs[n : 2*n : 2*n],
+		infeasible: make([]bool, n),
+		from:       ends[:ne:ne],
+		to:         ends[ne:],
+		cut:        costs[2*n:],
+	}
+	for i := 0; i < n; i++ {
+		c := g.Component(callgraph.ComponentID(i))
+		ev.local[i] = m.LocalCost(c)
+		ev.remote[i] = m.RemoteCost(c)
+		ev.infeasible[i] = !m.RemoteFeasible(c)
+	}
+	for i := 0; i < ne; i++ {
+		e := g.Edge(i)
+		ev.from[i], ev.to[i], ev.cut[i] = e.From, e.To, m.CutCost(e)
+	}
+	return ev
+}
+
+// objective returns Objective(g, m, a) for an assignment that Valid
+// accepts for g. The searchers start from such an assignment and flip only
+// unpinned components, so they skip Objective's validity check.
+func (ev *evaluator) objective(a Assignment) float64 {
+	total := 0.0
+	for i, remote := range a {
+		if remote {
+			if ev.infeasible[i] {
+				return math.Inf(1)
+			}
+			total += ev.remote[i]
+		} else {
+			total += ev.local[i]
+		}
+	}
+	for i, from := range ev.from {
+		if a[from] != a[ev.to[i]] {
+			total += ev.cut[i]
+		}
+	}
+	return total
+}
+
 // AllLocal returns the assignment that keeps everything on the device.
 func AllLocal(g *callgraph.Graph) Assignment {
 	return make(Assignment, g.Len())

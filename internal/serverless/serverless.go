@@ -125,7 +125,7 @@ func (p PriceTable) NextOffPeakStart(at sim.Time) sim.Time {
 // memBytes of memory that ran for d. Planners use it as the conservative
 // (worst-case) price; BillAt applies the time-of-day schedule.
 func (p PriceTable) Bill(memBytes int64, d sim.Duration) float64 {
-	return p.billWith(memBytes, d, 1)
+	return p.BillGB(float64(memBytes)/float64(model.GB), d, 1)
 }
 
 // BillAt returns the charge with the time-of-day discount that applies at
@@ -135,17 +135,21 @@ func (p PriceTable) BillAt(memBytes int64, d sim.Duration, at sim.Time) float64 
 	if p.InOffPeak(at) {
 		factor = p.OffPeakFactor
 	}
-	return p.billWith(memBytes, d, factor)
+	return p.BillGB(float64(memBytes)/float64(model.GB), d, factor)
 }
 
-func (p PriceTable) billWith(memBytes int64, d sim.Duration, factor float64) float64 {
+// BillGB returns the charge for one invocation of a function with gb GB of
+// memory that ran for d, at factor times the peak rate. Bill and BillAt
+// are BillGB on the size in GB; callers that price one size many times
+// convert it once. The pointer receiver spares such a caller a copy of the
+// table on every call.
+func (p *PriceTable) BillGB(gb float64, d sim.Duration, factor float64) float64 {
 	billed := d
 	if billed < p.MinBilled {
 		billed = p.MinBilled
 	}
 	units := math.Ceil(float64(billed) / float64(p.Granularity))
 	billedSec := units * float64(p.Granularity)
-	gb := float64(memBytes) / float64(model.GB)
 	return p.PerRequestUSD + gb*billedSec*p.PerGBSecondUSD*factor
 }
 
@@ -336,7 +340,7 @@ func (c *Config) Rung(i int) int64 {
 // CPUShare returns the number of vCPUs a function with memBytes receives.
 func (c *Config) CPUShare(memBytes int64) float64 {
 	share := float64(memBytes) / float64(c.FullShareBytes)
-	return math.Min(share, c.MaxShare)
+	return min(share, c.MaxShare)
 }
 
 // PressureSlowdown returns the execution-time multiplier from memory
@@ -363,15 +367,19 @@ func (c *Config) PressureSlowdown(workingSet, memBytes int64) float64 {
 // memory: linear slowdown below one vCPU, Amdahl-limited speedup above
 // it, and a memory-pressure penalty when the working set barely fits.
 func (c *Config) ExecTime(task *model.Task, memBytes int64) sim.Duration {
-	share := c.CPUShare(memBytes)
-	serialTime := task.Cycles / c.BaselineHz
-	slow := c.PressureSlowdown(task.MemoryBytes, memBytes)
+	return RunTime(task.Cycles/c.BaselineHz, task.ParallelFraction,
+		c.PressureSlowdown(task.MemoryBytes, memBytes), c.CPUShare(memBytes))
+}
+
+// RunTime is ExecTime's rule on precomputed inputs: work that takes serial
+// seconds on one baseline vCPU, with Amdahl parallel fraction p, runs on
+// share vCPUs under a pressure slowdown of slow.
+func RunTime(serial, p, slow, share float64) sim.Duration {
 	if share <= 1 {
-		return sim.Duration(serialTime * slow / share)
+		return sim.Duration(serial * slow / share)
 	}
-	p := task.ParallelFraction
 	speedup := 1 / ((1 - p) + p/share)
-	return sim.Duration(serialTime * slow / speedup)
+	return sim.Duration(serial * slow / speedup)
 }
 
 // Platform is a live serverless region bound to a simulation engine.
