@@ -82,6 +82,8 @@ func TestFaultsErrors(t *testing.T) {
 		body string
 	}{
 		{"unknown field", `{"Typo": 1}`},
+		{"inter-region link", `{"Regions": {"VM": "west", "Link": {"RTT": 1}}}`},
+		{"ladder queue bound", `{"Regions": {"VM": "west", "Failover": {"Ladder": {"MaxQueue": 8}}}}`},
 		{"invalid fault config", `{"Fault": {"FailureRate": 2}}`},
 		{"unnamed schedule", `{"Regions": {"VM": "west", "Schedules": [{"Outages": [{"Start": 1, "Duration": 1}]}]}}`},
 		{"orphan schedule", `{"Regions": {"VM": "west", "Schedules": [{"Region": "east", "Outages": [{"Start": 1, "Duration": 1}]}]}}`},

@@ -45,6 +45,9 @@ func FuzzChooseMatchesSweep(f *testing.F) {
 		if coldModel&2 != 0 {
 			cfg.ColdStart.MedianSec = 0
 		}
+		if cfg.Validate() != nil {
+			t.Skip("platform rejected by Validate")
+		}
 		req := Request{
 			Cycles:           cycles,
 			ParallelFraction: pf,

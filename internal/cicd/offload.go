@@ -73,22 +73,13 @@ type Build struct {
 	Cost     partition.CostModel
 
 	// ProfileRuns is the number of measured executions per component
-	// (default 30); ProfileRunTime is the virtual time each takes
-	// (default 2 s).
-	ProfileRuns    int
-	ProfileRunTime sim.Duration
+	// (default 30); each takes profileRunTime.
+	ProfileRuns int
 
 	Canary CanarySpec
 
 	// Previous is the last known-good manifest; rollback re-deploys it.
 	Previous *Manifest
-
-	// ProfileCache, when set, makes the profile stage incremental: only
-	// components listed in Changed (or missing from the cache) are
-	// re-measured, and the stage's duration scales accordingly. This is
-	// the iteration speed-up a per-commit pipeline needs.
-	ProfileCache *profile.Catalog
-	Changed      []string
 
 	// InjectRegression inflates the true demand seen by canary traffic by
 	// this fraction — the E8 knob that forces an SLO violation.
@@ -111,6 +102,8 @@ const (
 	releaseTime   = 10.0
 	rollbackTime  = 12.0
 	partitionTime = 2.0
+
+	profileRunTime = 2.0 // per measured execution
 )
 
 // Pipeline assembles the stage DAG.
@@ -144,10 +137,6 @@ func (b *Build) Pipeline() (*Pipeline, error) {
 	if runs <= 0 {
 		runs = 30
 	}
-	perRun := b.ProfileRunTime
-	if perRun <= 0 {
-		perRun = 2
-	}
 	meter := b.Meter
 	if meter == nil {
 		meter = profile.NewMeter(nil, 0)
@@ -157,7 +146,7 @@ func (b *Build) Pipeline() (*Pipeline, error) {
 		Name:  "profile",
 		Needs: []string{"build"},
 		Execute: func(px *Exec, done func(error)) {
-			cat, reprofiled, err := profile.UpdateCatalog(b.ProfileCache, b.App, meter, runs, b.Changed)
+			cat, err := profile.BuildCatalog(b.App, meter, runs)
 			if err != nil {
 				px.Eng.After(0, func() { done(err) })
 				return
@@ -169,8 +158,10 @@ func (b *Build) Pipeline() (*Pipeline, error) {
 			}
 			px.Ctx.Set(KeyCatalog, cat)
 			px.Ctx.Set(KeyEstimated, est)
-			// Stage time scales with how much actually needed measuring.
-			perComponent := float64(perRun) * float64(runs) / float64(b.App.Len())
+			// Per-component time × components measured: E8's figures
+			// depend on this rounding.
+			reprofiled := b.App.Len()
+			perComponent := profileRunTime * float64(runs) / float64(reprofiled)
 			px.Eng.After(sim.Duration(perComponent*float64(reprofiled)), func() { done(nil) })
 		},
 	})

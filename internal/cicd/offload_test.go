@@ -220,35 +220,6 @@ func TestCanaryRegressionTriggersRollback(t *testing.T) {
 	}
 }
 
-func TestIncrementalProfilingShortensPipeline(t *testing.T) {
-	first := newTestBuild(t)
-	firstRep := runBuild(t, first)
-	if !firstRep.Succeeded() {
-		t.Fatal("first run failed")
-	}
-	fullProfile, _ := firstRep.Stage("profile")
-
-	// Re-run with a cache and a single changed component: the profile
-	// stage should take ~1/5 of the time.
-	cached := newTestBuild(t)
-	// Build the cache against the SAME graph the cached build profiles.
-	cat, err := profile.BuildCatalog(cached.App, cached.Meter, cached.ProfileRuns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached.ProfileCache = cat
-	cached.Changed = []string{"aggregate"}
-	cachedRep := runBuild(t, cached)
-	if !cachedRep.Succeeded() {
-		t.Fatalf("cached run failed: %+v", cachedRep.Results)
-	}
-	incProfile, _ := cachedRep.Stage("profile")
-	if incProfile.Duration() >= fullProfile.Duration()/2 {
-		t.Fatalf("incremental profile (%v) not much shorter than full (%v)",
-			incProfile.Duration(), fullProfile.Duration())
-	}
-}
-
 func TestBuildValidation(t *testing.T) {
 	if _, err := (&Build{}).Pipeline(); err == nil {
 		t.Error("build without app accepted")

@@ -51,7 +51,7 @@ var configRules = []struct {
 	{fleets, "DAG jobs unsupported", func(c Config) bool { return c.DAG != nil }},
 	{scopeSharded, "Adapt unsupported", func(c Config) bool { return c.Adapt != nil }},
 	{scopeSharded, "bandit policies unsupported", func(c Config) bool { return c.Policy == PolicyBanditUCB || c.Policy == PolicyBanditGreedy }},
-	{allScopes &^ scopeSharded, "sharding unsupported", func(c Config) bool { return c.ShardCount > 1 || c.ShardInterval > 0 }},
+	{allScopes &^ scopeSharded, "sharding unsupported", func(c Config) bool { return c.ShardCount > 1 }},
 
 	{allScopes, "Batch and OffPeakShift are mutually exclusive", func(c Config) bool { return c.Batch != nil && c.OffPeakShift }},
 	{allScopes, "DAG is mutually exclusive with Batch and OffPeakShift", func(c Config) bool { return c.DAG != nil && (c.Batch != nil || c.OffPeakShift) }},
@@ -64,7 +64,10 @@ var configRules = []struct {
 	{allScopes, "Regions.Edge named without an edge site", func(c Config) bool { return c.Regions != nil && c.Regions.Edge != "" && c.Edge == nil }},
 	{allScopes, "Regions.Serverless named without serverless", func(c Config) bool { return c.Regions != nil && c.Regions.Serverless != "" && c.Serverless == nil }},
 	{allScopes, "Regions.VM named without a VM fleet", func(c Config) bool { return c.Regions != nil && c.Regions.VM != "" && c.VM == nil }},
-	{allScopes, "negative ShardCount or ShardInterval", func(c Config) bool { return c.ShardCount < 0 || c.ShardInterval < 0 }},
+	{allScopes, "negative ShardCount", func(c Config) bool { return c.ShardCount < 0 }},
+	{allScopes, "retry backoff or jitter without Retries > 1", func(c Config) bool {
+		return c.Retries <= 1 && (c.RetryBackoff != 0 || c.RetryMaxBackoff != 0 || c.RetryJitter)
+	}},
 }
 
 // check validates the configuration for one constructor's scope.

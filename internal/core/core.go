@@ -105,7 +105,8 @@ type Config struct {
 	// failures: total attempts per task (values <= 1 disable retries),
 	// with exponential backoff starting at RetryBackoff, capped at
 	// RetryMaxBackoff (zero leaves it uncapped). RetryJitter draws each
-	// delay uniformly from [0, backoff) on a dedicated rng stream.
+	// delay uniformly from [0, backoff) on a dedicated rng stream. The
+	// three knobs are rejected unless Retries > 1.
 	Retries         int
 	RetryBackoff    sim.Duration
 	RetryMaxBackoff sim.Duration
@@ -160,21 +161,16 @@ type Config struct {
 	// 0 and 1 both mean one shard. Results are byte-identical at every
 	// shard count: the sharded fleet keys all randomness per UE, never
 	// per shard. NewSystem, NewServer and NewFleet reject a count above
-	// one and a nonzero ShardInterval.
+	// one.
 	ShardCount int
-
-	// ShardInterval is the conservative-barrier epoch width in simulated
-	// seconds: cross-shard messages (remote executions and their
-	// replies) are delivered at the next multiple of it. Zero takes
-	// DefaultShardInterval. Smaller intervals tighten the feedback
-	// latency quantisation; larger ones amortise barrier overhead.
-	ShardInterval sim.Duration
 }
 
-// DefaultShardInterval is the ShardInterval a sharded fleet uses when the
-// configuration leaves it zero: half a simulated second, well under the
-// seconds-scale transfer+execution times of the workload mix, so barrier
-// quantisation is negligible against non-time-critical deadlines.
+// DefaultShardInterval is the sharded fleet's conservative-barrier epoch
+// width: cross-shard messages (remote executions and their replies) are
+// delivered at the next multiple of it. Half a simulated second is well
+// under the seconds-scale transfer+execution times of the workload mix,
+// so barrier quantisation is negligible against non-time-critical
+// deadlines.
 const DefaultShardInterval sim.Duration = 0.5
 
 // RegionsConfig places the remote substrates on a map of named regions,
@@ -187,18 +183,14 @@ type RegionsConfig struct {
 	Serverless string
 	VM         string
 
-	// Link models the inter-region backbone re-homed state crosses. The
-	// zero value takes model.DefaultInterRegionLink.
-	Link model.InterRegionLink
-
 	// Schedules lists correlated fault schedules, one per region. Every
 	// substrate homed in a scheduled region gets a regional injector
 	// (chained in front of its own fault model) built from the schedule.
 	Schedules []fault.RegionSchedule
 
 	// Failover, when non-nil, enables the scheduler's regional failover
-	// layer (see sched.Failover); its Regions map and Link are filled in
-	// from this config when left unset.
+	// layer (see sched.Failover); its Regions map is filled in from this
+	// config when left unset.
 	Failover *sched.Failover
 }
 
@@ -216,8 +208,8 @@ func (rc *RegionsConfig) regionOf(p model.Placement) string {
 }
 
 // failover returns the failover layer's configuration with its Regions
-// map and Link filled in from this config where left unset. Failover
-// draws no randomness.
+// map filled in from this config when left unset. Failover draws no
+// randomness.
 func (rc *RegionsConfig) failover() sched.Failover {
 	fo := *rc.Failover
 	if fo.Regions == nil {
@@ -227,9 +219,6 @@ func (rc *RegionsConfig) failover() sched.Failover {
 				fo.Regions[p] = name
 			}
 		}
-	}
-	if fo.Link == (model.InterRegionLink{}) {
-		fo.Link = rc.Link
 	}
 	return fo
 }

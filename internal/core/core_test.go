@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"offload/internal/callgraph"
@@ -52,6 +53,38 @@ func TestNewSystemValidation(t *testing.T) {
 	cfg.ShardCount = 2
 	if _, err := NewSystem(cfg); err == nil {
 		t.Error("sharded config accepted")
+	}
+}
+
+// TestRetryKnobsNeedRetries: a retry backoff, cap or jitter is rejected
+// unless Retries > 1, where it takes effect.
+func TestRetryKnobsNeedRetries(t *testing.T) {
+	knobs := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"backoff", func(c *Config) { c.RetryBackoff = 5 }},
+		{"max backoff", func(c *Config) { c.RetryMaxBackoff = 30 }},
+		{"jitter", func(c *Config) { c.RetryJitter = true }},
+	}
+	for _, k := range knobs {
+		for _, retries := range []int{0, 1} {
+			cfg := DefaultConfig()
+			cfg.Retries = retries
+			k.set(&cfg)
+			if _, err := NewSystem(cfg); err == nil || !strings.Contains(err.Error(), "without Retries > 1") {
+				t.Errorf("%s with Retries=%d: err = %v, want the retry rule", k.name, retries, err)
+			}
+			if _, err := NewFleet(cfg, 2); err == nil {
+				t.Errorf("%s with Retries=%d: NewFleet accepted", k.name, retries)
+			}
+		}
+		cfg := DefaultConfig()
+		cfg.Retries = 2
+		k.set(&cfg)
+		if _, err := NewSystem(cfg); err != nil {
+			t.Errorf("%s with Retries=2: %v", k.name, err)
+		}
 	}
 }
 

@@ -22,8 +22,7 @@ type DeployOptions struct {
 	CloudPath  network.Config
 	Weights    Weights
 
-	ProfileRuns  int
-	ProfileNoise float64
+	ProfileRuns int
 
 	// CanaryInvocations per deployed function; zero disables the canary.
 	CanaryInvocations int
@@ -72,17 +71,13 @@ func RunDeployPipeline(g *callgraph.Graph, opts DeployOptions) (DeployResult, er
 	if opts.CanarySLOFactor == 0 {
 		opts.CanarySLOFactor = 2
 	}
-	noise := opts.ProfileNoise
-	if noise == 0 {
-		noise = 0.05
-	}
 
 	eng := sim.NewEngine()
 	platform := serverless.NewPlatform(eng, rng.New(opts.Seed), opts.Serverless)
 	build := &cicd.Build{
 		App:      g,
 		Platform: platform,
-		Meter:    profile.NewMeter(rng.New(opts.Seed+1), noise),
+		Meter:    profile.NewMeter(rng.New(opts.Seed+1), 0.05),
 		Cost: CostModelFor(opts.Device, opts.Serverless,
 			opts.Serverless.FullShareBytes, opts.CloudPath, opts.Weights),
 		ProfileRuns:      opts.ProfileRuns,

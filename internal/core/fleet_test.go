@@ -47,7 +47,6 @@ func TestFleetRejectsUnsupported(t *testing.T) {
 		{"vm fault", func(c *Config) { c.VMFault = &fault.Config{} }},
 		{"dag", func(c *Config) { c.DAG = &DAGConfig{} }},
 		{"shards", func(c *Config) { c.ShardCount = 2 }},
-		{"shard interval", func(c *Config) { c.ShardInterval = 1 }},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

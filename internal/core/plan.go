@@ -61,10 +61,6 @@ type PlanOptions struct {
 	ProfileRuns  int     // default 30
 	ProfileNoise float64 // relative measurement noise, default 0.05
 	Seed         uint64
-
-	// MemoryHint anchors the remote CPU speed in the cost model before
-	// per-component allocation happens; default is the full-share size.
-	MemoryHint int64
 }
 
 // Plan is the offline artefact for one application: what to offload, how
@@ -108,10 +104,6 @@ func PlanApp(g *callgraph.Graph, opts PlanOptions) (*Plan, error) {
 	if noise == 0 {
 		noise = 0.05
 	}
-	memHint := opts.MemoryHint
-	if memHint == 0 {
-		memHint = opts.Serverless.FullShareBytes
-	}
 
 	src := rng.New(opts.Seed + 0x9e37)
 	meter := profile.NewMeter(src, noise)
@@ -124,7 +116,8 @@ func PlanApp(g *callgraph.Graph, opts PlanOptions) (*Plan, error) {
 		return nil, err
 	}
 
-	cm := CostModelFor(opts.Device, opts.Serverless, memHint, opts.CloudPath, opts.Weights)
+	cm := CostModelFor(opts.Device, opts.Serverless,
+		opts.Serverless.FullShareBytes, opts.CloudPath, opts.Weights)
 	res, err := partition.MinCut(est, cm)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 
 	"offload/internal/model"
@@ -115,7 +114,7 @@ func NewShardedFleet(cfg Config, n int) (*ShardedFleet, error) {
 		return nil, err
 	}
 	shards := max(cfg.ShardCount, 1)
-	se := sim.NewSharded(shards, cmp.Or(cfg.ShardInterval, DefaultShardInterval))
+	se := sim.NewSharded(shards, DefaultShardInterval)
 	f := &ShardedFleet{SE: se, fleetUEs: newFleetUEs(&cfg, se.Hub(), n),
 		ueSrc: make([]*rng.Source, 0, n), policy: cfg.Policy}
 	f.sub.functions(rng.Fork(cfg.Seed, 0))

@@ -182,7 +182,6 @@ func TestShardedFleetRejectsUnsupported(t *testing.T) {
 		{"budget", func(c *Config) { c.DailyBudgetUSD = 1 }},
 		{"fault", func(c *Config) { c.Fault = &fault.Config{} }},
 		{"negative shards", func(c *Config) { c.ShardCount = -1 }},
-		{"negative interval", func(c *Config) { c.ShardInterval = -1 }},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

@@ -238,10 +238,7 @@ func nodeEstimates(job *Job, id NodeID, env *sched.Env, pred sched.Predictor) ma
 		}
 	}
 	if env.VM != nil {
-		path := env.VMPath
-		if path == nil {
-			path = env.CloudPath
-		}
+		path := env.CloudPath
 		ests[model.PlaceVM] = estimate{
 			up:   float64(path.EstimateTransfer(in, network.Uplink)),
 			exec: float64(env.VM.ExecTime(probe)),
@@ -278,11 +275,7 @@ func pathChannels(env *sched.Env) map[model.Placement]*pathChannel {
 	}
 	add(model.PlaceEdge, env.EdgePath)
 	add(model.PlaceFunction, env.CloudPath)
-	vmPath := env.VMPath
-	if vmPath == nil {
-		vmPath = env.CloudPath
-	}
-	add(model.PlaceVM, vmPath)
+	add(model.PlaceVM, env.CloudPath)
 	return channels
 }
 

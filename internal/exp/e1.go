@@ -65,7 +65,7 @@ func E1Placement(s Scale) ([]*metrics.Table, error) {
 			cfg := e1ConfigFor(policy)
 			cfg.Seed = s.Seed
 			cfg.ArrivalRateHint = e1Rate
-			res, err := runCell(s, cfg, mix, e1Rate)
+			res, err := runCell(s, cfg, mix, feed{rate: e1Rate})
 			if err != nil {
 				return nil, err
 			}

@@ -45,7 +45,7 @@ func E10PredictionError(s Scale) ([]*metrics.Table, error) {
 		// Let sizing keep chasing the (noisy) predictions, as a live
 		// deployment with continuous re-profiling would.
 		cfg.RedeployTolerance = 0.3
-		res, err := runCell(s, cfg, mix, e1Rate)
+		res, err := runCell(s, cfg, mix, feed{rate: e1Rate})
 		if err != nil {
 			return nil, err
 		}

@@ -50,7 +50,7 @@ func E11OffPeak(s Scale) ([]*metrics.Table, error) {
 			cfg.Serverless = &sl
 			cfg.ArrivalRateHint = e1Rate
 			cfg.OffPeakShift = shift
-			res, err := runCellAt(s, cfg, scaled, e1Rate, startAt)
+			res, err := runCell(s, cfg, scaled, feed{rate: e1Rate, startAt: startAt})
 			if err != nil {
 				return nil, err
 			}

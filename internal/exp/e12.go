@@ -39,8 +39,10 @@ func E12Failures(s Scale) ([]*metrics.Table, error) {
 			cfg.Serverless = &sl
 			cfg.ArrivalRateHint = e1Rate
 			cfg.Retries = attempts
-			cfg.RetryBackoff = 5
-			res, err := runCell(s, cfg, mix, e1Rate)
+			if attempts > 1 {
+				cfg.RetryBackoff = 5
+			}
+			res, err := runCell(s, cfg, mix, feed{rate: e1Rate})
 			if err != nil {
 				return nil, err
 			}

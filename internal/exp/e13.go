@@ -57,7 +57,7 @@ func E13DVFS(s Scale) ([]*metrics.Table, error) {
 			if mode.name == "local-dvfs" {
 				rate = e1Rate / 4
 			}
-			res, err := runCell(s, cfg, mix, rate)
+			res, err := runCell(s, cfg, mix, feed{rate: rate})
 			if err != nil {
 				return nil, err
 			}

@@ -97,13 +97,10 @@ func E17Resilience(s Scale) ([]*metrics.Table, error) {
 				StragglerProb: 0.05, StragglerFactor: 4, StragglerAlpha: 1.5,
 			}
 			strat.apply(&cfg)
-			sys, err := core.NewSystem(cfg)
-			if err != nil {
-				return nil, err
-			}
 			rec := &trace.Recorder{}
-			sys.Env.Events.Subscribe(rec)
-			res, err := driveCell(s, sys, mix, e17Rate, 0)
+			res, err := runCell(s, cfg, mix, feed{rate: e17Rate, setup: func(sys *core.System) {
+				sys.Env.Events.Subscribe(rec)
+			}})
 			if err != nil {
 				return nil, err
 			}

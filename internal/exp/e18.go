@@ -107,10 +107,14 @@ func E18Attribution(s Scale) ([]*metrics.Table, error) {
 	for _, cell := range cells {
 		cfg := baseCfg()
 		cell.apply(&cfg)
-		res, set, err := runCellSpans(s, "e18_"+cell.name, cfg, mix, e18Rate)
+		name := "e18_" + cell.name
+		res, err := runCell(s, cfg, mix, feed{rate: e18Rate, setup: func(sys *core.System) {
+			sys.EnableSpans().SetMeta(name, string(cfg.Policy))
+		}})
 		if err != nil {
 			return nil, err
 		}
+		set := res.system.SpanSet()
 		att := trace.Attribute(set)
 		outs[cell.name] = cellOut{att: att, waste: trace.ComputeWaste(set), stats: res.stats}
 		if g := att.Group("all"); g != nil {

@@ -174,46 +174,6 @@ func e19Cells() []e19Cell {
 	}
 }
 
-// e19RunCell builds a system, lets the cell drive it, and collects the
-// same aggregates as driveCell (Observation protocol included) plus the
-// per-task records the objective and the switch count read.
-func e19RunCell(s Scale, cfg core.Config, mix []workload.WeightedTemplate, cell e19Cell, horizon float64) (runResult, []trace.Record, error) {
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return runResult{}, nil, err
-	}
-	rec := &trace.Recorder{}
-	sys.Env.Events.Subscribe(rec)
-	var obs *core.Observer
-	if s.Obs != nil {
-		obs = s.Obs.attach(sys)
-	}
-	gen, err := workload.NewGenerator(sys.Src.Split(), mix)
-	if err != nil {
-		return runResult{}, nil, err
-	}
-	cell.drive(s, sys, gen, horizon)
-	sys.Run()
-	if s.Obs != nil {
-		if err := s.Obs.collect(obs, sys); err != nil {
-			return runResult{}, nil, err
-		}
-	}
-	res := runResult{
-		stats:     sys.Stats(),
-		infraUSD:  sys.InfrastructureCostUSD(),
-		simEvents: sys.Eng.Fired(),
-		system:    sys,
-	}
-	if p := sys.Platform(); p != nil {
-		st := p.Stats()
-		if st.Invocations > 0 {
-			res.coldRate = float64(st.ColdStarts) / float64(st.Invocations)
-		}
-	}
-	return res, rec.Records(), nil
-}
-
 // e19Objective scores one cell from its task records: mean per-task
 // cost/latency blend, failures charged a flat penalty. Infrastructure
 // spend is identical across policies within a cell (same fleet, same
@@ -263,10 +223,15 @@ func E19Adaptive(s Scale) ([]*metrics.Table, error) {
 		for pi, policy := range policies {
 			cfg := e19Config(s, policy)
 			cell.prep(&cfg, horizon)
-			res, recs, err := e19RunCell(s, cfg, mix, cell, horizon)
+			rec := &trace.Recorder{}
+			res, err := runCell(s, cfg, mix, feed{
+				setup: func(sys *core.System) { sys.Env.Events.Subscribe(rec) },
+				drive: func(sys *core.System, gen *workload.Generator) { cell.drive(s, sys, gen, horizon) },
+			})
 			if err != nil {
 				return nil, err
 			}
+			recs := rec.Records()
 			obj := e19Objective(recs)
 			objs[pi][ci] = obj
 			st := res.stats

@@ -170,7 +170,7 @@ func E20Failover(s Scale) ([]*metrics.Table, error) {
 			cfg.ArrivalRateHint = e20Rate
 			cfg.Regions = e20Regions(scen.schedules, strat.fo)
 			strat.apply(&cfg)
-			res, err := runCellTagged(s, cfg, mix, e20Rate, e20Tag)
+			res, err := runCell(s, cfg, mix, feed{rate: e20Rate, tag: e20Tag})
 			if err != nil {
 				return nil, err
 			}

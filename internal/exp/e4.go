@@ -38,7 +38,7 @@ func E4ColdStart(s Scale) ([]*metrics.Table, error) {
 			sl.KeepAlive = ka
 			cfg.Serverless = &sl
 			cfg.ArrivalRateHint = rate
-			res, err := runCell(s, cfg, mix, rate)
+			res, err := runCell(s, cfg, mix, feed{rate: rate})
 			if err != nil {
 				return nil, err
 			}
@@ -66,7 +66,7 @@ func E4ColdStart(s Scale) ([]*metrics.Table, error) {
 		if size > 1 {
 			cfg.Batch = &core.BatchConfig{Size: size, MaxWait: 3600}
 		}
-		res, err := runCell(s, cfg, mix, 0.002)
+		res, err := runCell(s, cfg, mix, feed{rate: 0.002})
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +93,7 @@ func E4ColdStart(s Scale) ([]*metrics.Table, error) {
 			if aware {
 				cfg.ArrivalRateHint = rate
 			}
-			res, err := runCell(s, cfg, mix, rate)
+			res, err := runCell(s, cfg, mix, feed{rate: rate})
 			if err != nil {
 				return nil, err
 			}
@@ -120,7 +120,7 @@ func E4ColdStart(s Scale) ([]*metrics.Table, error) {
 			cfg.Edge, cfg.EdgePath, cfg.VM = nil, nil, nil
 			cfg.ArrivalRateHint = rate
 			cfg.ProvisionedConcurrency = prov
-			res, err := runCell(s, cfg, mix, rate)
+			res, err := runCell(s, cfg, mix, feed{rate: rate})
 			if err != nil {
 				return nil, err
 			}

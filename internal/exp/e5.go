@@ -43,7 +43,7 @@ func E5Energy(s Scale) ([]*metrics.Table, error) {
 			// battery never cuts the run short, then project.
 			batteryJ := cfg.Device.BatteryJ
 			cfg.Device.BatteryJ = 0
-			res, err := runCell(s, cfg, mix, e1Rate)
+			res, err := runCell(s, cfg, mix, feed{rate: e1Rate})
 			if err != nil {
 				return nil, err
 			}
@@ -83,7 +83,7 @@ func E5Energy(s Scale) ([]*metrics.Table, error) {
 			cfg.Seed = s.Seed
 			cfg.Policy = core.PolicyLocalOnly
 			cfg.Device.BatteryJ = 0
-			res, err := runCell(s, cfg, mix, e1Rate)
+			res, err := runCell(s, cfg, mix, feed{rate: e1Rate})
 			if err != nil {
 				return nil, err
 			}
@@ -101,7 +101,7 @@ func E5Energy(s Scale) ([]*metrics.Table, error) {
 				cfg.CloudPath = &lte
 			}
 			cfg.Device.BatteryJ = 0
-			res, err := runCell(s, cfg, mix, e1Rate)
+			res, err := runCell(s, cfg, mix, feed{rate: e1Rate})
 			if err != nil {
 				return nil, err
 			}

@@ -39,7 +39,7 @@ func E6DeadlineSlack(s Scale) ([]*metrics.Table, error) {
 			cfg.Seed = s.Seed
 			cfg.Policy = policy
 			cfg.ArrivalRateHint = e1Rate
-			res, err := runCell(s, cfg, scaled, e1Rate)
+			res, err := runCell(s, cfg, scaled, feed{rate: e1Rate})
 			if err != nil {
 				return nil, err
 			}

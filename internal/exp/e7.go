@@ -45,7 +45,7 @@ func E7CostCrossover(s Scale) ([]*metrics.Table, error) {
 		cfg.Policy = core.PolicyCloudAll
 		cfg.Edge, cfg.EdgePath, cfg.VM = nil, nil, nil
 		cfg.ArrivalRateHint = rate
-		res, err := runCell(s, cfg, mix, rate)
+		res, err := runCell(s, cfg, mix, feed{rate: rate})
 		if err != nil {
 			return nil, err
 		}

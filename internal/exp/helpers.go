@@ -8,7 +8,6 @@ import (
 	"offload/internal/rng"
 	"offload/internal/sched"
 	"offload/internal/sim"
-	"offload/internal/trace"
 	"offload/internal/workload"
 )
 
@@ -21,61 +20,35 @@ type runResult struct {
 	system    *core.System
 }
 
-// runCell builds a system from cfg, streams s.Tasks tasks of the template
-// mix at the Poisson rate, runs to completion, and returns the aggregate.
-// When the Scale carries an Observation, the cell is sampled while it runs
-// and its end-of-run registry folds into the experiment-wide aggregate.
-func runCell(s Scale, cfg core.Config, mix []workload.WeightedTemplate, rate float64) (runResult, error) {
-	return runCellAt(s, cfg, mix, rate, 0)
+// feed says how runCell feeds one cell's system. By default it streams
+// s.Tasks tasks of the mix as Poisson arrivals at rate from time zero.
+type feed struct {
+	rate float64
+	// startAt delays the stream's start (E11 begins in peak pricing hours).
+	startAt sim.Time
+	// tag edits each task between generation and submission (E20 assigns
+	// priorities by task ID).
+	tag func(*model.Task)
+	// setup runs on the built system before anything else touches it
+	// (E18 turns on spans, E17 and E19 subscribe recorders).
+	setup func(*core.System)
+	// drive, when set, submits the arrivals itself in place of the
+	// Poisson stream (E19's drift regimes).
+	drive func(sys *core.System, gen *workload.Generator)
 }
 
-// runCellAt is runCell with the stream starting at the given virtual time
-// (used by E11 to begin arrivals during peak pricing hours).
-func runCellAt(s Scale, cfg core.Config, mix []workload.WeightedTemplate, rate float64, startAt sim.Time) (runResult, error) {
+// runCell builds a system from cfg, feeds it the mix as c says, runs it to
+// completion and returns the aggregate. When the Scale carries an
+// Observation, the cell is sampled while it runs and its end-of-run
+// registry folds into the experiment-wide aggregate.
+func runCell(s Scale, cfg core.Config, mix []workload.WeightedTemplate, c feed) (runResult, error) {
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return runResult{}, err
 	}
-	return driveCell(s, sys, mix, rate, startAt)
-}
-
-// runCellTagged is runCell with a per-task tag applied at submission time
-// (E20 uses it to assign priorities deterministically by task ID). A nil
-// tag is identical to runCell.
-func runCellTagged(s Scale, cfg core.Config, mix []workload.WeightedTemplate, rate float64, tag func(*model.Task)) (runResult, error) {
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return runResult{}, err
+	if c.setup != nil {
+		c.setup(sys)
 	}
-	return driveCellTagged(s, sys, mix, rate, 0, tag)
-}
-
-// runCellSpans is runCell with causal span recording enabled on the cell
-// (used by E18, which needs spans regardless of the Runner's settings).
-// The run name labels the exported span set.
-func runCellSpans(s Scale, name string, cfg core.Config, mix []workload.WeightedTemplate, rate float64) (runResult, *trace.SpanSet, error) {
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return runResult{}, nil, err
-	}
-	sys.EnableSpans().SetMeta(name, string(cfg.Policy))
-	res, err := driveCell(s, sys, mix, rate, 0)
-	if err != nil {
-		return runResult{}, nil, err
-	}
-	return res, sys.SpanSet(), nil
-}
-
-// driveCell streams s.Tasks tasks of the mix into a built system, runs it
-// to completion, and returns the aggregate.
-func driveCell(s Scale, sys *core.System, mix []workload.WeightedTemplate, rate float64, startAt sim.Time) (runResult, error) {
-	return driveCellTagged(s, sys, mix, rate, startAt, nil)
-}
-
-// driveCellTagged is driveCell with an optional per-task tag applied
-// between generation and submission. A nil tag submits the stream exactly
-// as driveCell does.
-func driveCellTagged(s Scale, sys *core.System, mix []workload.WeightedTemplate, rate float64, startAt sim.Time, tag func(*model.Task)) (runResult, error) {
 	var obs *core.Observer
 	if s.Obs != nil {
 		obs = s.Obs.attach(sys)
@@ -84,20 +57,23 @@ func driveCellTagged(s Scale, sys *core.System, mix []workload.WeightedTemplate,
 	if err != nil {
 		return runResult{}, err
 	}
-	count := s.Tasks
 	submit := sys.Submit
-	if tag != nil {
+	if c.tag != nil {
 		submit = func(t *model.Task) {
-			tag(t)
+			c.tag(t)
 			sys.Submit(t)
 		}
 	}
-	if startAt > 0 {
-		sys.Eng.At(startAt, func() {
-			workload.Stream(sys.Eng, workload.NewPoisson(sys.Src.Split(), rate), gen, count, submit)
-		})
-	} else {
-		workload.Stream(sys.Eng, workload.NewPoisson(sys.Src.Split(), rate), gen, count, submit)
+	stream := func() {
+		workload.Stream(sys.Eng, workload.NewPoisson(sys.Src.Split(), c.rate), gen, s.Tasks, submit)
+	}
+	switch {
+	case c.drive != nil:
+		c.drive(sys, gen)
+	case c.startAt > 0:
+		sys.Eng.At(c.startAt, stream)
+	default:
+		stream()
 	}
 	sys.Run()
 	if s.Obs != nil {

@@ -1,11 +1,6 @@
 package model
 
-import (
-	"fmt"
-	"math"
-
-	"offload/internal/sim"
-)
+import "offload/internal/sim"
 
 // InterRegionLink prices the backbone between two regions of the
 // edge–cloud continuum. When a task is re-homed — its chosen region died
@@ -37,19 +32,6 @@ func DefaultInterRegionLink() InterRegionLink {
 		BandwidthBps:   1e9,
 		EgressUSDPerGB: 0.02,
 	}
-}
-
-// Validate reports whether the link is usable.
-func (l InterRegionLink) Validate() error {
-	switch {
-	case math.IsNaN(float64(l.RTT)) || math.IsInf(float64(l.RTT), 0) || l.RTT < 0:
-		return fmt.Errorf("model: inter-region RTT %g not finite and non-negative", float64(l.RTT))
-	case math.IsNaN(l.BandwidthBps) || math.IsInf(l.BandwidthBps, 0) || l.BandwidthBps <= 0:
-		return fmt.Errorf("model: inter-region bandwidth %g not finite and positive", l.BandwidthBps)
-	case math.IsNaN(l.EgressUSDPerGB) || math.IsInf(l.EgressUSDPerGB, 0) || l.EgressUSDPerGB < 0:
-		return fmt.Errorf("model: inter-region egress price %g not finite and non-negative", l.EgressUSDPerGB)
-	}
-	return nil
 }
 
 // TransferTime returns how long re-homing bytes of task state takes over

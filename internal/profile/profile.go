@@ -248,52 +248,6 @@ func BuildCatalog(g *callgraph.Graph, meter *Meter, runs int) (*Catalog, error) 
 	return c, nil
 }
 
-// UpdateCatalog incrementally re-profiles an application: components named
-// in changed (or absent from prior) are measured afresh; everything else
-// reuses the prior entry. It returns the new catalog and how many
-// components were actually re-profiled — the quantity that determines the
-// CI profile stage's duration. A nil prior re-profiles everything.
-func UpdateCatalog(prior *Catalog, g *callgraph.Graph, meter *Meter, runs int, changed []string) (*Catalog, int, error) {
-	if prior == nil {
-		cat, err := BuildCatalog(g, meter, runs)
-		return cat, g.Len(), err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, 0, err
-	}
-	if runs <= 0 {
-		return nil, 0, fmt.Errorf("profile: runs must be positive, got %d", runs)
-	}
-	changedSet := make(map[string]bool, len(changed))
-	for _, name := range changed {
-		changedSet[name] = true
-	}
-	out := &Catalog{app: g.Name(), profiles: make(map[string]ComponentProfile, g.Len())}
-	reprofiled := 0
-	for _, comp := range g.Components() {
-		if p, ok := prior.profiles[comp.Name]; ok && !changedSet[comp.Name] {
-			out.profiles[comp.Name] = p
-			continue
-		}
-		wq := NewWindowQuantile(runs, 0.95)
-		sum := 0.0
-		for i := 0; i < runs; i++ {
-			obs := meter.Measure(comp.Cycles)
-			sum += obs
-			wq.Observe(0, obs)
-		}
-		out.profiles[comp.Name] = ComponentProfile{
-			Name:        comp.Name,
-			MeanCycles:  sum / float64(runs),
-			P95Cycles:   wq.Predict(0),
-			MemoryBytes: comp.MemoryBytes,
-			Runs:        runs,
-		}
-		reprofiled++
-	}
-	return out, reprofiled, nil
-}
-
 // App returns the profiled application's name.
 func (c *Catalog) App() string { return c.app }
 

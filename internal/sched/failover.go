@@ -11,7 +11,8 @@ import (
 // Failover configures the scheduler's regional failover layer: a passive
 // per-region health tracker fed by attempt outcomes, canary probes that
 // discover recovery, re-homing of tasks whose region died (paying the
-// inter-region state-transfer cost), and an optional graceful-degradation
+// inter-region state-transfer cost, priced by
+// model.DefaultInterRegionLink), and an optional graceful-degradation
 // ladder that escalates from shedding background work to queue-and-wait
 // as an incident drags on.
 //
@@ -26,10 +27,6 @@ type Failover struct {
 	// Placements absent from the map are region-less: never tracked,
 	// always considered healthy.
 	Regions map[model.Placement]string
-
-	// Link prices the inter-region backbone a re-homed task's input state
-	// crosses. The zero value takes model.DefaultInterRegionLink.
-	Link model.InterRegionLink
 
 	// FailureThreshold consecutive transient failures mark a region down
 	// (its mean detection lag is exported as MTTD). Default 3.
@@ -58,7 +55,7 @@ type Failover struct {
 // re-dispatch in FIFO order the moment a region recovers, or run locally
 // when the simulation would otherwise end with them still parked — the
 // ladder degrades service, it never drops work. Only a full wait queue
-// loses tasks.
+// (maxWaitQueue tasks) loses tasks.
 type Ladder struct {
 	// ShedLowAfter is how long after detection the shed-low rung engages.
 	// Default 0 (immediately).
@@ -69,9 +66,10 @@ type Ladder struct {
 	// QueueAfter is how long after detection the queue-and-wait rung
 	// engages. Default 120 s.
 	QueueAfter sim.Duration
-	// MaxQueue bounds the wait queue; overflow is lost. Default 4096.
-	MaxQueue int
 }
+
+// maxWaitQueue bounds the failover wait queue; overflow is lost.
+const maxWaitQueue = 4096
 
 func (l *Ladder) localizeAfter() sim.Duration {
 	if l.LocalizeAfter <= 0 {
@@ -85,13 +83,6 @@ func (l *Ladder) queueAfter() sim.Duration {
 		return 120
 	}
 	return l.QueueAfter
-}
-
-func (l *Ladder) maxQueue() int {
-	if l.MaxQueue <= 0 {
-		return 4096
-	}
-	return l.MaxQueue
 }
 
 // Validate reports whether the configuration is usable.
@@ -109,11 +100,6 @@ func (f *Failover) Validate() error {
 			return fmt.Errorf("sched: empty region name for placement %v", p)
 		}
 	}
-	if f.Link != (model.InterRegionLink{}) {
-		if err := f.Link.Validate(); err != nil {
-			return err
-		}
-	}
 	if f.FailureThreshold < 0 {
 		return fmt.Errorf("sched: negative failover failure threshold")
 	}
@@ -121,7 +107,7 @@ func (f *Failover) Validate() error {
 		return fmt.Errorf("sched: negative failover probe interval")
 	}
 	if l := f.Ladder; l != nil {
-		if l.ShedLowAfter < 0 || l.LocalizeAfter < 0 || l.QueueAfter < 0 || l.MaxQueue < 0 {
+		if l.ShedLowAfter < 0 || l.LocalizeAfter < 0 || l.QueueAfter < 0 {
 			return fmt.Errorf("sched: negative ladder parameter")
 		}
 	}
@@ -140,13 +126,6 @@ func (f *Failover) probeEvery() sim.Duration {
 		return f.ProbeEvery
 	}
 	return 15
-}
-
-func (f *Failover) link() model.InterRegionLink {
-	if f.Link == (model.InterRegionLink{}) {
-		return model.DefaultInterRegionLink()
-	}
-	return f.Link
 }
 
 // DegradationMode is the ladder's current rung.
@@ -526,7 +505,7 @@ func (f *failover) alternative(failed model.Placement) (model.Placement, bool) {
 // state crosses the inter-region link, charging the egress cost to the
 // task's sunk spend.
 func (f *failover) rehome(task *model.Task, from, to model.Placement) {
-	link := f.cfg.link()
+	link := model.DefaultInterRegionLink()
 	cost := link.TransferCostUSD(task.InputBytes)
 	f.s.sunkUSD[task.ID] += cost
 	f.stats.StateTransferUSD += cost
@@ -546,11 +525,7 @@ func (f *failover) localize(task *model.Task) {
 // park defers the task until a region recovers (FIFO) or the run ends
 // (flush). A full queue loses the task.
 func (f *failover) park(task *model.Task, p model.Placement, shed bool) {
-	max := 4096
-	if f.cfg.Ladder != nil {
-		max = f.cfg.Ladder.maxQueue()
-	}
-	if len(f.waitq) >= max {
+	if len(f.waitq) >= maxWaitQueue {
 		f.stats.Lost++
 		f.s.fail(task, p, f.s.finish)
 		return
@@ -732,7 +707,7 @@ func (f *failover) retarget(task *model.Task, p model.Placement) model.Placement
 		return p
 	}
 	if alt, ok := f.alternative(p); ok {
-		cost := f.cfg.link().TransferCostUSD(task.InputBytes)
+		cost := model.DefaultInterRegionLink().TransferCostUSD(task.InputBytes)
 		f.s.sunkUSD[task.ID] += cost
 		f.stats.StateTransferUSD += cost
 		f.stats.ReHomed++

@@ -47,7 +47,6 @@ func TestFailoverValidation(t *testing.T) {
 		{"empty region name", Failover{Regions: map[model.Placement]string{model.PlaceVM: ""}}},
 		{"negative threshold", Failover{Regions: map[model.Placement]string{model.PlaceVM: "west"}, FailureThreshold: -1}},
 		{"negative probe pace", Failover{Regions: map[model.Placement]string{model.PlaceVM: "west"}, ProbeEvery: -1}},
-		{"bad link", Failover{Regions: map[model.Placement]string{model.PlaceVM: "west"}, Link: model.InterRegionLink{RTT: -1, BandwidthBps: 1}}},
 	}
 	for _, c := range cases {
 		if _, err := New(env, CloudAll{}, Exact{}, WithFailover(c.fo)); err == nil {
@@ -329,24 +328,29 @@ func TestDrainTwiceMidIncidentCountsOnce(t *testing.T) {
 }
 
 // TestLadderQueueOverflowLoses pins the only loss path the ladder has: a
-// full wait queue.
+// full wait queue. Shed tasks past maxWaitQueue are lost.
 func TestLadderQueueOverflowLoses(t *testing.T) {
 	env := twoRegionEnv(t, fault.Window{Start: 0, Duration: 1e4})
 	s, err := New(env, CloudAll{}, Exact{},
 		WithRetries(RetryPolicy{MaxAttempts: 5, Backoff: 1}),
-		WithFailover(twoRegionFailover(&Ladder{ShedLowAfter: 0, MaxQueue: 1})))
+		WithFailover(twoRegionFailover(&Ladder{ShedLowAfter: 0})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 4; i++ {
+	const n = maxWaitQueue + 4
+	for i := 1; i <= n; i++ {
 		task := heavyTask(model.TaskID(i))
 		task.Cycles = 1e9
 		task.Priority = model.PriorityLow
 		s.Submit(task)
 	}
 	env.Eng.RunUntil(100)
-	if fs := s.FailoverStats(); fs.Lost == 0 {
-		t.Fatal("a one-slot queue absorbed four shed tasks without loss")
+	fs := s.FailoverStats()
+	if fs.Lost == 0 {
+		t.Fatalf("a %d-slot queue absorbed %d shed tasks without loss", maxWaitQueue, n)
+	}
+	if fs.Shed != maxWaitQueue {
+		t.Fatalf("Shed = %d, want the queue bound %d", fs.Shed, maxWaitQueue)
 	}
 }
 

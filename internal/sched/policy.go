@@ -246,7 +246,7 @@ func (d *DeadlineAware) estimates(task *model.Task, env *Env, cycles float64) [4
 	}
 
 	if env.VM != nil {
-		path := env.vmPath()
+		path := env.CloudPath
 		up := float64(path.EstimateTransfer(task.InputBytes, network.Uplink))
 		down := float64(path.EstimateTransfer(task.OutputBytes, network.Downlink))
 		exec := float64(env.VM.ExecTime(&predTask))

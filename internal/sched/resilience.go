@@ -26,14 +26,13 @@ type Resilience struct {
 	// flight for the hedge delay; the first completion wins and the
 	// loser's cost is folded into the outcome. The delay is the
 	// HedgeQuantile of observed remote attempt latencies once
-	// HedgeMinSamples (default 20) have been seen, and HedgeDelay before
-	// that. HedgeQuantile 0 always uses the fixed HedgeDelay; with both
-	// zero, hedging is off. MaxHedges bounds duplicates per task
-	// (default 1 when hedging is enabled).
-	HedgeDelay      sim.Duration
-	HedgeQuantile   float64
-	HedgeMinSamples int
-	MaxHedges       int
+	// hedgeMinSamples have been seen, and HedgeDelay before that.
+	// HedgeQuantile 0 always uses the fixed HedgeDelay; with both zero,
+	// hedging is off. MaxHedges bounds duplicates per task (default 1
+	// when hedging is enabled).
+	HedgeDelay    sim.Duration
+	HedgeQuantile float64
+	MaxHedges     int
 
 	// Breaker, when non-nil, installs one circuit breaker per remote
 	// placement. While a placement's breaker refuses an attempt, the task
@@ -51,7 +50,7 @@ func (r *Resilience) Validate() error {
 		return fmt.Errorf("sched: negative hedge delay")
 	case r.HedgeQuantile < 0 || r.HedgeQuantile >= 1:
 		return fmt.Errorf("sched: hedge quantile %g outside [0,1)", r.HedgeQuantile)
-	case r.HedgeMinSamples < 0 || r.MaxHedges < 0:
+	case r.MaxHedges < 0:
 		return fmt.Errorf("sched: negative hedge bound")
 	}
 	if r.Breaker != nil {
@@ -76,12 +75,9 @@ func (r *Resilience) maxHedges() int {
 	return 1
 }
 
-func (r *Resilience) hedgeMinSamples() int {
-	if r.HedgeMinSamples > 0 {
-		return r.HedgeMinSamples
-	}
-	return 20
-}
+// hedgeMinSamples remote attempt latencies must be observed before the
+// hedge delay follows HedgeQuantile instead of the fixed HedgeDelay.
+const hedgeMinSamples = 20
 
 func (r *Resilience) fallback() model.Placement {
 	if r.Fallback == model.PlaceUnknown {
@@ -121,16 +117,8 @@ type BreakerConfig struct {
 	// probe.
 	OpenFor sim.Duration
 	// HalfOpenSuccesses successful probes close the breaker (default 1);
-	// any probe failure reopens it.
+	// any probe failure reopens it for a fresh OpenFor.
 	HalfOpenSuccesses int
-
-	// OpenBackoff multiplies the cooldown after each consecutive reopen (a
-	// HalfOpen probe failure): the k-th reopen waits OpenFor·OpenBackoff^k,
-	// capped at OpenForMax when that is positive. A persistently dark
-	// backend is probed less and less often. Values <= 1 keep the fixed
-	// OpenFor cooldown (the default behaviour).
-	OpenBackoff float64
-	OpenForMax  sim.Duration
 }
 
 // Validate reports whether the configuration is usable.
@@ -142,12 +130,6 @@ func (c BreakerConfig) Validate() error {
 		return fmt.Errorf("sched: breaker open-for duration must be positive")
 	case c.HalfOpenSuccesses < 0:
 		return fmt.Errorf("sched: negative breaker half-open successes")
-	case c.OpenBackoff < 0 || c.OpenBackoff != c.OpenBackoff:
-		return fmt.Errorf("sched: breaker open backoff %g not a non-negative number", c.OpenBackoff)
-	case c.OpenForMax < 0:
-		return fmt.Errorf("sched: negative breaker open-for cap")
-	case c.OpenForMax > 0 && c.OpenForMax < c.OpenFor:
-		return fmt.Errorf("sched: breaker open-for cap below open-for")
 	}
 	return nil
 }
@@ -170,7 +152,6 @@ type Breaker struct {
 	failures  int  // consecutive failures while closed
 	successes int  // probe successes while half-open
 	probing   bool // a half-open probe is in flight
-	reopens   int  // consecutive reopens (HalfOpen probe failures)
 	openedAt  sim.Time
 	opens     uint64
 
@@ -211,7 +192,7 @@ func (b *Breaker) Opens() uint64 { return b.opens }
 func (b *Breaker) Allow(now sim.Time) bool {
 	switch b.state {
 	case BreakerOpen:
-		if now.Sub(b.openedAt) < b.cooldown() {
+		if now.Sub(b.openedAt) < b.cfg.OpenFor {
 			return false
 		}
 		b.transition(BreakerHalfOpen)
@@ -240,7 +221,6 @@ func (b *Breaker) OnSuccess() {
 		if b.successes >= b.cfg.halfOpenTarget() {
 			b.transition(BreakerClosed)
 			b.failures = 0
-			b.reopens = 0
 		}
 	}
 	// A success while Open comes from an attempt dispatched before the
@@ -257,7 +237,6 @@ func (b *Breaker) OnFailure(now sim.Time) {
 		}
 	case BreakerHalfOpen:
 		b.probing = false
-		b.reopens++
 		b.trip(now)
 	}
 }
@@ -270,23 +249,6 @@ func (b *Breaker) trip(now sim.Time) {
 	b.failures = 0
 	b.successes = 0
 	b.opens++
-}
-
-// cooldown returns how long the current Open period refuses traffic:
-// OpenFor, multiplied by OpenBackoff per consecutive reopen and capped at
-// OpenForMax when configured.
-func (b *Breaker) cooldown() sim.Duration {
-	d := b.cfg.OpenFor
-	if b.cfg.OpenBackoff <= 1 {
-		return d
-	}
-	for i := 0; i < b.reopens && i < 62; i++ {
-		d = sim.Duration(float64(d) * b.cfg.OpenBackoff)
-		if max := b.cfg.OpenForMax; max > 0 && d >= max {
-			return max
-		}
-	}
-	return d
 }
 
 // taskState tracks one task through the resilience layer's attempt
@@ -452,7 +414,7 @@ func (st *taskState) hedge() {
 // quantile of observed remote attempt latencies once enough samples
 // exist, the fixed HedgeDelay before that.
 func (s *Scheduler) hedgeDelay() (sim.Duration, bool) {
-	if s.res.HedgeQuantile > 0 && s.attemptLat.Count() >= uint64(s.res.hedgeMinSamples()) {
+	if s.res.HedgeQuantile > 0 && s.attemptLat.Count() >= hedgeMinSamples {
 		return sim.Duration(s.attemptLat.Quantile(s.res.HedgeQuantile)), true
 	}
 	if s.res.HedgeDelay > 0 {

@@ -36,7 +36,6 @@ func TestResilienceValidation(t *testing.T) {
 		{"negative hedge delay", Resilience{HedgeDelay: -1}},
 		{"hedge quantile 1", Resilience{HedgeQuantile: 1}},
 		{"negative hedge quantile", Resilience{HedgeQuantile: -0.1}},
-		{"negative hedge samples", Resilience{HedgeMinSamples: -1}},
 		{"negative max hedges", Resilience{MaxHedges: -1}},
 		{"breaker without threshold", Resilience{Breaker: &BreakerConfig{OpenFor: 10}}},
 		{"breaker without cooldown", Resilience{Breaker: &BreakerConfig{FailureThreshold: 3}}},
@@ -357,22 +356,26 @@ func TestHedgingBeatsStragglers(t *testing.T) {
 }
 
 // TestHedgeDelayQuantile: the hedge delay follows the fixed HedgeDelay
-// until HedgeMinSamples remote latencies are observed, then switches to
-// the configured quantile of the observed distribution.
+// until 20 remote latencies are observed, then switches to the configured
+// quantile of the observed distribution.
 func TestHedgeDelayQuantile(t *testing.T) {
 	env := flakyEnv(t, 0)
 	s, err := New(env, CloudAll{}, Exact{}, WithResilience(Resilience{
-		HedgeQuantile: 0.9, HedgeDelay: 3, HedgeMinSamples: 5,
+		HedgeQuantile: 0.9, HedgeDelay: 3,
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, ok := s.hedgeDelay(); !ok || d != 3 {
-		t.Fatalf("hedgeDelay before samples = (%g, %v), want fixed 3", float64(d), ok)
-	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 19; i++ {
+		if d, ok := s.hedgeDelay(); !ok || d != 3 {
+			t.Fatalf("hedgeDelay after %d samples = (%g, %v), want fixed 3", i, float64(d), ok)
+		}
 		s.attemptLat.Observe(7)
 	}
+	if d, ok := s.hedgeDelay(); !ok || d != 3 {
+		t.Fatalf("hedgeDelay after 19 samples = (%g, %v), want fixed 3", float64(d), ok)
+	}
+	s.attemptLat.Observe(7)
 	d, ok := s.hedgeDelay()
 	if !ok || d < 6 || d > 9 {
 		t.Fatalf("hedgeDelay after samples = (%g, %v), want ≈ 7 (0.9-quantile)", float64(d), ok)
@@ -598,76 +601,5 @@ func TestBreakerReopenFreshTimer(t *testing.T) {
 	}
 	if !br.Allow(20) {
 		t.Fatal("reopened breaker refused the probe after a full fresh cooldown")
-	}
-}
-
-// TestBreakerOpenBackoff pins the opt-in backed-off reopen schedule:
-// consecutive probe failures wait OpenFor·OpenBackoff^k capped at
-// OpenForMax, and one probe success resets the schedule.
-func TestBreakerOpenBackoff(t *testing.T) {
-	br, err := NewBreaker(BreakerConfig{
-		FailureThreshold: 1, OpenFor: 10, HalfOpenSuccesses: 1,
-		OpenBackoff: 2, OpenForMax: 40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	br.OnFailure(0) // trip: cooldown 10
-	for _, step := range []struct {
-		probeAt  sim.Time // when the cooldown has just elapsed
-		tooEarly sim.Time // a moment before it has
-	}{
-		{10, 9.9},  // k=0: 10 s
-		{30, 29.9}, // k=1: 20 s from the failed probe at 10
-		{70, 69.9}, // k=2: 40 s from the failed probe at 30
-		{110, 109}, // k=3: 80 s capped at 40, from the probe at 70
-	} {
-		if br.Allow(step.tooEarly) {
-			t.Fatalf("probe admitted at t=%g, before the backed-off cooldown", float64(step.tooEarly))
-		}
-		if !br.Allow(step.probeAt) {
-			t.Fatalf("probe refused at t=%g after the cooldown elapsed", float64(step.probeAt))
-		}
-		br.OnFailure(step.probeAt)
-	}
-	// A successful probe closes the breaker and resets the schedule: the
-	// next trip waits the base cooldown again.
-	if !br.Allow(150) {
-		t.Fatal("probe refused at t=150")
-	}
-	br.OnSuccess()
-	if br.State() != BreakerClosed {
-		t.Fatalf("state %v after probe success, want closed", br.State())
-	}
-	br.OnFailure(200)
-	if br.Allow(209.9) {
-		t.Fatal("reset breaker kept the backed-off cooldown")
-	}
-	if !br.Allow(210) {
-		t.Fatal("reset breaker refused traffic after the base cooldown")
-	}
-}
-
-// TestBreakerBackoffValidation pins the new knobs' validation.
-func TestBreakerBackoffValidation(t *testing.T) {
-	base := BreakerConfig{FailureThreshold: 1, OpenFor: 10, HalfOpenSuccesses: 1}
-	bad := []func(*BreakerConfig){
-		func(c *BreakerConfig) { c.OpenBackoff = -1 },
-		func(c *BreakerConfig) { c.OpenBackoff = math.NaN() },
-		func(c *BreakerConfig) { c.OpenForMax = -1 },
-		func(c *BreakerConfig) { c.OpenForMax = 5 }, // below OpenFor
-	}
-	for i, mutate := range bad {
-		cfg := base
-		mutate(&cfg)
-		if _, err := NewBreaker(cfg); err == nil {
-			t.Errorf("case %d: NewBreaker accepted %+v", i, cfg)
-		}
-	}
-	if _, err := NewBreaker(BreakerConfig{
-		FailureThreshold: 1, OpenFor: 10, HalfOpenSuccesses: 1,
-		OpenBackoff: 1.5, OpenForMax: 40,
-	}); err != nil {
-		t.Errorf("NewBreaker rejected a valid backoff config: %v", err)
 	}
 }

@@ -33,9 +33,8 @@ type Env struct {
 	Functions *FunctionPool
 	CloudPath *network.Path
 
+	// VM is reached over CloudPath: VMs live in the serverless region.
 	VM *cloudvm.Fleet
-	// VMPath defaults to CloudPath when nil: VMs live in the same region.
-	VMPath *network.Path
 
 	// Remote, when non-nil, intercepts remote EXECUTION only: instead of
 	// invoking the substrate executor on this engine, dispatchTo hands
@@ -74,18 +73,10 @@ func (e *Env) Validate() error {
 		return fmt.Errorf("sched: edge cluster without edge path")
 	case e.Functions != nil && e.CloudPath == nil:
 		return fmt.Errorf("sched: serverless pool without cloud path")
-	case e.VM != nil && e.VMPath == nil && e.CloudPath == nil:
-		return fmt.Errorf("sched: VM fleet without any cloud path")
+	case e.VM != nil && e.CloudPath == nil:
+		return fmt.Errorf("sched: VM fleet without cloud path")
 	}
 	return nil
-}
-
-// vmPath returns the path used to reach the VM fleet.
-func (e *Env) vmPath() *network.Path {
-	if e.VMPath != nil {
-		return e.VMPath
-	}
-	return e.CloudPath
 }
 
 // Available lists the placements this environment can serve.
@@ -379,10 +370,10 @@ func (s *Scheduler) dispatchTo(task *model.Task, placement model.Placement, done
 			return
 		}
 		if s.env.Remote != nil {
-			s.runRemoteShared(task, placement, s.env.vmPath(), done)
+			s.runRemoteShared(task, placement, s.env.CloudPath, done)
 			return
 		}
-		s.runRemote(task, placement, s.env.VM, 0, s.env.vmPath(), done)
+		s.runRemote(task, placement, s.env.VM, 0, s.env.CloudPath, done)
 	default:
 		s.fail(task, placement, done)
 	}

@@ -64,20 +64,20 @@ type PriceTable struct {
 // Validate reports whether the price table is usable.
 func (p PriceTable) Validate() error {
 	switch {
-	case p.PerRequestUSD < 0 || p.PerGBSecondUSD < 0:
+	case !(p.PerRequestUSD >= 0 && p.PerGBSecondUSD >= 0): // NaN fails too
 		return fmt.Errorf("serverless: negative price")
-	case p.Granularity <= 0:
+	case !(p.Granularity > 0):
 		return fmt.Errorf("serverless: billing granularity must be positive")
-	case p.MinBilled < 0:
+	case !(p.MinBilled >= 0):
 		return fmt.Errorf("serverless: negative minimum billed duration")
-	case p.OffPeakFactor < 0:
+	case !(p.OffPeakFactor >= 0):
 		return fmt.Errorf("serverless: negative off-peak factor")
 	case p.OffPeakFactor > 0 && (p.OffPeakStartHour < 0 || p.OffPeakStartHour >= 24 ||
 		p.OffPeakEndHour < 0 || p.OffPeakEndHour >= 24):
 		return fmt.Errorf("serverless: off-peak hours outside [0, 24)")
 	case p.OffPeakFactor > 0 && p.OffPeakStartHour == p.OffPeakEndHour:
 		return fmt.Errorf("serverless: empty off-peak window")
-	case p.ProvisionedGBSecondUSD < 0:
+	case !(p.ProvisionedGBSecondUSD >= 0):
 		return fmt.Errorf("serverless: negative provisioned-capacity price")
 	}
 	return nil
@@ -163,7 +163,7 @@ type ColdStartModel struct {
 
 // Validate reports whether the model is usable.
 func (c ColdStartModel) Validate() error {
-	if c.MedianSec < 0 || c.Sigma < 0 || c.PerGBExtra < 0 {
+	if !(c.MedianSec >= 0 && c.Sigma >= 0 && c.PerGBExtra >= 0) { // NaN fails too
 		return fmt.Errorf("serverless: negative cold-start parameter")
 	}
 	return nil
@@ -222,28 +222,38 @@ type Config struct {
 	Price PriceTable
 }
 
-// Validate reports whether the configuration is usable.
+// maxLadderRungs bounds the memory ladder's length, so that a sweep over
+// it (alloc.Sweep) stays small: 1 MB steps over 16 GB, two orders of
+// magnitude above LambdaLike's 159 rungs and GCFLike's 32.
+const maxLadderRungs = 1 << 14
+
+// Validate reports whether the configuration is usable. The float tests
+// are written !(x > 0) so that NaN fails them.
 func (c Config) Validate() error {
 	switch {
 	case c.MinMemory <= 0 || c.MaxMemory < c.MinMemory:
 		return fmt.Errorf("serverless: %s: bad memory range [%d, %d]", c.Name, c.MinMemory, c.MaxMemory)
 	case c.MemoryStep <= 0:
 		return fmt.Errorf("serverless: %s: memory step must be positive", c.Name)
-	case c.BaselineHz <= 0:
-		return fmt.Errorf("serverless: %s: baseline CPU must be positive", c.Name)
+	case c.LadderLen() > maxLadderRungs:
+		return fmt.Errorf("serverless: %s: memory ladder of %d rungs exceeds %d", c.Name, c.LadderLen(), maxLadderRungs)
+	case !(c.BaselineHz > 0) || math.IsInf(c.BaselineHz, 1):
+		return fmt.Errorf("serverless: %s: baseline CPU %g not finite and positive", c.Name, c.BaselineHz)
 	case c.FullShareBytes <= 0:
 		return fmt.Errorf("serverless: %s: full-share memory must be positive", c.Name)
-	case c.MaxShare <= 0:
-		return fmt.Errorf("serverless: %s: max CPU share must be positive", c.Name)
+	case !(c.MaxShare > 0) || math.IsInf(c.MaxShare, 1):
+		return fmt.Errorf("serverless: %s: max CPU share %g not finite and positive", c.Name, c.MaxShare)
 	case c.ConcurrencyLimit <= 0:
 		return fmt.Errorf("serverless: %s: concurrency limit must be positive", c.Name)
-	case c.KeepAlive < 0:
+	case !(c.KeepAlive >= 0):
 		return fmt.Errorf("serverless: %s: negative keep-alive", c.Name)
-	case c.DefaultTimeout < 0:
+	case !(c.DefaultTimeout >= 0):
 		return fmt.Errorf("serverless: %s: negative timeout", c.Name)
-	case c.PressurePenalty < 0:
+	case !(c.PressurePenalty >= 0):
 		return fmt.Errorf("serverless: %s: negative pressure penalty", c.Name)
-	case c.FailureRate < 0 || c.FailureRate >= 1:
+	case math.IsNaN(c.PressureKneeRatio):
+		return fmt.Errorf("serverless: %s: NaN pressure knee", c.Name)
+	case !(c.FailureRate >= 0 && c.FailureRate < 1):
 		return fmt.Errorf("serverless: %s: failure rate %g outside [0,1)", c.Name, c.FailureRate)
 	}
 	if err := c.Price.Validate(); err != nil {
@@ -461,8 +471,6 @@ func (p *Platform) Stats() Stats { return p.stats }
 type FunctionConfig struct {
 	Name        string
 	MemoryBytes int64
-	// Timeout overrides the platform default when positive.
-	Timeout sim.Duration
 	// ProvisionedConcurrency keeps this many execution environments warm
 	// at all times: invocations taking one skip the cold start, and the
 	// capacity bills Price.ProvisionedGBSecondUSD per GB-second of wall
@@ -483,9 +491,6 @@ func (p *Platform) Deploy(fc FunctionConfig) (*Function, error) {
 	if (fc.MemoryBytes-p.cfg.MinMemory)%p.cfg.MemoryStep != 0 {
 		return nil, fmt.Errorf("serverless: function %s memory %d not on a %d-byte step",
 			fc.Name, fc.MemoryBytes, p.cfg.MemoryStep)
-	}
-	if fc.Timeout < 0 {
-		return nil, fmt.Errorf("serverless: function %s negative timeout", fc.Name)
 	}
 	if fc.ProvisionedConcurrency < 0 {
 		return nil, fmt.Errorf("serverless: function %s negative provisioned concurrency", fc.Name)
@@ -660,14 +665,6 @@ func (c *container) expire() {
 	}
 }
 
-// timeout returns the effective execution timeout.
-func (f *Function) timeout() sim.Duration {
-	if f.cfg.Timeout > 0 {
-		return f.cfg.Timeout
-	}
-	return f.platform.cfg.DefaultTimeout
-}
-
 // Execute implements model.Executor: it queues on the account concurrency
 // limit, pays a cold start unless a warm container is available, runs the
 // task, bills it, and parks the container for reuse.
@@ -751,7 +748,7 @@ func (inv *invocation) grant() {
 		exec = sim.Duration(float64(exec) * dec.Slowdown)
 	}
 	inv.timedOut = false
-	if to := f.timeout(); to > 0 && exec > to {
+	if to := f.platform.cfg.DefaultTimeout; to > 0 && exec > to {
 		exec = to
 		inv.timedOut = true
 	}

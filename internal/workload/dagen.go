@@ -34,9 +34,8 @@ type JobTemplate struct {
 	InputBytes  int64 // job-external input per entry node
 	OutputBytes int64 // job-external output per exit node
 
-	MemoryBytes      int64
-	ParallelFraction float64
-	Deadline         sim.Duration // whole-job soft deadline; 0 = none
+	MemoryBytes int64        // per node; nodes run serial code
+	Deadline    sim.Duration // whole-job soft deadline; 0 = none
 }
 
 // Validate reports whether the template is usable.
@@ -56,8 +55,6 @@ func (t JobTemplate) Validate() error {
 		return fmt.Errorf("workload: %s: negative dispersion", t.App)
 	case t.EdgeBytes < 0 || t.InputBytes < 0 || t.OutputBytes < 0 || t.MemoryBytes < 0:
 		return fmt.Errorf("workload: %s: negative sizes", t.App)
-	case t.ParallelFraction < 0 || t.ParallelFraction > 1:
-		return fmt.Errorf("workload: %s: parallel fraction outside [0,1]", t.App)
 	case t.Deadline < 0:
 		return fmt.Errorf("workload: %s: negative deadline", t.App)
 	}
@@ -135,10 +132,9 @@ func (g *JobGenerator) Next() *dag.Job {
 	job := dag.New(t.App, t.Deadline)
 	for i := 0; i < t.Nodes; i++ {
 		n := dag.Node{
-			Name:             fmt.Sprintf("n%02d", i),
-			Cycles:           cycles[i],
-			MemoryBytes:      t.MemoryBytes,
-			ParallelFraction: t.ParallelFraction,
+			Name:        fmt.Sprintf("n%02d", i),
+			Cycles:      cycles[i],
+			MemoryBytes: t.MemoryBytes,
 		}
 		if !hasPred[i] {
 			n.InputBytes = t.InputBytes

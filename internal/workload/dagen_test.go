@@ -31,7 +31,6 @@ func TestJobTemplateValidation(t *testing.T) {
 		{"zero cycles", func(j *JobTemplate) { j.MeanCycles = 0 }},
 		{"negative sigma", func(j *JobTemplate) { j.CyclesSigma = -1 }},
 		{"negative bytes", func(j *JobTemplate) { j.EdgeBytes = -1 }},
-		{"bad fraction", func(j *JobTemplate) { j.ParallelFraction = 1.5 }},
 		{"negative deadline", func(j *JobTemplate) { j.Deadline = -1 }},
 		{"layered without width", func(j *JobTemplate) { j.Shape = ShapeLayered; j.Width = 0 }},
 	}

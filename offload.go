@@ -105,9 +105,9 @@ func DefaultAdaptConfig() AdaptConfig { return adapt.DefaultConfig() }
 // naming, scheduled regional disasters, health tracking with re-homing
 // and the graceful-degradation ladder. Set Config.Regions to use it.
 type (
-	// RegionsConfig names each substrate's region, prices the
-	// inter-region backbone, schedules regional disasters and enables
-	// the failover layer.
+	// RegionsConfig names each substrate's region, schedules regional
+	// disasters and enables the failover layer; re-homing prices the
+	// backbone with model.DefaultInterRegionLink.
 	RegionsConfig = core.RegionsConfig
 	// RegionSchedule scripts one region's outages and brown-outs.
 	RegionSchedule = fault.RegionSchedule
@@ -115,9 +115,6 @@ type (
 	FaultWindow = fault.Window
 	// FaultBrownout caps capacity to a fraction inside a window.
 	FaultBrownout = fault.Brownout
-	// InterRegionLink prices the backbone a re-homed task's state
-	// crosses.
-	InterRegionLink = model.InterRegionLink
 	// Failover configures the scheduler's regional failover layer.
 	Failover = sched.Failover
 	// Ladder is the graceful-degradation state machine.
