@@ -37,8 +37,9 @@ race:
 # agreement with the full memory sweep, the pooled sim.Resource's
 # agreement with the closure-based reference, the histogram
 # quantile's agreement with the ascending scan, the small-mode
-# histogram's agreement with the dense reference and the partition
-# searchers' agreement with their Objective-driven references. CI's fuzz
+# histogram's agreement with the dense reference, the partition
+# searchers' agreement with their Objective-driven references and the
+# DAG generator and rank placer's agreement with theirs. CI's fuzz
 # smoke step runs this target. Longer local sessions:
 #   go test -fuzz=FuzzFaultInjector -fuzztime=5m ./internal/fault/
 #   go test -fuzz=FuzzReadSpansJSONL -fuzztime=5m ./internal/trace/
@@ -51,6 +52,7 @@ race:
 #   go test -fuzz=FuzzHistogramQuantileMatchesScan -fuzztime=5m ./internal/metrics/
 #   go test -fuzz=FuzzHistogramSmallMatchesDense -fuzztime=5m ./internal/metrics/
 #   go test -fuzz=FuzzSearchMatchesReference -fuzztime=5m ./internal/partition/
+#   go test -fuzz=FuzzJobsMatchReference -fuzztime=5m ./internal/workload/
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFaultInjector -fuzztime=10s ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzReadSpansJSONL -fuzztime=10s ./internal/trace/
@@ -63,6 +65,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzHistogramQuantileMatchesScan -fuzztime=10s ./internal/metrics/
 	$(GO) test -run='^$$' -fuzz=FuzzHistogramSmallMatchesDense -fuzztime=10s ./internal/metrics/
 	$(GO) test -run='^$$' -fuzz=FuzzSearchMatchesReference -fuzztime=10s ./internal/partition/
+	$(GO) test -run='^$$' -fuzz=FuzzJobsMatchReference -fuzztime=10s ./internal/workload/
 
 # Everything CI runs, in order: the gates plus the determinism diffs.
 ci: build vet fmt test race fuzz determinism metrics-golden spans-golden serve-smoke

@@ -46,9 +46,9 @@ type Config struct {
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
-	case c.Cores <= 0 || c.CPUHz <= 0:
+	case c.Cores <= 0 || !(c.CPUHz > 0):
 		return fmt.Errorf("cloudvm: %s: cores and CPUHz must be positive", c.Name)
-	case c.HourlyCostUSD < 0:
+	case !(c.HourlyCostUSD >= 0):
 		return fmt.Errorf("cloudvm: %s: negative hourly cost", c.Name)
 	case c.MinInstances < 0:
 		return fmt.Errorf("cloudvm: %s: negative min instances", c.Name)
@@ -56,7 +56,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cloudvm: %s: max instances below min", c.Name)
 	case c.MaxInstances == 0:
 		return fmt.Errorf("cloudvm: %s: fleet bound is zero", c.Name)
-	case c.BootDelay < 0 || c.IdleShutdownAfter < 0:
+	case !(c.BootDelay >= 0 && c.IdleShutdownAfter >= 0):
 		return fmt.Errorf("cloudvm: %s: negative delay", c.Name)
 	}
 	return nil

@@ -45,6 +45,10 @@ func TestConfigValidate(t *testing.T) {
 		{"max below min", func(c *Config) { c.MaxInstances = 0; c.MinInstances = 1 }, false},
 		{"zero fleet", func(c *Config) { c.MinInstances = 0; c.MaxInstances = 0 }, false},
 		{"negative boot", func(c *Config) { c.BootDelay = -1 }, false},
+		{"NaN cpu", func(c *Config) { *c = C5Large(); c.CPUHz = math.NaN() }, false},
+		{"NaN cost", func(c *Config) { c.HourlyCostUSD = math.NaN() }, false},
+		{"NaN boot", func(c *Config) { c.BootDelay = sim.Duration(math.NaN()) }, false},
+		{"NaN idle shutdown", func(c *Config) { c.IdleShutdownAfter = sim.Duration(math.NaN()) }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -16,7 +16,8 @@ package dag
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"offload/internal/sim"
@@ -64,7 +65,13 @@ type Job struct {
 	inBytes      []int64 // Σ incoming edge bytes per node
 	outBytes     []int64 // Σ outgoing edge bytes per node
 	topo         []NodeID
+	apps         []string // per-node task App, "app/node"
 	validated    bool
+
+	// shared marks edges, byName and the Validate caches as possibly
+	// read by other jobs (see Share). AddNode and AddEdge copy edges and
+	// byName first; Validate builds fresh caches.
+	shared bool
 }
 
 // New returns an empty job for the named application. The deadline is the
@@ -91,17 +98,63 @@ func (j *Job) AddNode(n Node) (NodeID, error) {
 	if _, dup := j.byName[n.Name]; dup {
 		return 0, fmt.Errorf("dag: %s: duplicate node %q", j.app, n.Name)
 	}
-	if n.Cycles < 0 || n.MemoryBytes < 0 || n.InputBytes < 0 || n.OutputBytes < 0 {
-		return 0, fmt.Errorf("dag: %s: node %q has negative weight", j.app, n.Name)
+	if err := j.checkWeights(n); err != nil {
+		return 0, err
 	}
-	if n.ParallelFraction < 0 || n.ParallelFraction > 1 {
-		return 0, fmt.Errorf("dag: %s: node %q parallel fraction outside [0,1]", j.app, n.Name)
-	}
+	j.own()
 	id := NodeID(len(j.nodes))
 	j.nodes = append(j.nodes, n)
 	j.byName[n.Name] = id
 	j.validated = false
 	return id, nil
+}
+
+func (j *Job) checkWeights(n Node) error {
+	if n.Cycles < 0 || n.MemoryBytes < 0 || n.InputBytes < 0 || n.OutputBytes < 0 {
+		return fmt.Errorf("dag: %s: node %q has negative weight", j.app, n.Name)
+	}
+	if n.ParallelFraction < 0 || n.ParallelFraction > 1 {
+		return fmt.Errorf("dag: %s: node %q parallel fraction outside [0,1]", j.app, n.Name)
+	}
+	return nil
+}
+
+// own gives j private copies of what it may share with other jobs before
+// a mutation writes to them. The Validate caches need no copy: Validate
+// rebuilds them into fresh slices.
+func (j *Job) own() {
+	if j.shared {
+		j.edges = slices.Clone(j.edges)
+		j.byName = maps.Clone(j.byName)
+		j.shared = false
+	}
+}
+
+// Share returns a validated job with j's application, deadline and
+// structure — edges, names, adjacency, topological order and task app
+// names — carrying nodes in place of j's. nodes must hold j's node names
+// in j's order; the new job owns the slice and shares everything else
+// with j read-only: AddNode or AddEdge on either job copies what it
+// changes first. A generator whose jobs differ only in node weights
+// builds and validates one job and shares it, instead of rebuilding the
+// same graph for every job.
+func (j *Job) Share(nodes []Node) (*Job, error) {
+	j.mustValidated()
+	if len(nodes) != len(j.nodes) {
+		return nil, fmt.Errorf("dag: %s: sharing %d nodes' structure with %d nodes", j.app, len(j.nodes), len(nodes))
+	}
+	for i, n := range nodes {
+		if n.Name != j.nodes[i].Name {
+			return nil, fmt.Errorf("dag: %s: node %d is %q, want %q", j.app, i, n.Name, j.nodes[i].Name)
+		}
+		if err := j.checkWeights(n); err != nil {
+			return nil, err
+		}
+	}
+	j.shared = true
+	cp := *j
+	cp.nodes = nodes
+	return &cp, nil
 }
 
 // MustAddNode is AddNode for programmatic construction, panicking on error.
@@ -132,6 +185,7 @@ func (j *Job) AddEdge(e Edge) error {
 				j.app, j.nodes[e.From].Name, j.nodes[e.To].Name)
 		}
 	}
+	j.own()
 	j.edges = append(j.edges, e)
 	j.validated = false
 	return nil
@@ -190,7 +244,7 @@ func (j *Job) Edges() []Edge {
 
 // Validate checks the job is runnable — non-empty and acyclic — and
 // freezes the adjacency caches. It must be called (directly or via the
-// Orchestrator) before Preds/Succs/TopoOrder/TaskSizes.
+// Orchestrator) before Preds/Succs/TopoOrder/TaskSizes/TaskApp.
 func (j *Job) Validate() error {
 	if len(j.nodes) == 0 {
 		return fmt.Errorf("dag: %s: empty job", j.app)
@@ -198,22 +252,36 @@ func (j *Job) Validate() error {
 	if j.deadline < 0 {
 		return fmt.Errorf("dag: %s: negative deadline", j.app)
 	}
-	n := len(j.nodes)
-	j.preds = make([][]NodeID, n)
-	j.succs = make([][]NodeID, n)
-	j.inBytes = make([]int64, n)
-	j.outBytes = make([]int64, n)
-	indeg := make([]int, n)
+	// Each cache is a sub-slice of a handful of shared backing arrays, so
+	// validating costs the same few allocations whatever the job's size.
+	n, m := len(j.nodes), len(j.edges)
+	adj := make([][]NodeID, 2*n)
+	ids := make([]NodeID, 2*m)
+	sums := make([]int64, 2*n)
+	deg := make([]int, 2*n)
+	j.preds, j.succs = adj[:n:n], adj[n:]
+	j.inBytes, j.outBytes = sums[:n:n], sums[n:]
+	indeg, outdeg := deg[:n:n], deg[n:]
+	for _, e := range j.edges {
+		outdeg[e.From]++
+		indeg[e.To]++
+		j.outBytes[e.From] += e.Bytes
+		j.inBytes[e.To] += e.Bytes
+	}
+	off := 0
+	for id := 0; id < n; id++ {
+		j.preds[id] = ids[off : off : off+indeg[id]]
+		off += indeg[id]
+		j.succs[id] = ids[off : off : off+outdeg[id]]
+		off += outdeg[id]
+	}
 	for _, e := range j.edges {
 		j.succs[e.From] = append(j.succs[e.From], e.To)
 		j.preds[e.To] = append(j.preds[e.To], e.From)
-		j.outBytes[e.From] += e.Bytes
-		j.inBytes[e.To] += e.Bytes
-		indeg[e.To]++
 	}
 	for id := range j.preds {
-		sortIDs(j.preds[id])
-		sortIDs(j.succs[id])
+		slices.Sort(j.preds[id])
+		slices.Sort(j.succs[id])
 	}
 	// Kahn's algorithm with the ready set drained in ascending NodeID
 	// order: the resulting topological order is a pure function of the
@@ -232,7 +300,8 @@ func (j *Job) Validate() error {
 		for _, s := range j.succs[id] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				ready = insertSorted(ready, s)
+				i, _ := slices.BinarySearch(ready, s)
+				ready = slices.Insert(ready, i, s)
 			}
 		}
 	}
@@ -245,21 +314,17 @@ func (j *Job) Validate() error {
 		}
 		return fmt.Errorf("dag: %s: cycle through {%s}", j.app, strings.Join(stuck, ", "))
 	}
+	// Task app names depend on node names alone, which only AddNode
+	// changes, growing the job: names that still match in number are
+	// kept, and may be shared.
+	if len(j.apps) != n {
+		j.apps = make([]string, n)
+		for id, nd := range j.nodes {
+			j.apps[id] = j.app + "/" + nd.Name
+		}
+	}
 	j.validated = true
 	return nil
-}
-
-func sortIDs(ids []NodeID) {
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-}
-
-// insertSorted keeps the ready set ascending while Kahn drains it.
-func insertSorted(ids []NodeID, id NodeID) []NodeID {
-	i := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	return ids
 }
 
 func (j *Job) mustValidated() {
@@ -300,6 +365,13 @@ func (j *Job) TaskSizes(id NodeID) (inBytes, outBytes int64) {
 	j.mustValidated()
 	n := j.nodes[id]
 	return n.InputBytes + j.inBytes[id], n.OutputBytes + j.outBytes[id]
+}
+
+// TaskApp returns the App of the node's scheduled task: the job's
+// application and the node's name, "app/node".
+func (j *Job) TaskApp(id NodeID) string {
+	j.mustValidated()
+	return j.apps[id]
 }
 
 // TotalCycles returns the summed demand of all nodes.

@@ -135,9 +135,13 @@ type jobState struct {
 	placements []model.Placement // nil: the scheduler's policy decides
 
 	remaining []int // unfinished predecessors per node
-	done      []bool
-	skipped   []bool
+	state     []nodeState
+	tasks     []model.Task // each node's scheduled task, once released
 	outcomes  []model.Outcome
+
+	// then settles a node from its task's outcome; one closure serves
+	// the whole job, since the task ID names the node.
+	then func(model.Outcome)
 
 	pending int // nodes not yet settled or skipped
 	failed  bool
@@ -145,6 +149,16 @@ type jobState struct {
 	costUSD float64
 	energy  float64
 }
+
+// nodeState is how far a node has settled. A failed node stays open:
+// only completions release successors and only skips are final.
+type nodeState uint8
+
+const (
+	nodeOpen    nodeState = iota // not settled, or failed
+	nodeDone                     // completed
+	nodeSkipped                  // never released: a predecessor failed
+)
 
 // Orchestrator drives Jobs through a sched.Scheduler, releasing each
 // node only when its predecessors have completed. It adds no events and
@@ -184,13 +198,15 @@ func (o *Orchestrator) InFlight() int { return len(o.active) }
 // update. Call before the first Submit.
 func (o *Orchestrator) OnJobDone(fn func(Result)) { o.onDone = fn }
 
-// Submit validates the job, plans placements if the placer does, and
-// releases its entry nodes. Node completions cascade inside the
-// simulation; the job settles when every node has completed, failed, or
-// been skipped behind a failure.
+// Submit validates the job unless it is already validated and unchanged,
+// plans placements if the placer does, and releases its entry nodes.
+// Node completions cascade inside the simulation; the job settles when
+// every node has completed, failed, or been skipped behind a failure.
 func (o *Orchestrator) Submit(job *Job) error {
-	if err := job.Validate(); err != nil {
-		return err
+	if !job.validated {
+		if err := job.Validate(); err != nil {
+			return err
+		}
 	}
 	if job.Len() >= 1<<jobIDShift {
 		return fmt.Errorf("dag: %s: %d nodes exceeds the per-job limit %d",
@@ -209,13 +225,14 @@ func (o *Orchestrator) Submit(job *Job) error {
 		start:      o.s.Env().Eng.Now(),
 		placements: placements,
 		remaining:  make([]int, job.Len()),
-		done:       make([]bool, job.Len()),
-		skipped:    make([]bool, job.Len()),
+		state:      make([]nodeState, job.Len()),
+		tasks:      make([]model.Task, job.Len()),
 		outcomes:   make([]model.Outcome, job.Len()),
 		pending:    job.Len(),
 	}
+	st.then = func(out model.Outcome) { o.nodeDone(st, NodeID(out.Task.ID-st.base-1), out) }
 	for id := 0; id < job.Len(); id++ {
-		st.remaining[id] = len(job.Preds(NodeID(id)))
+		st.remaining[id] = len(job.preds[id])
 	}
 	o.active[st.id] = st
 	for id := 0; id < job.Len(); id++ {
@@ -228,11 +245,12 @@ func (o *Orchestrator) Submit(job *Job) error {
 
 // release hands one ready node to the scheduler.
 func (o *Orchestrator) release(st *jobState, nid NodeID) {
-	node := st.job.Node(nid)
+	node := st.job.nodes[nid]
 	in, out := st.job.TaskSizes(nid)
-	task := &model.Task{
+	task := &st.tasks[nid]
+	*task = model.Task{
 		ID:               st.base + 1 + model.TaskID(nid),
-		App:              st.job.App() + "/" + node.Name,
+		App:              st.job.apps[nid],
 		Component:        node.Name,
 		InputBytes:       in,
 		OutputBytes:      out,
@@ -242,13 +260,12 @@ func (o *Orchestrator) release(st *jobState, nid NodeID) {
 		Deadline:         st.job.Deadline(),
 	}
 	o.s.Env().Events.Emit(trace.Event{Kind: trace.KindAdopt, At: o.s.Env().Eng.Now(), Task: task.ID, Job: st.id})
-	then := func(out model.Outcome) { o.nodeDone(st, nid, out) }
 	if st.placements != nil {
 		task.Submitted = o.s.Env().Eng.Now()
-		o.s.DispatchThen(task, st.placements[nid], then)
+		o.s.DispatchThen(task, st.placements[nid], st.then)
 		return
 	}
-	o.s.SubmitThen(task, then)
+	o.s.SubmitThen(task, st.then)
 }
 
 // nodeDone settles one node: successors whose last dependency this was
@@ -263,10 +280,10 @@ func (o *Orchestrator) nodeDone(st *jobState, nid NodeID, out model.Outcome) {
 		o.stats.NodesFailed++
 		o.skipDescendants(st, nid)
 	} else {
-		st.done[nid] = true
+		st.state[nid] = nodeDone
 		o.stats.NodesCompleted++
-		for _, s := range st.job.Succs(nid) {
-			if st.skipped[s] {
+		for _, s := range st.job.succs[nid] {
+			if st.state[s] == nodeSkipped {
 				continue
 			}
 			st.remaining[s]--
@@ -288,11 +305,11 @@ func (o *Orchestrator) skipDescendants(st *jobState, from NodeID) {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range st.job.Succs(n) {
-			if st.skipped[s] || st.done[s] {
+		for _, s := range st.job.succs[n] {
+			if st.state[s] != nodeOpen {
 				continue
 			}
-			st.skipped[s] = true
+			st.state[s] = nodeSkipped
 			st.pending--
 			o.stats.NodesSkipped++
 			stack = append(stack, s)
@@ -314,7 +331,7 @@ func (o *Orchestrator) finalize(st *jobState) {
 	}
 	end := st.start
 	for id := range st.outcomes {
-		if !st.skipped[id] && st.outcomes[id].Finished > end {
+		if st.state[id] != nodeSkipped && st.outcomes[id].Finished > end {
 			end = st.outcomes[id].Finished
 		}
 	}
@@ -364,12 +381,12 @@ func (o *Orchestrator) criticalPath(st *jobState, res *Result) {
 			last, lastFin = NodeID(id), fin
 		}
 	}
-	var path []NodeID
-	var secs []float64
+	path := make([]NodeID, 0, len(st.outcomes))
+	secs := make([]float64, 0, len(st.outcomes))
 	for n := last; ; {
 		prevFin := st.start
 		next := NodeID(-1)
-		for _, p := range st.job.Preds(n) {
+		for _, p := range st.job.preds[n] {
 			if fin := st.outcomes[p].Finished; next == -1 || fin > st.outcomes[next].Finished {
 				next = p
 				prevFin = fin
@@ -398,27 +415,28 @@ func (o *Orchestrator) criticalPath(st *jobState, res *Result) {
 // observed node durations and returns the mean earliest-start slack.
 func (o *Orchestrator) meanSlack(st *jobState, makespan float64) float64 {
 	n := st.job.Len()
-	dur := make([]float64, n)
+	// dur: observed duration; ef: earliest finish, relative to job start;
+	// ls: latest start — per node, out of one allocation.
+	buf := make([]float64, 3*n)
+	dur, ef, ls := buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
 	for id := 0; id < n; id++ {
 		out := st.outcomes[id]
 		dur[id] = float64(out.Finished.Sub(out.Started))
 	}
-	topo := st.job.TopoOrder()
-	ef := make([]float64, n) // earliest finish, relative to job start
+	topo := st.job.topo
 	for _, id := range topo {
 		es := 0.0
-		for _, p := range st.job.Preds(id) {
+		for _, p := range st.job.preds[id] {
 			if ef[p] > es {
 				es = ef[p]
 			}
 		}
 		ef[id] = es + dur[id]
 	}
-	ls := make([]float64, n) // latest start
 	for i := len(topo) - 1; i >= 0; i-- {
 		id := topo[i]
 		lf := makespan
-		for _, s := range st.job.Succs(id) {
+		for _, s := range st.job.succs[id] {
 			if v := ls[s]; v < lf {
 				lf = v
 			}

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"math"
+	"slices"
 
 	"offload/internal/model"
 	"offload/internal/network"
@@ -62,17 +63,25 @@ func (Rank) Name() string { return "rank" }
 // width, but finite so the slot table stays small.
 const functionSlots = 256
 
+// numPlacements sizes the arrays Place indexes by model.Placement.
+const numPlacements = int(model.PlaceVM) + 1
+
 // Place implements Placer.
 func (Rank) Place(job *Job, env *sched.Env, pred sched.Predictor) []model.Placement {
+	job.mustValidated()
 	n := job.Len()
 	avail := env.Available()
 
 	// w[id][p]: estimated uplink/execute/downlink seconds of node id at
 	// placement p; infinite where the placement cannot serve the node.
-	w := make([]map[model.Placement]estimate, n)
-	wbar := make([]float64, n)
+	w := make([][numPlacements]estimate, n)
+	// wbar: mean estimate; rank: upward rank; aft: planned actual finish
+	// time — per node, out of one allocation.
+	f := make([]float64, 3*n)
+	wbar, rank, aft := f[:n:n], f[n:2*n:2*n], f[2*n:]
+	probe := new(model.Task)
 	for id := 0; id < n; id++ {
-		w[id] = nodeEstimates(job, NodeID(id), env, pred)
+		w[id] = nodeEstimates(job, NodeID(id), env, pred, probe)
 		sum, cnt := 0.0, 0
 		for _, p := range avail {
 			if v := w[id][p].total(); !math.IsInf(v, 1) {
@@ -94,12 +103,11 @@ func (Rank) Place(job *Job, env *sched.Env, pred sched.Predictor) []model.Placem
 
 	// Upward ranks, computed in reverse topological order so successors
 	// are ranked before their predecessors.
-	rank := make([]float64, n)
-	topo := job.TopoOrder()
+	topo := job.topo
 	for i := len(topo) - 1; i >= 0; i-- {
 		id := topo[i]
 		best := 0.0
-		for _, s := range job.Succs(id) {
+		for _, s := range job.succs[id] {
 			if rank[s] > best {
 				best = rank[s]
 			}
@@ -109,8 +117,7 @@ func (Rank) Place(job *Job, env *sched.Env, pred sched.Predictor) []model.Placem
 
 	// List-schedule by descending rank (ties: ascending NodeID, so the
 	// plan is a pure function of the job and the estimates).
-	order := make([]NodeID, len(topo))
-	copy(order, topo)
+	order := slices.Clone(topo)
 	for i := 1; i < len(order); i++ {
 		for k := i; k > 0; k-- {
 			a, b := order[k-1], order[k]
@@ -122,13 +129,13 @@ func (Rank) Place(job *Job, env *sched.Env, pred sched.Predictor) []model.Placem
 		}
 	}
 
-	slots := slotTable(env)
+	slots := slotTable(env, n)
 	channels := pathChannels(env)
-	aft := make([]float64, n) // planned actual finish time per node
+	var radioFree [numPlacements]float64 // per channel: when its radio frees up
 	out := make([]model.Placement, n)
 	for _, id := range order {
 		ready := 0.0
-		for _, p := range job.Preds(id) {
+		for _, p := range job.preds[id] {
 			if aft[p] > ready {
 				ready = aft[p]
 			}
@@ -142,11 +149,11 @@ func (Rank) Place(job *Job, env *sched.Env, pred sched.Predictor) []model.Placem
 			}
 			si, slotFree := slots.earliest(p)
 			var fin, slotBusy, chFree float64
-			if c := channels[p]; c != nil {
+			if c := channels[p]; c >= 0 {
 				// The uplink waits for the radio, the execute for a compute
 				// slot, and the node's total airtime (both directions) keeps
 				// the radio busy for the transfers that follow.
-				upEnd := math.Max(ready, c.free) + e.up
+				upEnd := math.Max(ready, radioFree[c]) + e.up
 				execEnd := math.Max(upEnd, slotFree) + e.exec
 				fin = execEnd + e.down
 				slotBusy = execEnd
@@ -170,8 +177,8 @@ func (Rank) Place(job *Job, env *sched.Env, pred sched.Predictor) []model.Placem
 		out[id] = bestP
 		aft[id] = bestFinish
 		slots.occupy(bestP, bestSlot, bestSlotBusy)
-		if c := channels[bestP]; c != nil {
-			c.free = bestChFree
+		if c := channels[bestP]; c >= 0 {
+			radioFree[c] = bestChFree
 		}
 	}
 	return out
@@ -193,12 +200,13 @@ var infeasible = estimate{exec: math.Inf(1)}
 // nodeEstimates prices one node at every placement the way the
 // deadline-aware policy does — demand prediction, public substrate
 // execution estimates, network transfer estimates — over the relay-model
-// transfer sizes. Infeasible placements get an infinite estimate.
-func nodeEstimates(job *Job, id NodeID, env *sched.Env, pred sched.Predictor) map[model.Placement]estimate {
-	node := job.Node(id)
+// transfer sizes. Infeasible placements get an infinite estimate. probe
+// is scratch space for the node's task, overwritten on every call.
+func nodeEstimates(job *Job, id NodeID, env *sched.Env, pred sched.Predictor, probe *model.Task) [numPlacements]estimate {
+	node := job.nodes[id]
 	in, out := job.TaskSizes(id)
-	probe := &model.Task{
-		App:              job.App() + "/" + node.Name,
+	*probe = model.Task{
+		App:              job.apps[id],
 		Component:        node.Name,
 		InputBytes:       in,
 		OutputBytes:      out,
@@ -209,11 +217,9 @@ func nodeEstimates(job *Job, id NodeID, env *sched.Env, pred sched.Predictor) ma
 	}
 	probe.Cycles = pred.PredictCycles(probe)
 
-	ests := map[model.Placement]estimate{
-		model.PlaceLocal:    infeasible,
-		model.PlaceEdge:     infeasible,
-		model.PlaceFunction: infeasible,
-		model.PlaceVM:       infeasible,
+	var ests [numPlacements]estimate
+	for p := range ests {
+		ests[p] = infeasible
 	}
 	if dev := env.Device; dev != nil && !dev.Dead() {
 		ests[model.PlaceLocal] = estimate{exec: float64(dev.ExecTime(probe))}
@@ -248,59 +254,74 @@ func nodeEstimates(job *Job, id NodeID, env *sched.Env, pred sched.Predictor) ma
 	return ests
 }
 
-// pathChannel is the planned airtime ledger for one serialized network
-// path: the time its half-duplex radio frees up.
-type pathChannel struct {
-	free float64
-}
-
-// pathChannels maps each remote placement to its path's airtime channel.
-// Placements behind the same physical path share one channel — a VM in
-// the serverless region contends with function invocations for the same
-// radio. Uncontended paths get no channel: their
-// transfers overlap, so the uncontended estimate already prices them.
-func pathChannels(env *sched.Env) map[model.Placement]*pathChannel {
-	channels := make(map[model.Placement]*pathChannel)
-	byPath := make(map[*network.Path]*pathChannel)
-	add := func(p model.Placement, path *network.Path) {
-		if path == nil || !path.Config().Serialize {
-			return
-		}
-		c, ok := byPath[path]
-		if !ok {
-			c = &pathChannel{}
-			byPath[path] = c
-		}
-		channels[p] = c
+// pathChannels assigns each remote placement the airtime channel of its
+// serialized network path — the half-duplex radio whose planned free
+// time Place tracks — numbered by the first placement on that path, or
+// −1 for none. Placements behind the same physical path share one
+// channel: a VM in the serverless region contends with function
+// invocations for the same radio. Uncontended paths get no channel:
+// their transfers overlap, so the uncontended estimate already prices
+// them.
+func pathChannels(env *sched.Env) [numPlacements]int {
+	paths := [numPlacements]*network.Path{
+		model.PlaceEdge:     env.EdgePath,
+		model.PlaceFunction: env.CloudPath,
+		model.PlaceVM:       env.CloudPath,
 	}
-	add(model.PlaceEdge, env.EdgePath)
-	add(model.PlaceFunction, env.CloudPath)
-	add(model.PlaceVM, env.CloudPath)
-	return channels
+	var ch [numPlacements]int
+	for p, path := range paths {
+		ch[p] = -1
+		if path == nil || !path.Config().Serialize {
+			continue
+		}
+		ch[p] = p
+		for q := range p {
+			if paths[q] == path {
+				ch[p] = ch[q]
+				break
+			}
+		}
+	}
+	return ch
 }
 
 // slotPool tracks per-placement planned availability: one entry per
 // concurrent execution slot, holding the time it frees up.
-type slotPool map[model.Placement][]float64
+type slotPool [numPlacements][]float64
 
-func slotTable(env *sched.Env) slotPool {
-	s := slotPool{model.PlaceLocal: make([]float64, max(1, env.Device.Config().Cores))}
+// slotTable sizes every placement's slots out of one backing array. The
+// serverless substrate gets min(functionSlots, n) slots for an n-node
+// job, which plans exactly as functionSlots would: earliest picks the
+// first minimum and unused slots read 0, so the used slots are always a
+// prefix, grown by at most one per node.
+func slotTable(env *sched.Env, n int) slotPool {
+	var size [numPlacements]int
+	size[model.PlaceLocal] = max(1, env.Device.Config().Cores)
 	if env.Edge != nil {
 		cfg := env.Edge.Config()
-		s[model.PlaceEdge] = make([]float64, max(1, cfg.Servers*cfg.Cores))
+		size[model.PlaceEdge] = max(1, cfg.Servers*cfg.Cores)
 	}
 	if env.Functions != nil {
-		s[model.PlaceFunction] = make([]float64, functionSlots)
+		size[model.PlaceFunction] = min(functionSlots, n)
 	}
 	if env.VM != nil {
-		s[model.PlaceVM] = make([]float64, max(1, env.VM.Instances()*env.VM.Config().Cores))
+		size[model.PlaceVM] = max(1, env.VM.Instances()*env.VM.Config().Cores)
+	}
+	total := 0
+	for _, k := range size {
+		total += k
+	}
+	backing := make([]float64, total)
+	var s slotPool
+	for p, k := range size {
+		s[p], backing = backing[:k:k], backing[k:]
 	}
 	return s
 }
 
 // earliest returns the index and free time of the placement's earliest
 // available slot.
-func (s slotPool) earliest(p model.Placement) (int, float64) {
+func (s *slotPool) earliest(p model.Placement) (int, float64) {
 	slots := s[p]
 	if len(slots) == 0 {
 		return -1, math.Inf(1)
@@ -314,7 +335,7 @@ func (s slotPool) earliest(p model.Placement) (int, float64) {
 	return best, bestT
 }
 
-func (s slotPool) occupy(p model.Placement, slot int, until float64) {
+func (s *slotPool) occupy(p model.Placement, slot int, until float64) {
 	if slots := s[p]; slot >= 0 && slot < len(slots) {
 		slots[slot] = until
 	}

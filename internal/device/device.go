@@ -50,15 +50,15 @@ type Config struct {
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
-	case c.CPUHz <= 0:
+	case !(c.CPUHz > 0):
 		return fmt.Errorf("device: %s: CPUHz must be positive", c.Name)
 	case c.Cores <= 0:
 		return fmt.Errorf("device: %s: Cores must be positive", c.Name)
-	case c.ActivePowerW < 0 || c.IdlePowerW < 0 || c.TxPowerW < 0 || c.RxPowerW < 0:
+	case !(c.ActivePowerW >= 0 && c.IdlePowerW >= 0 && c.TxPowerW >= 0 && c.RxPowerW >= 0):
 		return fmt.Errorf("device: %s: negative power", c.Name)
-	case c.BatteryJ < 0:
+	case !(c.BatteryJ >= 0):
 		return fmt.Errorf("device: %s: negative battery", c.Name)
-	case c.RadioTailS < 0 || c.RadioTailPowerW < 0:
+	case !(c.RadioTailS >= 0 && c.RadioTailPowerW >= 0):
 		return fmt.Errorf("device: %s: negative radio tail", c.Name)
 	}
 	return nil

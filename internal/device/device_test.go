@@ -33,6 +33,10 @@ func TestConfigValidate(t *testing.T) {
 		{"zero cores", func(c *Config) { c.Cores = 0 }, "Cores"},
 		{"negative power", func(c *Config) { c.TxPowerW = -1 }, "power"},
 		{"negative battery", func(c *Config) { c.BatteryJ = -1 }, "battery"},
+		{"NaN cpu", func(c *Config) { *c = Smartphone(); c.CPUHz = math.NaN() }, "CPUHz"},
+		{"NaN power", func(c *Config) { c.ActivePowerW = math.NaN() }, "power"},
+		{"NaN battery", func(c *Config) { c.BatteryJ = math.NaN() }, "battery"},
+		{"NaN radio tail", func(c *Config) { c.RadioTailS = math.NaN() }, "radio tail"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -40,9 +40,9 @@ func (c Config) Validate() error {
 	switch {
 	case c.Servers <= 0 || c.Cores <= 0:
 		return fmt.Errorf("edge: %s: servers and cores must be positive", c.Name)
-	case c.CPUHz <= 0:
+	case !(c.CPUHz > 0):
 		return fmt.Errorf("edge: %s: CPUHz must be positive", c.Name)
-	case c.HourlyCostUSD < 0:
+	case !(c.HourlyCostUSD >= 0):
 		return fmt.Errorf("edge: %s: negative hourly cost", c.Name)
 	case c.MemoryPerServer < 0:
 		return fmt.Errorf("edge: %s: negative memory", c.Name)

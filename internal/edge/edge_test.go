@@ -31,6 +31,8 @@ func TestConfigValidate(t *testing.T) {
 		{"zero cpu", func(c *Config) { c.CPUHz = 0 }, false},
 		{"negative cost", func(c *Config) { c.HourlyCostUSD = -1 }, false},
 		{"negative memory", func(c *Config) { c.MemoryPerServer = -1 }, false},
+		{"NaN cpu", func(c *Config) { *c = SmallSite(); c.CPUHz = math.NaN() }, false},
+		{"NaN cost", func(c *Config) { c.HourlyCostUSD = math.NaN() }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -97,14 +97,31 @@ func E17Resilience(s Scale) ([]*metrics.Table, error) {
 				StragglerProb: 0.05, StragglerFactor: 4, StragglerAlpha: 1.5,
 			}
 			strat.apply(&cfg)
-			rec := &trace.Recorder{}
+			// The recovery lag: how long after the outage cleared the cloud
+			// path carried its first successful completion again — the lag
+			// a breaker's probing cadence adds. Negative until one does;
+			// "-" if the run ended first (e.g. the burst outlived the
+			// workload at quick scale).
+			outEnd, lag := float64(e17OutageStart.Add(burst)), -1.0
 			res, err := runCell(s, cfg, mix, feed{rate: e17Rate, setup: func(sys *core.System) {
-				sys.Env.Events.Subscribe(rec)
+				sys.Env.Events.Subscribe(trace.SubscriberFunc(func(ev trace.Event) {
+					o := &ev.Outcome
+					if ev.Kind != trace.KindSettle || o.Failed || o.Placement != model.PlaceFunction || float64(o.Finished) < outEnd {
+						return
+					}
+					if l := float64(o.Finished) - outEnd; lag < 0 || l < lag {
+						lag = l
+					}
+				}))
 			}})
 			if err != nil {
 				return nil, err
 			}
 			st := res.stats
+			recovery := "-"
+			if lag >= 0 {
+				recovery = seconds(lag)
+			}
 			tbl.AddRow(
 				fmt.Sprintf("%g", float64(burst)),
 				strat.name,
@@ -114,29 +131,9 @@ func E17Resilience(s Scale) ([]*metrics.Table, error) {
 				fmtMilliJ(st.EnergyPerTaskMilliJ()),
 				fmt.Sprintf("%d", st.Fallbacks),
 				fmt.Sprintf("%d", st.Hedges),
-				recoverySeconds(rec.Records(), e17OutageStart.Add(burst)),
+				recovery,
 			)
 		}
 	}
 	return []*metrics.Table{tbl}, nil
-}
-
-// recoverySeconds measures how long after the outage cleared the cloud
-// path carried its first successful completion again — the recovery lag a
-// breaker's probing cadence adds. "-" means the run ended first (e.g. the
-// burst outlived the workload at quick scale).
-func recoverySeconds(recs []trace.Record, outEnd sim.Time) string {
-	best := -1.0
-	for _, r := range recs {
-		if r.Failed || r.Placement != model.PlaceFunction.String() || r.Finished < float64(outEnd) {
-			continue
-		}
-		if lag := r.Finished - float64(outEnd); best < 0 || lag < best {
-			best = lag
-		}
-	}
-	if best < 0 {
-		return "-"
-	}
-	return seconds(best)
 }

@@ -1,8 +1,9 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"offload/internal/adapt"
 	"offload/internal/cloudvm"
@@ -174,25 +175,65 @@ func e19Cells() []e19Cell {
 	}
 }
 
-// e19Objective scores one cell from its task records: mean per-task
-// cost/latency blend, failures charged a flat penalty. Infrastructure
-// spend is identical across policies within a cell (same fleet, same
-// horizon up to drain) and is deliberately excluded — the objective is
-// the marginal cost a placement decision controls.
-func e19Objective(recs []trace.Record) float64 {
-	if len(recs) == 0 {
+// e19Score aggregates one cell's settled tasks off the lifecycle stream:
+// the objective's running sum in settle order, and each task's
+// submission time, ID and placement for the switch count.
+type e19Score struct {
+	sum   float64
+	tasks []e19Decision
+}
+
+// objective scores the cell: mean per-task cost/latency blend, failures
+// charged a flat penalty. Infrastructure spend is identical across
+// policies within a cell (same fleet, same horizon up to drain) and is
+// deliberately excluded — the objective is the marginal cost a placement
+// decision controls.
+func (e *e19Score) objective() float64 {
+	if len(e.tasks) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, r := range recs {
-		if r.Failed {
-			sum += e19FailScore
-			continue
-		}
-		spend := r.CostUSD + r.EnergyMilliJ/1000*e19EnergyUSDPerJ
-		sum += (r.Finished-r.Submitted)/e19LatScaleS + spend/e19CostScaleUSD
+	return e.sum / float64(len(e.tasks))
+}
+
+type e19Decision struct {
+	submitted float64
+	id        uint64
+	placement model.Placement
+}
+
+// OnEvent implements trace.Subscriber.
+func (e *e19Score) OnEvent(ev trace.Event) {
+	if ev.Kind != trace.KindSettle {
+		return
 	}
-	return sum / float64(len(recs))
+	o := &ev.Outcome
+	d := e19Decision{submitted: float64(o.Started), placement: o.Placement}
+	if o.Task != nil {
+		d.id = uint64(o.Task.ID)
+	}
+	e.tasks = append(e.tasks, d)
+	if o.Failed {
+		e.sum += e19FailScore
+		return
+	}
+	spend := o.CostUSD + o.EnergyMilliJ/1000*e19EnergyUSDPerJ
+	e.sum += (float64(o.Finished)-float64(o.Started))/e19LatScaleS + spend/e19CostScaleUSD
+}
+
+// switches counts placement changes between consecutive tasks in
+// submission order — a flap rate comparable across static and adaptive
+// policies alike (failed tasks count: they were decisions too).
+func (e *e19Score) switches() int {
+	slices.SortStableFunc(e.tasks, func(a, b e19Decision) int {
+		return cmp.Or(cmp.Compare(a.submitted, b.submitted), cmp.Compare(a.id, b.id))
+	})
+	switches := 0
+	for i := 1; i < len(e.tasks); i++ {
+		if e.tasks[i].placement != e.tasks[i-1].placement {
+			switches++
+		}
+	}
+	return switches
 }
 
 // E19Adaptive runs every placement policy — the seven static baselines
@@ -223,16 +264,15 @@ func E19Adaptive(s Scale) ([]*metrics.Table, error) {
 		for pi, policy := range policies {
 			cfg := e19Config(s, policy)
 			cell.prep(&cfg, horizon)
-			rec := &trace.Recorder{}
+			score := &e19Score{}
 			res, err := runCell(s, cfg, mix, feed{
-				setup: func(sys *core.System) { sys.Env.Events.Subscribe(rec) },
+				setup: func(sys *core.System) { sys.Env.Events.Subscribe(score) },
 				drive: func(sys *core.System, gen *workload.Generator) { cell.drive(s, sys, gen, horizon) },
 			})
 			if err != nil {
 				return nil, err
 			}
-			recs := rec.Records()
-			obj := e19Objective(recs)
+			obj := score.objective()
 			objs[pi][ci] = obj
 			st := res.stats
 			sheds, drift, resizes := "-", "-", "-"
@@ -248,7 +288,7 @@ func E19Adaptive(s Scale) ([]*metrics.Table, error) {
 				seconds(st.P95Completion()),
 				usd(st.CostPerTask()),
 				pct(float64(st.Failed)/float64(st.Total())),
-				fmt.Sprintf("%d", recordSwitches(recs)),
+				fmt.Sprintf("%d", score.switches()),
 				sheds, drift, resizes,
 			)
 		}
@@ -310,27 +350,4 @@ func E19Adaptive(s Scale) ([]*metrics.Table, error) {
 // adaptive layer (and is therefore excluded from the static oracle).
 func isAdaptivePolicy(p core.PolicyName) bool {
 	return p == core.PolicyBanditUCB || p == core.PolicyBanditGreedy
-}
-
-// recordSwitches counts placement changes between consecutive tasks in
-// submission order — a flap rate comparable across static and adaptive
-// policies alike (failed tasks count: they were decisions too).
-func recordSwitches(recs []trace.Record) int {
-	idx := make([]int, len(recs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if recs[idx[a]].Submitted != recs[idx[b]].Submitted {
-			return recs[idx[a]].Submitted < recs[idx[b]].Submitted
-		}
-		return recs[idx[a]].TaskID < recs[idx[b]].TaskID
-	})
-	switches := 0
-	for i := 1; i < len(idx); i++ {
-		if recs[idx[i]].Placement != recs[idx[i-1]].Placement {
-			switches++
-		}
-	}
-	return switches
 }

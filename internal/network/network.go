@@ -61,17 +61,17 @@ type Config struct {
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
-	case c.OneWayDelay < 0:
+	case !(c.OneWayDelay >= 0):
 		return fmt.Errorf("network: %s: negative one-way delay", c.Name)
-	case c.UplinkBps <= 0 || c.DownlinkBps <= 0:
+	case !(c.UplinkBps > 0 && c.DownlinkBps > 0):
 		return fmt.Errorf("network: %s: bandwidth must be positive", c.Name)
-	case c.JitterStd < 0:
+	case !(c.JitterStd >= 0):
 		return fmt.Errorf("network: %s: negative jitter", c.Name)
-	case c.GoodToBadRate < 0 || c.BadToGoodRate < 0:
+	case !(c.GoodToBadRate >= 0 && c.BadToGoodRate >= 0):
 		return fmt.Errorf("network: %s: negative transition rate", c.Name)
 	case (c.GoodToBadRate > 0) != (c.BadToGoodRate > 0):
 		return fmt.Errorf("network: %s: both transition rates must be set together", c.Name)
-	case c.GoodToBadRate > 0 && (c.BadFactor <= 0 || c.BadFactor > 1):
+	case c.GoodToBadRate > 0 && !(c.BadFactor > 0 && c.BadFactor <= 1):
 		return fmt.Errorf("network: %s: BadFactor must be in (0,1] when degradation is enabled", c.Name)
 	}
 	return nil

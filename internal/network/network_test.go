@@ -30,12 +30,20 @@ func TestConfigValidate(t *testing.T) {
 		{"zero uplink", func(c *Config) { c.UplinkBps = 0 }, "bandwidth"},
 		{"zero downlink", func(c *Config) { c.DownlinkBps = 0 }, "bandwidth"},
 		{"negative jitter", func(c *Config) { c.JitterStd = -1 }, "jitter"},
+		{"NaN delay", func(c *Config) { c.OneWayDelay = sim.Duration(math.NaN()) }, "one-way delay"},
+		{"NaN uplink", func(c *Config) { *c = WiFiCloud(); c.UplinkBps = math.NaN() }, "bandwidth"},
+		{"NaN downlink", func(c *Config) { c.DownlinkBps = math.NaN() }, "bandwidth"},
+		{"NaN jitter", func(c *Config) { c.JitterStd = math.NaN() }, "jitter"},
+		{"NaN rate", func(c *Config) { c.BadToGoodRate = math.NaN() }, "transition rate"},
 		{"lonely rate", func(c *Config) { c.GoodToBadRate = 1 }, "together"},
 		{"bad factor", func(c *Config) {
 			c.GoodToBadRate, c.BadToGoodRate, c.BadFactor = 1, 1, 0
 		}, "BadFactor"},
 		{"bad factor above one", func(c *Config) {
 			c.GoodToBadRate, c.BadToGoodRate, c.BadFactor = 1, 1, 1.5
+		}, "BadFactor"},
+		{"NaN bad factor", func(c *Config) {
+			c.GoodToBadRate, c.BadToGoodRate, c.BadFactor = 1, 1, math.NaN()
 		}, "BadFactor"},
 	}
 	for _, tt := range tests {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"offload/internal/callgraph"
 	"offload/internal/dag"
@@ -68,6 +69,12 @@ type JobGenerator struct {
 	src  *rng.Source
 	tmpl JobTemplate
 	made uint64
+
+	// proto is the validated job whose structure every drawn job shares
+	// (dag.Job.Share): all of it for pipeline and fork-join shapes, the
+	// node names for layered ones, whose proto has no edges since each
+	// layered job draws its own.
+	proto *dag.Job
 }
 
 // NewJobGenerator returns a generator over the template.
@@ -75,7 +82,22 @@ func NewJobGenerator(src *rng.Source, tmpl JobTemplate) (*JobGenerator, error) {
 	if err := tmpl.Validate(); err != nil {
 		return nil, err
 	}
-	return &JobGenerator{src: src, tmpl: tmpl}, nil
+	var edges [][2]int
+	if tmpl.Shape != ShapeLayered {
+		edges = fixedEdges(tmpl.Shape, tmpl.Nodes)
+	}
+	nodes := make([]dag.Node, tmpl.Nodes)
+	sizeNodes(tmpl, nodes, edges)
+	proto := dag.New(tmpl.App, tmpl.Deadline)
+	for i, n := range nodes {
+		n.Name = fmt.Sprintf("n%02d", i)
+		proto.MustAddNode(n)
+	}
+	addEdges(tmpl, proto, edges)
+	if err := proto.Validate(); err != nil {
+		return nil, err
+	}
+	return &JobGenerator{src: src, tmpl: tmpl, proto: proto}, nil
 }
 
 // Generated returns how many jobs have been drawn.
@@ -90,64 +112,62 @@ func (g *JobGenerator) Next() *dag.Job {
 
 	// Per-node demand first, in index order, so the draw sequence is
 	// independent of how many edges the shape adds afterwards.
-	cycles := make([]float64, t.Nodes)
-	for i := range cycles {
+	nodes := g.proto.Nodes()
+	for i := range nodes {
 		scale := 1.0
 		if t.CyclesSigma > 0 {
 			scale = g.src.LogNormal(-t.CyclesSigma*t.CyclesSigma/2, t.CyclesSigma)
 		}
-		cycles[i] = t.MeanCycles * scale
+		nodes[i].Cycles = t.MeanCycles * scale
 	}
-
 	var edges [][2]int
-	switch t.Shape {
-	case ShapePipeline:
-		for i := 0; i+1 < t.Nodes; i++ {
-			edges = append(edges, [2]int{i, i + 1})
-		}
-	case ShapeForkJoin:
-		// Entry fans out to Nodes−2 parallel branches joined by an exit;
-		// fewer than three nodes degenerate to a chain.
-		if t.Nodes < 3 {
-			for i := 0; i+1 < t.Nodes; i++ {
-				edges = append(edges, [2]int{i, i + 1})
-			}
-			break
-		}
-		sink := t.Nodes - 1
+	if t.Shape == ShapeLayered {
+		edges = g.layeredEdges(t.Nodes, t.Width)
+		sizeNodes(t, nodes, edges)
+	}
+	job, err := g.proto.Share(nodes)
+	if err != nil {
+		panic(err)
+	}
+	addEdges(t, job, edges)
+	return job
+}
+
+// fixedEdges returns the edges of the shapes that draw none: a serial
+// chain, or an entry fanning out to nodes−2 parallel branches joined by
+// an exit (fewer than three nodes degenerate to a chain).
+func fixedEdges(shape JobShape, nodes int) [][2]int {
+	var edges [][2]int
+	if shape == ShapeForkJoin && nodes >= 3 {
+		sink := nodes - 1
 		for b := 1; b < sink; b++ {
 			edges = append(edges, [2]int{0, b}, [2]int{b, sink})
 		}
-	case ShapeLayered:
-		edges = g.layeredEdges(t.Nodes, t.Width)
+		return edges
 	}
+	for i := 0; i+1 < nodes; i++ {
+		edges = append(edges, [2]int{i, i + 1})
+	}
+	return edges
+}
 
-	hasPred := make([]bool, t.Nodes)
-	hasSucc := make([]bool, t.Nodes)
+// sizeNodes gives nodes the template's memory and job-external payloads:
+// nodes without a predecessor take the input, nodes without a successor
+// the output.
+func sizeNodes(t JobTemplate, nodes []dag.Node, edges [][2]int) {
+	for i := range nodes {
+		nodes[i].MemoryBytes, nodes[i].InputBytes, nodes[i].OutputBytes = t.MemoryBytes, t.InputBytes, t.OutputBytes
+	}
 	for _, e := range edges {
-		hasSucc[e[0]] = true
-		hasPred[e[1]] = true
+		nodes[e[0]].OutputBytes = 0
+		nodes[e[1]].InputBytes = 0
 	}
+}
 
-	job := dag.New(t.App, t.Deadline)
-	for i := 0; i < t.Nodes; i++ {
-		n := dag.Node{
-			Name:        fmt.Sprintf("n%02d", i),
-			Cycles:      cycles[i],
-			MemoryBytes: t.MemoryBytes,
-		}
-		if !hasPred[i] {
-			n.InputBytes = t.InputBytes
-		}
-		if !hasSucc[i] {
-			n.OutputBytes = t.OutputBytes
-		}
-		job.MustAddNode(n)
-	}
+func addEdges(t JobTemplate, job *dag.Job, edges [][2]int) {
 	for _, e := range edges {
 		job.MustAddEdge(dag.Edge{From: dag.NodeID(e[0]), To: dag.NodeID(e[1]), Bytes: t.EdgeBytes})
 	}
-	return job
 }
 
 // layeredEdges connects consecutive layers of up to width nodes: every
@@ -166,12 +186,11 @@ func (g *JobGenerator) layeredEdges(nodes, width int) [][2]int {
 		return e
 	}
 
-	var edges [][2]int
-	have := make(map[[2]int]bool)
+	// Each node draws at most one predecessor and adopts at most one
+	// successor, so 2·nodes bounds the edge count.
+	edges := make([][2]int, 0, 2*nodes)
 	add := func(from, to int) {
-		e := [2]int{from, to}
-		if !have[e] {
-			have[e] = true
+		if e := [2]int{from, to}; !slices.Contains(edges, e) {
 			edges = append(edges, e)
 		}
 	}
