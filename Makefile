@@ -82,8 +82,10 @@ offbench-bin:
 # probes and a wait queue, E21's conservative-barrier engine must match
 # at one shard (the serial reference), two (a 2-vCPU layout) and seven (a
 # partition that divides nothing evenly), and E22's DAG jobs thread
-# precedence through the event core. CI's determinism job runs this
-# target with metrics-golden and spans-golden.
+# precedence through the event core. Last, the whole test suite in a
+# taskpoison build, where a released task is poisoned and never reused,
+# so a read of a task after it settled changes results. CI's determinism
+# job runs this target with metrics-golden and spans-golden.
 determinism: offbench-bin
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -parallel 1 -quiet > /tmp/offbench-serial.txt
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -parallel 4 -quiet > /tmp/offbench-parallel.txt
@@ -105,6 +107,7 @@ determinism: offbench-bin
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E22 -parallel 1 -quiet > /tmp/offbench-e22-serial.txt
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E22 -parallel 4 -quiet > /tmp/offbench-e22-parallel.txt
 	cmp /tmp/offbench-e22-serial.txt /tmp/offbench-e22-parallel.txt
+	$(GO) test -tags taskpoison ./...
 
 # The sharded-engine drill: the cross-shard determinism property and
 # fleet tests under the race detector at GOMAXPROCS 1, 2 and 4 (so some

@@ -3,6 +3,7 @@ package adapt
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"offload/internal/model"
 	"offload/internal/rng"
@@ -153,10 +154,17 @@ type ArmSnapshot struct {
 }
 
 // snapshot aggregates the table per arm, in canonical placement order.
+// Each arm's running mean folds the contexts in sorted key order, so
+// identical runs export identical bits.
 func (b *bandit) snapshot() []ArmSnapshot {
+	keys := make([]string, 0, len(b.byCtx))
+	for k := range b.byCtx {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
 	byArm := make(map[model.Placement]*ArmSnapshot)
-	for _, c := range b.byCtx {
-		for p, st := range c.arms {
+	for _, k := range keys {
+		for p, st := range b.byCtx[k].arms { // each p folds into its own sum
 			if st.pulls == 0 {
 				continue
 			}

@@ -121,10 +121,11 @@ func (sub *substrates) functions(src *rng.Source) *sched.FunctionPool {
 // fixed order: edge path, serverless platform (on the substrates' first
 // functions call), cloud path, policy, prediction noise, retry jitter.
 // remote, when non-nil, carries the remote executions (a shard's port to
-// the hub). The adaptive controller, then the daily budget, subscribe to
+// the hub); tasks is the free list of eng's tasks, which every UE on eng
+// shares. The adaptive controller, then the daily budget, subscribe to
 // the UE's lifecycle stream here, ahead of any recorder.
-func newUE(cfg *Config, eng *sim.Engine, src *rng.Source, sub *substrates, remote sched.RemoteBackends) (*sched.Scheduler, *adapt.Controller, error) {
-	env := &sched.Env{Eng: eng, Device: device.New(eng, cfg.Device), Remote: remote}
+func newUE(cfg *Config, eng *sim.Engine, src *rng.Source, sub *substrates, remote sched.RemoteBackends, tasks *model.TaskPool) (*sched.Scheduler, *adapt.Controller, error) {
+	env := &sched.Env{Eng: eng, Device: device.New(eng, cfg.Device), Remote: remote, Tasks: tasks}
 	if sub.edge != nil {
 		env.Edge = sub.edge
 		env.EdgePath = network.New(eng, src.Split(), *cfg.EdgePath)
@@ -213,9 +214,9 @@ func newFleetUEs(cfg *Config, eng *sim.Engine, n int) fleetUEs {
 
 // addUE assembles UE i, its device named after the template with the
 // index appended, and appends it to the fleet.
-func (f *fleetUEs) addUE(cfg Config, i int, eng *sim.Engine, src *rng.Source, remote sched.RemoteBackends) error {
+func (f *fleetUEs) addUE(cfg Config, i int, eng *sim.Engine, src *rng.Source, remote sched.RemoteBackends, tasks *model.TaskPool) error {
 	cfg.Device.Name = fmt.Sprintf("%s-%04d", cfg.Device.Name, i)
-	s, _, err := newUE(&cfg, eng, src, &f.sub, remote)
+	s, _, err := newUE(&cfg, eng, src, &f.sub, remote, tasks)
 	if err != nil {
 		return err
 	}

@@ -274,7 +274,7 @@ func newSystem(cfg Config, sc scope) (*System, error) {
 	eng := sim.NewEngine()
 	src := rng.New(cfg.Seed)
 	sub := newSubstrates(&cfg, eng, 1)
-	s, ctrl, err := newUE(&cfg, eng, src, &sub, nil)
+	s, ctrl, err := newUE(&cfg, eng, src, &sub, nil, new(model.TaskPool))
 	if err != nil {
 		return nil, err
 	}
@@ -449,9 +449,10 @@ func (s *System) Submit(task *model.Task) {
 	}
 }
 
-// SubmitStream schedules count arrivals from the generator.
+// SubmitStream schedules count arrivals from the generator, drawing the
+// tasks from the system's pool.
 func (s *System) SubmitStream(arrivals workload.Arrivals, gen *workload.Generator, count int) {
-	workload.Stream(s.Eng, arrivals, gen, count, s.Submit)
+	workload.StreamFrom(s.Eng, s.Env.Tasks, arrivals, gen, count, s.Submit)
 }
 
 // Run drives the simulation until no work remains, flushing any pending

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"offload/internal/adapt"
 	"offload/internal/callgraph"
 	"offload/internal/device"
 	"offload/internal/model"
@@ -145,6 +146,45 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same seed produced different results: %g vs %g", a, b)
+	}
+}
+
+// TestArmGaugeIdenticalAcrossRuns runs one bandit configuration 40 times
+// in one process. The arm state the metrics export reads must match to
+// the bit every time, whatever order the bandit's maps iterate in.
+func TestArmGaugeIdenticalAcrossRuns(t *testing.T) {
+	run := func() []adapt.ArmSnapshot {
+		cfg := DefaultConfig()
+		cfg.Policy = PolicyBanditUCB
+		cfg.Seed = 9
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := workload.StandardMix(sys.Src.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.SubmitStream(workload.NewPoisson(sys.Src.Split(), 0.5), gen, 3000)
+		sys.Run()
+		return sys.Adapt().Arms()
+	}
+	want := run()
+	if len(want) < 2 {
+		t.Fatalf("bandit learned %d arms, want several", len(want))
+	}
+	for i := 1; i < 40; i++ {
+		got := run()
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d arms, want %d", i, len(got), len(want))
+		}
+		for k := range want {
+			g, w := got[k], want[k]
+			if g.Placement != w.Placement || g.Pulls != w.Pulls ||
+				math.Float64bits(g.MeanReward) != math.Float64bits(w.MeanReward) {
+				t.Fatalf("run %d arm %v: got %+v, first run %+v", i, w.Placement, g, w)
+			}
+		}
 	}
 }
 

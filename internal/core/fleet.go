@@ -41,8 +41,9 @@ func NewFleet(cfg Config, n int) (*Fleet, error) {
 	src := rng.New(cfg.Seed)
 	f := &Fleet{Eng: eng, Src: src, fleetUEs: newFleetUEs(&cfg, eng, n)}
 	f.sub.functions(src)
+	tasks := new(model.TaskPool)
 	for i := 0; i < n; i++ {
-		if err := f.addUE(cfg, i, eng, src, nil); err != nil {
+		if err := f.addUE(cfg, i, eng, src, nil, tasks); err != nil {
 			return nil, err
 		}
 	}
@@ -61,7 +62,7 @@ func (f *Fleet) SubmitStreams(rate float64, tasksPerDevice int) error {
 		if err != nil {
 			return err
 		}
-		workload.Stream(f.Eng, workload.NewPoisson(f.Src.Split(), rate), gen, tasksPerDevice, s.Submit)
+		workload.StreamFrom(f.Eng, s.Env().Tasks, workload.NewPoisson(f.Src.Split(), rate), gen, tasksPerDevice, s.Submit)
 	}
 	return nil
 }

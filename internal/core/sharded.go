@@ -123,12 +123,18 @@ func NewShardedFleet(cfg Config, n int) (*ShardedFleet, error) {
 	// Per-UE rng base: Derive(seed, 1) so the hub stream (Fork(seed, 0))
 	// and UE streams can never collide whatever n is.
 	ueBase := rng.Derive(cfg.Seed, 1)
+	// One task pool per shard: a shard's UEs share it, and only the
+	// shard's goroutine touches it.
+	tasks := make([]*model.TaskPool, shards)
+	for i := range tasks {
+		tasks[i] = new(model.TaskPool)
+	}
 	for i := 0; i < n; i++ {
 		sidx := i % shards
 		src := rng.Fork(ueBase, uint64(i))
 		f.ueSrc = append(f.ueSrc, src)
 		port := &uePort{hub: hub, shard: sidx, key: uint64(i)}
-		if err := f.addUE(cfg, i, se.Shard(sidx), src, port); err != nil {
+		if err := f.addUE(cfg, i, se.Shard(sidx), src, port, tasks[sidx]); err != nil {
 			return nil, err
 		}
 	}
@@ -153,7 +159,7 @@ func (f *ShardedFleet) Submit(count int, arrivals func(src *rng.Source, ue int) 
 	for i, s := range f.Schedulers {
 		src := f.ueSrc[i]
 		gen := proto.Clone(src.Split(), model.TaskID(uint64(i))<<32)
-		workload.Stream(f.SE.Shard(i%shards), arrivals(src.Split(), i), gen, count, s.Submit)
+		workload.StreamFrom(f.SE.Shard(i%shards), s.Env().Tasks, arrivals(src.Split(), i), gen, count, s.Submit)
 	}
 	return nil
 }

@@ -47,7 +47,10 @@ type Result struct {
 	EnergyMilliJ float64
 
 	// NodeOutcomes holds each node's scheduler outcome, indexed by NodeID.
-	// Skipped nodes (descendants of a failure) have a zero Outcome.
+	// Skipped nodes (descendants of a failure) have a zero Outcome. The
+	// slice, and the tasks its outcomes point to, belong to the
+	// orchestrator and are reused by a later job: they are valid only
+	// until the OnJobDone callback returns, so copy what you keep.
 	NodeOutcomes []model.Outcome
 }
 
@@ -126,7 +129,9 @@ func (s *Stats) MeanSlackS() float64 {
 // must stay at float-summation scale (≤ 1e-9 s).
 func (s *Stats) MaxDriftS() float64 { return s.maxDrift }
 
-// jobState tracks one in-flight job.
+// jobState tracks one in-flight job. Records are recycled through the
+// orchestrator's free list once their job settles, keeping their arrays
+// and their bound then closure.
 type jobState struct {
 	job        *Job
 	id         uint64
@@ -169,6 +174,7 @@ type Orchestrator struct {
 	placer Placer
 	jobSeq uint64
 	active map[uint64]*jobState
+	free   sim.FreeList[jobState]
 	stats  Stats
 	onDone func(Result)
 }
@@ -218,19 +224,9 @@ func (o *Orchestrator) Submit(job *Job) error {
 			job.App(), o.placer.Name(), len(placements), job.Len())
 	}
 	o.jobSeq++
-	st := &jobState{
-		job:        job,
-		id:         o.jobSeq,
-		base:       model.TaskID(o.jobSeq << jobIDShift),
-		start:      o.s.Env().Eng.Now(),
-		placements: placements,
-		remaining:  make([]int, job.Len()),
-		state:      make([]nodeState, job.Len()),
-		tasks:      make([]model.Task, job.Len()),
-		outcomes:   make([]model.Outcome, job.Len()),
-		pending:    job.Len(),
-	}
-	st.then = func(out model.Outcome) { o.nodeDone(st, NodeID(out.Task.ID-st.base-1), out) }
+	st := o.newJobState(job.Len())
+	st.job, st.id, st.base = job, o.jobSeq, model.TaskID(o.jobSeq<<jobIDShift)
+	st.start, st.placements, st.pending = o.s.Env().Eng.Now(), placements, job.Len()
 	for id := 0; id < job.Len(); id++ {
 		st.remaining[id] = len(job.preds[id])
 	}
@@ -241,6 +237,28 @@ func (o *Orchestrator) Submit(job *Job) error {
 		}
 	}
 	return nil
+}
+
+// newJobState returns a clean record with arrays for n nodes, recycled
+// when one is free: its node states and outcomes are zeroed, and release
+// writes each node's task before handing it out.
+func (o *Orchestrator) newJobState(n int) *jobState {
+	st := o.free.Get()
+	if st == nil {
+		st = &jobState{}
+		st.then = func(out model.Outcome) { o.nodeDone(st, NodeID(out.Task.ID-st.base-1), out) }
+	}
+	if cap(st.remaining) < n {
+		st.remaining = make([]int, n)
+		st.state = make([]nodeState, n)
+		st.tasks = make([]model.Task, n)
+		st.outcomes = make([]model.Outcome, n)
+	}
+	st.remaining, st.state = st.remaining[:n], st.state[:n]
+	st.tasks, st.outcomes = st.tasks[:n], st.outcomes[:n]
+	clear(st.state)
+	clear(st.outcomes)
+	return st
 }
 
 // release hands one ready node to the scheduler.
@@ -366,6 +384,7 @@ func (o *Orchestrator) finalize(st *jobState) {
 	if o.onDone != nil {
 		o.onDone(res)
 	}
+	o.recycle(st)
 }
 
 // criticalPath walks backward from the last-finishing node, at each step

@@ -2,6 +2,7 @@ package dag_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"offload/internal/dag"
@@ -59,11 +60,20 @@ func diamond(t *testing.T) *dag.Job {
 	return j
 }
 
+// keep copies each settled job's result into res, NodeOutcomes included:
+// the orchestrator reuses that slice once the callback returns.
+func keep(res *dag.Result) func(dag.Result) {
+	return func(r dag.Result) {
+		*res = r
+		res.NodeOutcomes = slices.Clone(r.NodeOutcomes)
+	}
+}
+
 func TestOrchestratorPrecedence(t *testing.T) {
 	eng, env := localEnv()
 	o := newOrch(t, env, sched.LocalOnly{}, nil)
 	var res dag.Result
-	o.OnJobDone(func(r dag.Result) { res = r })
+	o.OnJobDone(keep(&res))
 	job := diamond(t)
 	if err := o.Submit(job); err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -135,7 +145,7 @@ func TestOrchestratorFailureSkipsDescendants(t *testing.T) {
 	eng, env := localEnv()
 	o := newOrch(t, env, edgeFor{component: "b"}, nil)
 	var res dag.Result
-	o.OnJobDone(func(r dag.Result) { res = r })
+	o.OnJobDone(keep(&res))
 	job := diamond(t)
 	if err := o.Submit(job); err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -191,7 +201,7 @@ func TestOrchestratorRankRunsToCompletion(t *testing.T) {
 	eng, env := edgeEnv()
 	o := newOrch(t, env, sched.LocalOnly{}, dag.Rank{})
 	var res dag.Result
-	o.OnJobDone(func(r dag.Result) { res = r })
+	o.OnJobDone(keep(&res))
 	job := diamond(t)
 	if err := o.Submit(job); err != nil {
 		t.Fatalf("Submit: %v", err)

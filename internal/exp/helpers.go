@@ -65,7 +65,7 @@ func runCell(s Scale, cfg core.Config, mix []workload.WeightedTemplate, c feed) 
 		}
 	}
 	stream := func() {
-		workload.Stream(sys.Eng, workload.NewPoisson(sys.Src.Split(), c.rate), gen, s.Tasks, submit)
+		workload.StreamFrom(sys.Eng, sys.Env.Tasks, workload.NewPoisson(sys.Src.Split(), c.rate), gen, s.Tasks, submit)
 	}
 	switch {
 	case c.drive != nil:

@@ -99,6 +99,11 @@ type Task struct {
 	// positive is critical work that must keep running even if that means
 	// executing locally. Healthy systems ignore it.
 	Priority int
+
+	// owner is the task's own address while a TaskPool owns it, nil
+	// otherwise; a copy made by value points elsewhere, so it is never
+	// pooled.
+	owner *Task
 }
 
 // Priority classes for Task.Priority.
@@ -167,6 +172,10 @@ type Executor interface {
 // Outcome is the scheduler's end-to-end record for a task: transfers,
 // execution, money and energy.
 type Outcome struct {
+	// Task is the task this outcome settles. A pooled task (see TaskPool)
+	// is recycled once it settles, so the pointer is valid only until the
+	// callback or subscriber handed the outcome returns: copy what you
+	// keep.
 	Task      *Task
 	Placement Placement
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"offload/internal/model"
 	"offload/internal/sim"
@@ -80,12 +81,18 @@ func (b *Batcher) Submit(task *model.Task) {
 	}
 }
 
-// Flush dispatches every queued batch immediately, regardless of fill.
+// Flush dispatches every queued batch immediately, regardless of fill,
+// in application-name order.
 func (b *Batcher) Flush() {
+	apps := make([]string, 0, len(b.queues))
 	for app, q := range b.queues {
 		if len(q.tasks) > 0 {
-			b.flush(app, q)
+			apps = append(apps, app)
 		}
+	}
+	slices.Sort(apps)
+	for _, app := range apps {
+		b.flush(app, b.queues[app])
 	}
 }
 

@@ -51,6 +51,17 @@ type Env struct {
 	// layer, the adaptive controller and the DAG orchestrator emit into
 	// it; the budget, the controller and every recorder subscribe.
 	Events trace.Stream
+
+	// Tasks is the free list of the engine's tasks, shared by every UE on
+	// Eng: streams draw from it and the scheduler releases each pooled
+	// task into it once the task has settled. Nil allocates every task.
+	Tasks *model.TaskPool
+
+	// The first nAvailable entries of available are Available's answer,
+	// fixed when a scheduler is built on the environment. An array, not
+	// a slice, so building a UE's scheduler allocates nothing for it.
+	available  [4]model.Placement // local, edge, function, VM at most
+	nAvailable int
 }
 
 // RemoteBackends executes one remote attempt on behalf of the scheduler.
@@ -79,9 +90,20 @@ func (e *Env) Validate() error {
 	return nil
 }
 
-// Available lists the placements this environment can serve.
+// Available lists the placements this environment can serve, in
+// canonical order. Once a scheduler is built on the environment the list
+// is fixed and shared, so callers must not modify it; attach substrates
+// before calling New.
 func (e *Env) Available() []model.Placement {
-	out := []model.Placement{model.PlaceLocal}
+	if e.nAvailable > 0 {
+		return e.available[:e.nAvailable:e.nAvailable]
+	}
+	return e.placements(make([]model.Placement, 0, len(e.available)))
+}
+
+// placements appends the placements the environment serves to out.
+func (e *Env) placements(out []model.Placement) []model.Placement {
+	out = append(out, model.PlaceLocal)
 	if e.Edge != nil {
 		out = append(out, model.PlaceEdge)
 	}
@@ -180,6 +202,7 @@ func New(env *Env, policy Policy, pred Predictor, opts ...Option) (*Scheduler, e
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
+	env.nAvailable = len(env.placements(env.available[:0]))
 	if policy == nil {
 		return nil, fmt.Errorf("sched: nil policy")
 	}
@@ -560,6 +583,9 @@ func (s *Scheduler) finish(o model.Outcome) {
 			cb(o)
 		}
 	}
+	// The task's life ends here on both paths: the resilience layer
+	// settles only once every attempt has drained.
+	s.env.Tasks.Release(o.Task)
 }
 
 // shouldRetry reports whether the failed outcome is worth another try:

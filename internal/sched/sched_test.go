@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"offload/internal/cloudvm"
@@ -109,6 +110,18 @@ func TestAvailablePlacements(t *testing.T) {
 	minimal := &Env{Eng: env.Eng, Device: env.Device}
 	if got := len(minimal.Available()); got != 1 {
 		t.Fatalf("minimal Available = %d, want 1", got)
+	}
+	// Once a scheduler is built on it, the list is fixed: the same
+	// placements, in canonical order, without an allocation per call.
+	if _, err := New(env, LocalOnly{}, Exact{}); err != nil {
+		t.Fatal(err)
+	}
+	want := []model.Placement{model.PlaceLocal, model.PlaceEdge, model.PlaceFunction, model.PlaceVM}
+	if got := env.Available(); !slices.Equal(got, want) {
+		t.Fatalf("Available = %v, want %v", got, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { env.Available() }); n != 0 {
+		t.Fatalf("Available allocates %.0f per call", n)
 	}
 }
 
@@ -545,6 +558,42 @@ func TestBatcherFlushOnSize(t *testing.T) {
 	}
 	if s.Stats().Completed != 3 {
 		t.Fatalf("Completed = %d", s.Stats().Completed)
+	}
+}
+
+// TestBatcherFlushDispatchesInAppOrder queues one task each for three
+// applications and flushes them: the batches must start in app-name
+// order on every try, whatever order the queue map iterates in.
+func TestBatcherFlushDispatchesInAppOrder(t *testing.T) {
+	for try := 0; try < 20; try++ {
+		env := testEnv(t)
+		var started []model.TaskID
+		env.Events.Subscribe(trace.SubscriberFunc(func(ev trace.Event) {
+			if ev.Kind == trace.KindAttemptStart {
+				started = append(started, ev.Task)
+			}
+		}))
+		s, err := New(env, CloudAll{}, Exact{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewBatcher(s, 100, 0) // only Flush releases
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, app := range []string{"gamma", "alpha", "beta"} {
+			task := heavyTask(model.TaskID(800 + i))
+			task.App, task.Cycles = app, 1e9
+			b.Submit(task)
+		}
+		b.Flush()
+		if want := []model.TaskID{801, 802, 800}; !slices.Equal(started, want) {
+			t.Fatalf("try %d: batches started as %v, want %v (alpha, beta, gamma)", try, started, want)
+		}
+		env.Eng.Run()
+		if s.Stats().Completed != 3 {
+			t.Fatalf("Completed = %d", s.Stats().Completed)
+		}
 	}
 }
 

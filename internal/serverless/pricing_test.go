@@ -3,6 +3,7 @@ package serverless
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -192,6 +193,41 @@ func TestProvisionedCapacityFeeAccrues(t *testing.T) {
 	eng.RunUntil(7200)
 	if after := p.ProvisionedCostUSD(); math.Abs(after-want)/want > 1e-9 {
 		t.Fatalf("fee kept accruing after removal: %g", after)
+	}
+}
+
+// TestProvisionedCostSumsInNameOrder accrues capacity fees on four
+// functions whose float sum depends on the order it is taken in. The
+// platform total must equal the name-order sum to the bit on every call,
+// whatever order the function map iterates in.
+func TestProvisionedCostSumsInNameOrder(t *testing.T) {
+	cfg := testConfig()
+	cfg.Price.ProvisionedGBSecondUSD = 1.1e-6
+	eng, p := newTestPlatform(t, cfg)
+	names := []string{"delta", "alpha", "charlie", "bravo"}
+	for i, name := range names {
+		if _, err := p.Deploy(FunctionConfig{
+			Name: name, MemoryBytes: int64(1+3*i) * 128 * model.MB, ProvisionedConcurrency: 1 + 5*i,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunUntil(3333.3)
+	sorted := slices.Clone(names)
+	slices.Sort(sorted)
+	fees := make([]float64, len(sorted))
+	want := 0.0
+	for i, name := range sorted {
+		fees[i] = p.Function(name).ProvisionedCostUSD()
+		want += fees[i]
+	}
+	if (fees[3]+fees[2])+fees[1]+fees[0] == want && (fees[1]+fees[3])+fees[0]+fees[2] == want {
+		t.Fatal("fees sum the same in every order; the test cannot see the order")
+	}
+	for try := 0; try < 20; try++ {
+		if got := p.ProvisionedCostUSD(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("try %d: ProvisionedCostUSD = %v, name-order sum %v", try, got, want)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"offload/internal/fault"
 	"offload/internal/model"
@@ -522,11 +523,17 @@ func (p *Platform) Remove(name string) {
 }
 
 // ProvisionedCostUSD returns capacity fees accrued by every function's
-// provisioned concurrency up to now, including removed functions.
+// provisioned concurrency up to now, including removed functions, summed
+// in function-name order.
 func (p *Platform) ProvisionedCostUSD() float64 {
+	names := make([]string, 0, len(p.functions))
+	for name := range p.functions {
+		names = append(names, name)
+	}
+	slices.Sort(names)
 	total := p.retiredProvisionedUSD
-	for _, f := range p.functions {
-		total += f.ProvisionedCostUSD()
+	for _, name := range names {
+		total += p.functions[name].ProvisionedCostUSD()
 	}
 	return total
 }

@@ -64,9 +64,11 @@ type Event struct {
 
 	Placement model.Placement
 	Target    model.Placement
-	Outcome   model.Outcome
-	CostUSD   float64
-	Status    string
+	// Outcome.Task may be a pooled task, recycled once the task settles:
+	// it is valid only until OnEvent returns, so copy what you keep.
+	Outcome model.Outcome
+	CostUSD float64
+	Status  string
 
 	Name       string
 	From, To   string

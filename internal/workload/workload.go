@@ -271,7 +271,11 @@ func (g *Generator) Clone(src *rng.Source, base model.TaskID) *Generator {
 }
 
 // Next draws one task submitted at now.
-func (g *Generator) Next(now sim.Time) *model.Task {
+func (g *Generator) Next(now sim.Time) *model.Task { return g.NextFrom(nil, now) }
+
+// NextFrom is Next with the task taken from tasks (a nil pool allocates
+// it).
+func (g *Generator) NextFrom(tasks *model.TaskPool, now sim.Time) *model.Task {
 	u := g.src.Float64()
 	idx := 0
 	for idx < len(g.cum)-1 && g.cum[idx] < u {
@@ -284,7 +288,7 @@ func (g *Generator) Next(now sim.Time) *model.Task {
 		// Unit-mean lognormal size factor.
 		scale = g.src.LogNormal(-t.CyclesSigma*t.CyclesSigma/2, t.CyclesSigma)
 	}
-	return &model.Task{
+	return tasks.New(model.Task{
 		ID:               g.baseID + g.nextID,
 		App:              t.App,
 		InputBytes:       int64(float64(t.InputBytes) * scale),
@@ -294,7 +298,7 @@ func (g *Generator) Next(now sim.Time) *model.Task {
 		ParallelFraction: t.ParallelFraction,
 		Deadline:         t.Deadline,
 		Submitted:        now,
-	}
+	})
 }
 
 // Generated returns how many tasks have been drawn.
@@ -302,15 +306,22 @@ func (g *Generator) Generated() uint64 { return uint64(g.nextID) }
 
 // Stream schedules count arrivals on eng, drawing gaps from arrivals and
 // tasks from gen, invoking submit for each. Submission happens inside the
-// simulation, so substrates see realistic arrival dynamics.
+// simulation, so substrates see realistic arrival dynamics. Each task is
+// allocated; StreamFrom draws them from the engine's pool instead.
 func Stream(eng *sim.Engine, arrivals Arrivals, gen *Generator, count int, submit func(*model.Task)) {
+	StreamFrom(eng, nil, arrivals, gen, count, submit)
+}
+
+// StreamFrom is Stream with every task drawn from tasks, the pool of
+// eng's tasks that the scheduler releases them back to once they settle.
+func StreamFrom(eng *sim.Engine, tasks *model.TaskPool, arrivals Arrivals, gen *Generator, count int, submit func(*model.Task)) {
 	if count <= 0 {
 		return
 	}
 	var arrive func()
 	remaining := count
 	arrive = func() {
-		task := gen.Next(eng.Now())
+		task := gen.NextFrom(tasks, eng.Now())
 		remaining--
 		submit(task)
 		if remaining > 0 {
