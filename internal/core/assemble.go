@@ -121,11 +121,12 @@ func (sub *substrates) functions(src *rng.Source) *sched.FunctionPool {
 // fixed order: edge path, serverless platform (on the substrates' first
 // functions call), cloud path, policy, prediction noise, retry jitter.
 // remote, when non-nil, carries the remote executions (a shard's port to
-// the hub); tasks is the free list of eng's tasks, which every UE on eng
-// shares. The adaptive controller, then the daily budget, subscribe to
-// the UE's lifecycle stream here, ahead of any recorder.
-func newUE(cfg *Config, eng *sim.Engine, src *rng.Source, sub *substrates, remote sched.RemoteBackends, tasks *model.TaskPool) (*sched.Scheduler, *adapt.Controller, error) {
-	env := &sched.Env{Eng: eng, Device: device.New(eng, cfg.Device), Remote: remote, Tasks: tasks}
+// the hub); pools are eng's free lists, which every UE on eng shares.
+// The adaptive controller, then the daily budget, subscribe to the UE's
+// lifecycle stream here, ahead of any recorder.
+func newUE(cfg *Config, eng *sim.Engine, src *rng.Source, sub *substrates, remote sched.RemoteBackends, pools *enginePools) (*sched.Scheduler, *adapt.Controller, error) {
+	env := &sched.Env{Eng: eng, Device: device.New(eng, cfg.Device), Remote: remote,
+		Tasks: &pools.tasks, Attempts: &pools.attempts}
 	if sub.edge != nil {
 		env.Edge = sub.edge
 		env.EdgePath = network.New(eng, src.Split(), *cfg.EdgePath)
@@ -195,6 +196,13 @@ func newUE(cfg *Config, eng *sim.Engine, src *rng.Source, sub *substrates, remot
 	return s, ctrl, nil
 }
 
+// enginePools are the free lists every UE on one engine shares: one set
+// per System, per Fleet and per shard of a ShardedFleet.
+type enginePools struct {
+	tasks    model.TaskPool
+	attempts sched.AttemptPool
+}
+
 // fleetUEs is what Fleet and ShardedFleet share: n UEs over one set of
 // substrates.
 type fleetUEs struct {
@@ -214,9 +222,9 @@ func newFleetUEs(cfg *Config, eng *sim.Engine, n int) fleetUEs {
 
 // addUE assembles UE i, its device named after the template with the
 // index appended, and appends it to the fleet.
-func (f *fleetUEs) addUE(cfg Config, i int, eng *sim.Engine, src *rng.Source, remote sched.RemoteBackends, tasks *model.TaskPool) error {
+func (f *fleetUEs) addUE(cfg Config, i int, eng *sim.Engine, src *rng.Source, remote sched.RemoteBackends, pools *enginePools) error {
 	cfg.Device.Name = fmt.Sprintf("%s-%04d", cfg.Device.Name, i)
-	s, _, err := newUE(&cfg, eng, src, &f.sub, remote, tasks)
+	s, _, err := newUE(&cfg, eng, src, &f.sub, remote, pools)
 	if err != nil {
 		return err
 	}

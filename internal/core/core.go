@@ -274,7 +274,7 @@ func newSystem(cfg Config, sc scope) (*System, error) {
 	eng := sim.NewEngine()
 	src := rng.New(cfg.Seed)
 	sub := newSubstrates(&cfg, eng, 1)
-	s, ctrl, err := newUE(&cfg, eng, src, &sub, nil, new(model.TaskPool))
+	s, ctrl, err := newUE(&cfg, eng, src, &sub, nil, new(enginePools))
 	if err != nil {
 		return nil, err
 	}

@@ -41,9 +41,9 @@ func NewFleet(cfg Config, n int) (*Fleet, error) {
 	src := rng.New(cfg.Seed)
 	f := &Fleet{Eng: eng, Src: src, fleetUEs: newFleetUEs(&cfg, eng, n)}
 	f.sub.functions(src)
-	tasks := new(model.TaskPool)
+	pools := new(enginePools)
 	for i := 0; i < n; i++ {
-		if err := f.addUE(cfg, i, eng, src, nil, tasks); err != nil {
+		if err := f.addUE(cfg, i, eng, src, nil, pools); err != nil {
 			return nil, err
 		}
 	}

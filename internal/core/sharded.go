@@ -54,15 +54,16 @@ type shardHub struct {
 	pred fixedCycles // scratch for pool.For; phase B is single-threaded
 }
 
-func (h *shardHub) execute(task *model.Task, placement model.Placement, predicted float64, done func(model.ExecReport)) {
-	switch placement {
+func (h *shardHub) execute(a *sched.RemoteAttempt, done func(model.ExecReport)) {
+	task := a.Task()
+	switch a.Placement() {
 	case model.PlaceEdge:
 		h.edge.Execute(task, done)
 	case model.PlaceFunction:
 		// Deploying/resizing the function mutates shared pool state,
 		// which is exactly why this happens hub-side; fixedCycles hands
 		// it the shard-captured prediction the serial path would use.
-		h.pred.cycles = predicted
+		h.pred.cycles = a.Predicted()
 		fn, err := h.pool.For(task, &h.pred)
 		if err != nil {
 			now := h.se.Hub().Now()
@@ -75,8 +76,20 @@ func (h *shardHub) execute(task *model.Task, placement model.Placement, predicte
 	default:
 		now := h.se.Hub().Now()
 		done(model.ExecReport{Start: now, End: now,
-			Err: fmt.Errorf("core: sharded hub cannot execute placement %v", placement)})
+			Err: fmt.Errorf("core: sharded hub cannot execute placement %v", a.Placement())})
 	}
+}
+
+// bind gives an attempt record of shard's pool its hop: the hub-side
+// execution, whose reply stores the report in the record and sends the
+// record's continuation back to the shard. Both are built once per
+// record. A record stays on its shard's pool and the hop names only the
+// hub and the shard, so it serves every UE on the shard that draws the
+// record. The hub touches a record only in phase B, while the shard is
+// quiescent, and the record goes back to the pool on the shard.
+func (h *shardHub) bind(a *sched.RemoteAttempt, shard int) {
+	reply := func(rep model.ExecReport) { h.se.SendToShard(shard, a.Resume(rep)) }
+	a.Hop = func() { h.execute(a, reply) }
 }
 
 // uePort implements sched.RemoteBackends for one UE: it forwards the
@@ -91,13 +104,11 @@ type uePort struct {
 
 var _ sched.RemoteBackends = (*uePort)(nil)
 
-func (p *uePort) Execute(task *model.Task, placement model.Placement, predicted float64, done func(model.ExecReport)) {
-	h := p.hub
-	h.se.SendToHub(p.shard, p.key, func() {
-		h.execute(task, placement, predicted, func(rep model.ExecReport) {
-			h.se.SendToShard(p.shard, func() { done(rep) })
-		})
-	})
+func (p *uePort) Execute(a *sched.RemoteAttempt) {
+	if a.Hop == nil {
+		p.hub.bind(a, p.shard)
+	}
+	p.hub.se.SendToHub(p.shard, p.key, a.Hop)
 }
 
 // NewShardedFleet builds n UEs partitioned round-robin (UE i on shard
@@ -123,18 +134,18 @@ func NewShardedFleet(cfg Config, n int) (*ShardedFleet, error) {
 	// Per-UE rng base: Derive(seed, 1) so the hub stream (Fork(seed, 0))
 	// and UE streams can never collide whatever n is.
 	ueBase := rng.Derive(cfg.Seed, 1)
-	// One task pool per shard: a shard's UEs share it, and only the
+	// One set of pools per shard: a shard's UEs share it, and only the
 	// shard's goroutine touches it.
-	tasks := make([]*model.TaskPool, shards)
-	for i := range tasks {
-		tasks[i] = new(model.TaskPool)
+	pools := make([]*enginePools, shards)
+	for i := range pools {
+		pools[i] = new(enginePools)
 	}
 	for i := 0; i < n; i++ {
 		sidx := i % shards
 		src := rng.Fork(ueBase, uint64(i))
 		f.ueSrc = append(f.ueSrc, src)
 		port := &uePort{hub: hub, shard: sidx, key: uint64(i)}
-		if err := f.addUE(cfg, i, se.Shard(sidx), src, port, tasks[sidx]); err != nil {
+		if err := f.addUE(cfg, i, se.Shard(sidx), src, port, pools[sidx]); err != nil {
 			return nil, err
 		}
 	}

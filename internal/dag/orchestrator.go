@@ -33,7 +33,8 @@ type Result struct {
 	// CritS[i] seconds attributed to CritPath[i]: each node's finish minus
 	// its latest-finishing predecessor's. The contributions telescope, so
 	// CritTotalS equals MakespanS up to float summation error. Empty for
-	// failed jobs.
+	// failed jobs. Like NodeOutcomes, both slices are reused by a later
+	// job: they are valid only until the OnJobDone callback returns.
 	CritPath   []NodeID
 	CritS      []float64
 	CritTotalS float64
@@ -148,11 +149,16 @@ type jobState struct {
 	// the whole job, since the task ID names the node.
 	then func(model.Outcome)
 
+	// critPath and critS back Result.CritPath and CritS.
+	critPath []NodeID
+	critS    []float64
+
 	pending int // nodes not yet settled or skipped
 	failed  bool
 
 	costUSD float64
 	energy  float64
+	sim.Link[*jobState]
 }
 
 // nodeState is how far a node has settled. A failed node stays open:
@@ -174,9 +180,13 @@ type Orchestrator struct {
 	placer Placer
 	jobSeq uint64
 	active map[uint64]*jobState
-	free   sim.FreeList[jobState]
+	free   sim.FreeList[*jobState]
 	stats  Stats
 	onDone func(Result)
+
+	// slack is meanSlack's scratch: three float64s per node of the
+	// largest succeeded job so far.
+	slack []float64
 }
 
 // NewOrchestrator returns an orchestrator submitting through s. A nil
@@ -400,8 +410,7 @@ func (o *Orchestrator) criticalPath(st *jobState, res *Result) {
 			last, lastFin = NodeID(id), fin
 		}
 	}
-	path := make([]NodeID, 0, len(st.outcomes))
-	secs := make([]float64, 0, len(st.outcomes))
+	path, secs := st.critPath[:0], st.critS[:0]
 	for n := last; ; {
 		prevFin := st.start
 		next := NodeID(-1)
@@ -427,6 +436,7 @@ func (o *Orchestrator) criticalPath(st *jobState, res *Result) {
 	for _, s := range secs {
 		total += s
 	}
+	st.critPath, st.critS = path, secs
 	res.CritPath, res.CritS, res.CritTotalS = path, secs, total
 }
 
@@ -435,8 +445,12 @@ func (o *Orchestrator) criticalPath(st *jobState, res *Result) {
 func (o *Orchestrator) meanSlack(st *jobState, makespan float64) float64 {
 	n := st.job.Len()
 	// dur: observed duration; ef: earliest finish, relative to job start;
-	// ls: latest start — per node, out of one allocation.
-	buf := make([]float64, 3*n)
+	// ls: latest start — per node, out of the orchestrator's scratch.
+	// Every entry is written before it is read.
+	if cap(o.slack) < 3*n {
+		o.slack = make([]float64, 3*n)
+	}
+	buf := o.slack[:3*n]
 	dur, ef, ls := buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
 	for id := 0; id < n; id++ {
 		out := st.outcomes[id]

@@ -60,12 +60,14 @@ func diamond(t *testing.T) *dag.Job {
 	return j
 }
 
-// keep copies each settled job's result into res, NodeOutcomes included:
-// the orchestrator reuses that slice once the callback returns.
+// keep copies each settled job's result into res, NodeOutcomes and the
+// critical path included: the orchestrator reuses those slices once the
+// callback returns.
 func keep(res *dag.Result) func(dag.Result) {
 	return func(r dag.Result) {
 		*res = r
 		res.NodeOutcomes = slices.Clone(r.NodeOutcomes)
+		res.CritPath, res.CritS = slices.Clone(r.CritPath), slices.Clone(r.CritS)
 	}
 }
 

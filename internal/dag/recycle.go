@@ -6,6 +6,6 @@ package dag
 // arrays and its bound then closure.
 func (o *Orchestrator) recycle(st *jobState) {
 	*st = jobState{remaining: st.remaining, state: st.state, tasks: st.tasks,
-		outcomes: st.outcomes, then: st.then}
+		outcomes: st.outcomes, then: st.then, critPath: st.critPath, critS: st.critS}
 	o.free.Put(st)
 }

@@ -132,7 +132,7 @@ type Device struct {
 	cpuScale  float64  // DVFS scale in (0, 1]
 	tailUntil sim.Time // end of the currently billed radio tail
 
-	free sim.FreeList[localRun]
+	free sim.FreeList[*localRun]
 }
 
 var _ model.Executor = (*Device)(nil)
@@ -225,6 +225,7 @@ type localRun struct {
 	done    func(model.ExecReport)
 
 	grantFn, finishFn func()
+	sim.Link[*localRun]
 }
 
 func (run *localRun) grant() {

@@ -75,7 +75,7 @@ type Cluster struct {
 	rejected uint64
 	faulted  uint64
 
-	free sim.FreeList[edgeRun]
+	free sim.FreeList[*edgeRun]
 }
 
 var _ model.Executor = (*Cluster)(nil)
@@ -151,6 +151,7 @@ type edgeRun struct {
 	done    func(model.ExecReport)
 
 	grantFn, finishFn func()
+	sim.Link[*edgeRun]
 }
 
 func (run *edgeRun) grant() {

@@ -100,9 +100,10 @@ type Task struct {
 	// executing locally. Healthy systems ignore it.
 	Priority int
 
-	// owner is the task's own address while a TaskPool owns it, nil
-	// otherwise; a copy made by value points elsewhere, so it is never
-	// pooled.
+	// owner is the task's own address while a TaskPool owns it and nil
+	// for a task no pool handed out; a copy made by value points
+	// elsewhere, so it is never pooled. While the task is spare in a
+	// pool, owner links the pool's free list (FreeLink).
 	owner *Task
 }
 

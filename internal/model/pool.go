@@ -13,8 +13,14 @@ import "offload/internal/sim"
 // pool handed out goes back. A nil pool allocates every task and
 // releases none.
 type TaskPool struct {
-	free sim.FreeList[Task]
+	free sim.FreeList[*Task]
 }
+
+// FreeLink is the link a TaskPool threads a released task through: the
+// task's owner field, which points at the next spare task (or is nil)
+// and so never at the task itself, so a released task reads as not
+// pooled. Only the pool uses it.
+func (t *Task) FreeLink() **Task { return &t.owner }
 
 // New returns a task holding t's fields, drawn from the pool.
 func (p *TaskPool) New(t Task) *Task {

@@ -92,7 +92,7 @@ type Path struct {
 	bytesUp, bytesDown int64
 	transfers          uint64
 
-	free sim.FreeList[transfer]
+	free sim.FreeList[*transfer]
 }
 
 // New returns a Path on eng using src for stochastic draws. It panics if
@@ -205,6 +205,7 @@ type transfer struct {
 	done     func(Report)
 
 	runFn, finishFn func()
+	sim.Link[*transfer]
 }
 
 // run starts moving the bytes, once the radio (if serialised) is held.

@@ -55,16 +55,6 @@ func remoteAttemptCycle(t testing.TB) func() {
 	}
 }
 
-// TestRemoteAttemptSteadyStateAllocatesNothing holds a warm scheduler's
-// uplink → execute → downlink attempt to zero allocations.
-func TestRemoteAttemptSteadyStateAllocatesNothing(t *testing.T) {
-	cycle := remoteAttemptCycle(t)
-	cycle()
-	if n := testing.AllocsPerRun(100, cycle); n != 0 {
-		t.Fatalf("remote attempt allocates %v times, want 0", n)
-	}
-}
-
 // BenchmarkRemoteAttempt measures one remote attempt through the
 // scheduler with a stub executor: both transfers, both radio grants and
 // the outcome assembly.

@@ -274,6 +274,7 @@ type taskState struct {
 	done    bool          // finish() has run
 
 	hedgeFn, retryFn func()
+	sim.Link[*taskState]
 }
 
 // attempt is one in-flight dispatch of a task, recycled through the
@@ -290,6 +291,7 @@ type attempt struct {
 
 	timeoutFn func()
 	doneFn    func(model.Outcome)
+	sim.Link[*attempt]
 }
 
 func (a *attempt) timeout()                 { a.s.onAttemptTimeout(a) }

@@ -37,8 +37,8 @@ type Env struct {
 	VM *cloudvm.Fleet
 
 	// Remote, when non-nil, intercepts remote EXECUTION only: instead of
-	// invoking the substrate executor on this engine, dispatchTo hands
-	// (task, placement, predicted cycles, completion callback) to Remote.
+	// invoking the substrate executor on this engine, the attempt hands
+	// its record (task, placement, predicted cycles) to Remote.
 	// The sharded fleet (core.ShardedFleet) uses this to run the network
 	// transfer legs on the UE's shard engine while the substrate executes
 	// on the hub engine across the conservative barrier. Reads — policy
@@ -57,6 +57,11 @@ type Env struct {
 	// task into it once the task has settled. Nil allocates every task.
 	Tasks *model.TaskPool
 
+	// Attempts is the pool of the engine's remote-attempt records, shared
+	// by every UE on Eng like Tasks. New gives an environment without one
+	// a pool of its own.
+	Attempts *AttemptPool
+
 	// The first nAvailable entries of available are Available's answer,
 	// fixed when a scheduler is built on the environment. An array, not
 	// a slice, so building a UE's scheduler allocates nothing for it.
@@ -65,12 +70,14 @@ type Env struct {
 }
 
 // RemoteBackends executes one remote attempt on behalf of the scheduler.
-// predictedCycles is the scheduler's demand estimate at dispatch time,
-// captured on the shard so the hub-side function pool sizes instances
-// exactly as the serial path would. done must eventually be invoked with
-// the execution report; the implementation decides on which engine.
+// The record carries the task, the placement and the scheduler's demand
+// estimate at dispatch time, captured on the shard so the hub-side
+// function pool sizes instances exactly as the serial path would. The
+// implementation must eventually pass the execution report to the
+// record's Resume and run the continuation it returns on the record's
+// engine.
 type RemoteBackends interface {
-	Execute(task *model.Task, placement model.Placement, predictedCycles float64, done func(model.ExecReport))
+	Execute(a *RemoteAttempt)
 }
 
 // Validate reports whether the environment is coherent.
@@ -140,17 +147,15 @@ type Scheduler struct {
 	inflight   map[model.TaskID]*taskState
 	breakers   map[model.Placement]*Breaker
 	attemptLat *metrics.Histogram
-	freeTasks  sim.FreeList[taskState]
-	freeTries  sim.FreeList[attempt]
+	freeTasks  sim.FreeList[*taskState]
+	freeTries  sim.FreeList[*attempt]
 
 	// Regional failover layer (nil when disabled): per-region health
 	// tracking, re-homing and the graceful-degradation ladder.
 	fo *failover
 
-	// freeAttempts holds finished remote-attempt records for reuse, and
 	// plainDoneFn is s.plainDone, bound on the first plain dispatch.
-	freeAttempts sim.FreeList[remoteAttempt]
-	plainDoneFn  func(model.Outcome)
+	plainDoneFn func(model.Outcome)
 }
 
 // RetryPolicy re-dispatches tasks that failed with a transient
@@ -203,6 +208,9 @@ func New(env *Env, policy Policy, pred Predictor, opts ...Option) (*Scheduler, e
 		return nil, err
 	}
 	env.nAvailable = len(env.placements(env.available[:0]))
+	if env.Attempts == nil {
+		env.Attempts = new(AttemptPool)
+	}
 	if policy == nil {
 		return nil, fmt.Errorf("sched: nil policy")
 	}
@@ -474,66 +482,10 @@ func (s *Scheduler) dvfsScale(task *model.Task) float64 {
 // outcome to done. A nil exec routes execution through env.Remote with
 // the predicted demand.
 func (s *Scheduler) runRemote(task *model.Task, placement model.Placement, exec model.Executor, predicted float64, path *network.Path, done func(model.Outcome)) {
-	a := s.freeAttempts.Get()
-	if a == nil {
-		a = &remoteAttempt{s: s}
-		a.uplinkFn, a.execFn, a.downlinkFn = a.uplink, a.executed, a.downlink
-	}
+	a := s.env.Attempts.get(s)
+	a.task, a.placement, a.started = task, placement, task.Submitted
 	a.exec, a.predicted, a.path, a.done = exec, predicted, path, done
-	a.o = model.Outcome{Task: task, Placement: placement, Started: task.Submitted}
 	path.Transfer(task.InputBytes, network.Uplink, a.uplinkFn)
-}
-
-// remoteAttempt is one runRemote in flight, recycled through the
-// scheduler's free list with its callbacks bound once.
-type remoteAttempt struct {
-	s         *Scheduler
-	exec      model.Executor
-	predicted float64
-	path      *network.Path
-	done      func(model.Outcome)
-	o         model.Outcome
-
-	uplinkFn, downlinkFn func(network.Report)
-	execFn               func(model.ExecReport)
-}
-
-func (a *remoteAttempt) uplink(up network.Report) {
-	a.o.UplinkTime = up.Duration()
-	a.o.EnergyMilliJ += a.s.env.Device.RadioEnergyMilliJ(up.Duration(), true)
-	if a.exec == nil {
-		a.s.env.Remote.Execute(a.o.Task, a.o.Placement, a.predicted, a.execFn)
-		return
-	}
-	a.exec.Execute(a.o.Task, a.execFn)
-}
-
-func (a *remoteAttempt) executed(rep model.ExecReport) {
-	a.o.Exec = rep
-	a.o.CostUSD += rep.CostUSD
-	if rep.Err != nil {
-		a.o.Failed = true
-		a.o.Finished = a.s.env.Eng.Now()
-		a.finish()
-		return
-	}
-	a.path.Transfer(a.o.Task.OutputBytes, network.Downlink, a.downlinkFn)
-}
-
-func (a *remoteAttempt) downlink(down network.Report) {
-	a.o.DownlinkTime = down.Duration()
-	a.o.EnergyMilliJ += a.s.env.Device.RadioEnergyMilliJ(down.Duration(), false)
-	a.o.Finished = a.s.env.Eng.Now()
-	a.finish()
-}
-
-// finish returns the record to the free list before calling done, which
-// may start the next attempt on the same record.
-func (a *remoteAttempt) finish() {
-	o, done := a.o, a.done
-	a.o, a.exec, a.path, a.done = model.Outcome{}, nil, nil, nil
-	a.s.freeAttempts.Put(a)
-	done(o)
 }
 
 // DispatchThen runs the task at an explicit placement and invokes then

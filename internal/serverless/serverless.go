@@ -406,7 +406,7 @@ type Platform struct {
 	// retiredProvisionedUSD keeps capacity fees of removed functions.
 	retiredProvisionedUSD float64
 
-	free sim.FreeList[invocation]
+	free sim.FreeList[*invocation]
 
 	stats Stats
 }
@@ -549,7 +549,7 @@ type Function struct {
 	platform   *Platform
 	cfg        FunctionConfig
 	warm       []*container
-	spare      sim.FreeList[container] // containers out of the warm pool
+	spare      sim.FreeList[*container] // containers out of the warm pool
 	removed    bool
 	generation int
 
@@ -574,6 +574,7 @@ type container struct {
 	gen      int
 	expiry   sim.EventRef
 	expireFn func()
+	sim.Link[*container]
 }
 
 // Name returns the function name.
@@ -721,6 +722,7 @@ type invocation struct {
 	crashed         bool
 
 	grantFn, finishFn func()
+	sim.Link[*invocation]
 }
 
 // grant starts the invocation once it holds a concurrency slot.

@@ -34,12 +34,19 @@ type Resource struct {
 	queuedTime Duration
 }
 
+// request is one Acquire, held by value in a fifo: 24 bytes, since the
+// cancelled flag rides in the top bit of the id.
 type request struct {
-	fn        func()
-	enqueued  Time
-	id        uint64
-	cancelled bool
+	fn       func()
+	enqueued Time
+	id       uint64 // Acquire's sequence number, | cancelledBit once cancelled
 }
+
+// cancelledBit marks a cancelled request's id. Ids count Acquire calls,
+// so they never reach it.
+const cancelledBit = 1 << 63
+
+func (q *request) cancelled() bool { return q.id&cancelledBit != 0 }
 
 // Pending is a handle to one Acquire. The zero Pending refers to nothing.
 type Pending struct {
@@ -58,11 +65,11 @@ func (p Pending) Cancel() {
 		return
 	}
 	if req := p.r.waiting.find(p.id); req != nil {
-		req.cancelled = true
+		req.id |= cancelledBit
 		return
 	}
 	if req := p.r.granted.find(p.id); req != nil {
-		req.cancelled = true
+		req.id |= cancelledBit
 	}
 }
 
@@ -88,7 +95,7 @@ func (r *Resource) InUse() int { return r.inUse }
 func (r *Resource) QueueLen() int {
 	n := 0
 	for i := 0; i < r.waiting.n; i++ {
-		if !r.waiting.at(i).cancelled {
+		if !r.waiting.at(i).cancelled() {
 			n++
 		}
 	}
@@ -122,7 +129,7 @@ func (r *Resource) Release() {
 	r.inUse--
 	for r.waiting.n > 0 {
 		req := r.waiting.pop()
-		if req.cancelled {
+		if req.cancelled() {
 			continue
 		}
 		r.queuedTime += r.eng.Now().Sub(req.enqueued)
@@ -148,7 +155,7 @@ func (r *Resource) grant(req request) {
 // of the granted FIFO is always the grant this event was scheduled for.
 func (r *Resource) dispatch() {
 	req := r.granted.pop()
-	if req.cancelled {
+	if req.cancelled() {
 		// The holder cancelled between grant and dispatch; return the
 		// unit rather than leak it.
 		r.Release()
@@ -219,7 +226,8 @@ func (q *fifo) pop() request {
 // at returns the i-th request from the front.
 func (q *fifo) at(i int) *request { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
 
-// find returns the queued request with the given id, or nil.
+// find returns the queued request with the given id, or nil; a
+// cancelled request is never found again.
 func (q *fifo) find(id uint64) *request {
 	for i := 0; i < q.n; i++ {
 		if req := q.at(i); req.id == id {

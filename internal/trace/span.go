@@ -99,7 +99,7 @@ type SpanRecorder struct {
 
 	// freeRecs pools settled traces' records, attempt-id slices included,
 	// so steady-state recording allocates no bookkeeping per task.
-	freeRecs sim.FreeList[traceRec]
+	freeRecs sim.FreeList[*traceRec]
 
 	// Bounded mode (see Bound): limit > 0 caps retained spans by
 	// compacting away the oldest settled-trace spans; dropped counts the
@@ -113,6 +113,7 @@ type SpanRecorder struct {
 type traceRec struct {
 	root uint64   // reserved root span ID; 0 when none is reserved
 	ids  []uint64 // attempt span IDs, start order
+	sim.Link[*traceRec]
 }
 
 // NewSpanRecorder returns an empty recorder.
