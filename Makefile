@@ -38,9 +38,10 @@ race:
 # agreement with the closure-based reference, the histogram
 # quantile's agreement with the ascending scan, the small-mode
 # histogram's agreement with the dense reference, the partition
-# searchers' agreement with their Objective-driven references and the
-# DAG generator and rank placer's agreement with theirs. CI's fuzz
-# smoke step runs this target. Longer local sessions:
+# searchers' agreement with their Objective-driven references, the
+# DAG generator and rank placer's agreement with theirs and the shared
+# placement estimate's agreement with the two estimators it replaced.
+# CI's fuzz smoke step runs this target. Longer local sessions:
 #   go test -fuzz=FuzzFaultInjector -fuzztime=5m ./internal/fault/
 #   go test -fuzz=FuzzReadSpansJSONL -fuzztime=5m ./internal/trace/
 #   go test -fuzz=FuzzDriftDetector -fuzztime=5m ./internal/adapt/
@@ -53,6 +54,7 @@ race:
 #   go test -fuzz=FuzzHistogramSmallMatchesDense -fuzztime=5m ./internal/metrics/
 #   go test -fuzz=FuzzSearchMatchesReference -fuzztime=5m ./internal/partition/
 #   go test -fuzz=FuzzJobsMatchReference -fuzztime=5m ./internal/workload/
+#   go test -fuzz=FuzzEstimateMatchesReference -fuzztime=5m ./internal/dag/
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFaultInjector -fuzztime=10s ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzReadSpansJSONL -fuzztime=10s ./internal/trace/
@@ -66,6 +68,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzHistogramSmallMatchesDense -fuzztime=10s ./internal/metrics/
 	$(GO) test -run='^$$' -fuzz=FuzzSearchMatchesReference -fuzztime=10s ./internal/partition/
 	$(GO) test -run='^$$' -fuzz=FuzzJobsMatchReference -fuzztime=10s ./internal/workload/
+	$(GO) test -run='^$$' -fuzz=FuzzEstimateMatchesReference -fuzztime=10s ./internal/dag/
 
 # Everything CI runs, in order: the gates plus the determinism diffs.
 ci: build vet fmt test race fuzz determinism metrics-golden spans-golden serve-smoke

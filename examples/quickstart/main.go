@@ -43,7 +43,9 @@ func main() {
 	fmt.Printf("infrastructure:    $%.4f accrued\n", rep.InfraCostUSD)
 	fmt.Printf("device energy:     %.0f mJ per task\n", rep.EnergyPerTaskMilliJ)
 	fmt.Println("\nwhere the work ran:")
-	for placement, n := range sys.Stats().ByPlacement {
-		fmt.Printf("  %-10s %d\n", placement, n)
+	for p, n := range sys.Stats().ByPlacement {
+		if n > 0 {
+			fmt.Printf("  %-10s %d\n", offload.Placement(p), n)
+		}
 	}
 }

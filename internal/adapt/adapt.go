@@ -125,14 +125,14 @@ const (
 type Controller struct {
 	cfg    Config
 	name   string
-	inner  sched.Policy // nil when a bandit decides
-	bandit *bandit      // nil when wrapping a static policy
-	tuner  *tuner       // nil unless MemoryTune
-	adm    *admission   // nil unless Admission
-	drift  map[model.Placement]*PageHinkley
-	env    *sched.Env // where the controller places; it emits into env.Events
+	inner  sched.Policy                      // nil when a bandit decides
+	bandit *bandit                           // nil when wrapping a static policy
+	tuner  *tuner                            // nil unless MemoryTune
+	adm    *admission                        // nil unless Admission
+	drift  [model.NumPlacements]*PageHinkley // per backend, built on its first outcome
+	env    *sched.Env                        // where the controller places; it emits into env.Events
 
-	decisions    map[model.Placement]uint64
+	decisions    [model.NumPlacements]uint64
 	last         model.Placement
 	haveLast     bool
 	switches     uint64
@@ -180,13 +180,7 @@ func newController(cfg Config, name string, env *sched.Env) *Controller {
 		d := cfg.Drift.withDefaults()
 		cfg.Drift = &d
 	}
-	c := &Controller{
-		cfg:       cfg,
-		name:      name,
-		decisions: make(map[model.Placement]uint64),
-		drift:     make(map[model.Placement]*PageHinkley),
-		env:       env,
-	}
+	c := &Controller{cfg: cfg, name: name, env: env}
 	if cfg.MemoryTune {
 		c.tuner = newTuner(cfg)
 	}
@@ -214,7 +208,9 @@ func (c *Controller) Decide(task *model.Task, env *sched.Env, pred sched.Predict
 			c.adm.sheds++
 		}
 	}
-	c.decisions[p]++
+	if uint(p) < model.NumPlacements {
+		c.decisions[p]++
+	}
 	if c.haveLast && p != c.last {
 		c.switches++
 	}
@@ -261,8 +257,8 @@ func (c *Controller) observeOutcome(o model.Outcome, now sim.Time) {
 // detection, resets the detector, forgets the backend's bandit arm and
 // forces a re-tune.
 func (c *Controller) feedDrift(o model.Outcome, now sim.Time) {
-	d, ok := c.drift[o.Placement]
-	if !ok {
+	d := c.drift[o.Placement]
+	if d == nil {
 		d = NewPageHinkley(*c.cfg.Drift)
 		c.drift[o.Placement] = d
 	}
@@ -297,7 +293,7 @@ func (c *Controller) observeRegion(region string, placements []model.Placement, 
 		if c.bandit != nil {
 			c.armsCleared += uint64(c.bandit.resetArm(p))
 		}
-		if d, ok := c.drift[p]; ok {
+		if d := c.drift[p]; d != nil {
 			d.Reset()
 		}
 	}
@@ -375,8 +371,8 @@ func (c *Controller) Arms() []ArmSnapshot {
 // FillRegistry exports the controller's decision and learning state as
 // adapt_* metrics.
 func (c *Controller) FillRegistry(reg *metrics.Registry) {
-	for _, p := range []model.Placement{model.PlaceLocal, model.PlaceEdge, model.PlaceFunction, model.PlaceVM} {
-		if n, ok := c.decisions[p]; ok {
+	for p := model.PlaceLocal; p < model.NumPlacements; p++ {
+		if n := c.decisions[p]; n > 0 {
 			reg.Counter("adapt_decisions", metrics.L("arm", p.String())).Add(float64(n))
 		}
 	}

@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"offload/internal/cloudvm"
@@ -392,6 +393,35 @@ func TestWrapDelegatesAndRenames(t *testing.T) {
 	}
 	if _, err := Wrap(nil, Config{}, env); err == nil {
 		t.Fatal("nil inner policy accepted")
+	}
+}
+
+// placeAt is a policy that always decides one fixed placement.
+type placeAt model.Placement
+
+func (placeAt) Name() string { return "place-at" }
+func (p placeAt) Decide(*model.Task, *sched.Env, sched.Predictor) model.Placement {
+	return model.Placement(p)
+}
+
+// TestWrapPassesOutOfRangePlacement checks that a wrapped policy's
+// out-of-range decision goes through uncounted instead of indexing past
+// the decision table; the scheduler then fails the task.
+func TestWrapPassesOutOfRangePlacement(t *testing.T) {
+	env := testEnv(t)
+	c, err := Wrap(placeAt(99), Config{}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := c.Decide(&model.Task{ID: 1, App: "a"}, env, nil); p != model.Placement(99) {
+		t.Fatalf("wrapped decision %v, want placement(99)", p)
+	}
+	reg := metrics.NewRegistry("t")
+	c.FillRegistry(reg)
+	for _, row := range reg.Snapshot() {
+		if strings.HasPrefix(row.Key, "adapt_decisions") {
+			t.Fatalf("out-of-range decision exported as %s", row.Key)
+		}
 	}
 }
 

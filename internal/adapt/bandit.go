@@ -33,11 +33,9 @@ func (a *armStat) observe(reward float64) {
 	a.mean += (reward - a.mean) / float64(a.pulls)
 }
 
-// ctxArms is the per-context arm table. Arms are stored per placement;
-// iteration always follows the caller's (deterministic) availability
-// order, never Go map order.
+// ctxArms is the per-context arm table, indexed by placement.
 type ctxArms struct {
-	arms  map[model.Placement]*armStat
+	arms  [model.NumPlacements]armStat
 	total int // pulls across all arms in this context
 }
 
@@ -67,7 +65,7 @@ func newBandit(kind BanditKind, epsilon, ucbC float64, src *rng.Source) *bandit 
 func (b *bandit) context(key string) *ctxArms {
 	c, ok := b.byCtx[key]
 	if !ok {
-		c = &ctxArms{arms: make(map[model.Placement]*armStat)}
+		c = &ctxArms{}
 		b.byCtx[key] = c
 	}
 	return c
@@ -94,14 +92,14 @@ func (b *bandit) decide(key string, avail []model.Placement) model.Placement {
 	}
 
 	for _, p := range avail {
-		if st, ok := c.arms[p]; !ok || st.pulls == 0 {
+		if c.arms[p].pulls == 0 {
 			return p
 		}
 	}
 
 	best, bestScore := avail[0], math.Inf(-1)
 	for _, p := range avail {
-		st := c.arms[p]
+		st := &c.arms[p]
 		score := st.mean
 		if b.kind == BanditUCB {
 			score += b.ucbC * math.Sqrt(2*math.Log(float64(c.total))/float64(st.pulls))
@@ -118,12 +116,7 @@ func (b *bandit) decide(key string, avail []model.Placement) model.Placement {
 // the table honest when admission control or fallback rerouted the task.
 func (b *bandit) observe(key string, arm model.Placement, reward float64) {
 	c := b.context(key)
-	st, ok := c.arms[arm]
-	if !ok {
-		st = &armStat{}
-		c.arms[arm] = st
-	}
-	st.observe(reward)
+	c.arms[arm].observe(reward)
 	c.total++
 }
 
@@ -133,8 +126,8 @@ func (b *bandit) observe(key string, arm model.Placement, reward float64) {
 func (b *bandit) resetArm(p model.Placement) int {
 	cleared := 0
 	for _, c := range b.byCtx {
-		st, ok := c.arms[p]
-		if !ok || st.pulls == 0 {
+		st := &c.arms[p]
+		if st.pulls == 0 {
 			continue
 		}
 		c.total -= st.pulls
@@ -162,26 +155,23 @@ func (b *bandit) snapshot() []ArmSnapshot {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	byArm := make(map[model.Placement]*ArmSnapshot)
+	var byArm [model.NumPlacements]ArmSnapshot
 	for _, k := range keys {
-		for p, st := range b.byCtx[k].arms { // each p folds into its own sum
+		for p, st := range b.byCtx[k].arms {
 			if st.pulls == 0 {
 				continue
 			}
-			s, ok := byArm[p]
-			if !ok {
-				s = &ArmSnapshot{Placement: p}
-				byArm[p] = s
-			}
+			s := &byArm[p]
 			s.MeanReward = (s.MeanReward*float64(s.Pulls) + st.mean*float64(st.pulls)) /
 				float64(s.Pulls+st.pulls)
 			s.Pulls += st.pulls
 		}
 	}
 	var out []ArmSnapshot
-	for _, p := range []model.Placement{model.PlaceLocal, model.PlaceEdge, model.PlaceFunction, model.PlaceVM} {
-		if s, ok := byArm[p]; ok {
-			out = append(out, *s)
+	for p := model.PlaceLocal; p < model.NumPlacements; p++ {
+		if s := byArm[p]; s.Pulls > 0 {
+			s.Placement = p
+			out = append(out, s)
 		}
 	}
 	return out

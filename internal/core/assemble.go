@@ -248,10 +248,7 @@ func (f *fleetUEs) Platform() *serverless.Platform {
 // merge in device order, so serial and sharded runs aggregate
 // identically and the aggregate is deterministic for a configuration.
 func (f *fleetUEs) Stats() FleetStats {
-	out := FleetStats{
-		ByPlacement: make(map[model.Placement]uint64),
-		Completion:  metrics.NewLatencyHistogram(),
-	}
+	out := FleetStats{Completion: metrics.NewLatencyHistogram()}
 	var meanSum float64
 	for _, s := range f.Schedulers {
 		st := s.Stats()

@@ -109,11 +109,14 @@ func assemblyCases() []assemblyCase {
 	)
 }
 
-// statsKey hashes everything a run's aggregate statistics expose.
-func statsKey(c, f, m, r uint64, mean, cost, energy, fcost, fenergy float64, by map[model.Placement]uint64) string {
+// statsKey hashes everything a run's aggregate statistics expose. The
+// placements enter as sorted name=n strings of the ones used.
+func statsKey(c, f, m, r uint64, mean, cost, energy, fcost, fenergy float64, by [model.NumPlacements]uint64) string {
 	var places []string
 	for p, n := range by {
-		places = append(places, fmt.Sprintf("%v=%d", p, n))
+		if n > 0 {
+			places = append(places, fmt.Sprintf("%v=%d", model.Placement(p), n))
+		}
 	}
 	sort.Strings(places)
 	h := fnv.New64a()

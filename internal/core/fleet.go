@@ -91,7 +91,7 @@ type FleetStats struct {
 	// (P95Completion) are available at fleet scope too.
 	Completion *metrics.Histogram
 
-	ByPlacement map[model.Placement]uint64
+	ByPlacement [model.NumPlacements]uint64
 }
 
 // TotalCostUSD returns per-task spend across the fleet, completed and

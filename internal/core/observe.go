@@ -2,6 +2,7 @@ package core
 
 import (
 	"offload/internal/metrics"
+	"offload/internal/model"
 	"offload/internal/sim"
 )
 
@@ -168,8 +169,10 @@ func (s *System) Registry(name string) *metrics.Registry {
 	reg.Counter("energy_mj", metrics.L("state", "completed")).Add(st.EnergyMilliJ)
 	reg.Counter("energy_mj", metrics.L("state", "failed")).Add(st.FailedEnergyMilliJ)
 
-	for placement, n := range st.ByPlacement {
-		reg.Counter("tasks_by_placement", metrics.L("placement", placement.String())).Add(float64(n))
+	for p, n := range st.ByPlacement {
+		if n > 0 {
+			reg.Counter("tasks_by_placement", metrics.L("placement", model.Placement(p).String())).Add(float64(n))
+		}
 	}
 
 	if p := s.Platform(); p != nil {

@@ -46,38 +46,27 @@ func (*fixedCycles) Observe(*model.Task, float64)        {}
 
 // shardHub executes remote attempts on the hub engine. Its execute method
 // runs hub-side (delivered through the barrier in canonical order) and
-// mirrors the serial scheduler's dispatchTo arms for the three remote
-// substrates.
+// resolves the attempt's placement through a substrate-only environment,
+// exactly as the serial scheduler resolves it.
 type shardHub struct {
-	se *sim.ShardedEngine
-	*substrates
-	pred fixedCycles // scratch for pool.For; phase B is single-threaded
+	se   *sim.ShardedEngine
+	env  sched.Env   // the shared substrates; no device, engine or paths
+	pred fixedCycles // scratch for the function pool; phase B is single-threaded
 }
 
 func (h *shardHub) execute(a *sched.RemoteAttempt, done func(model.ExecReport)) {
 	task := a.Task()
-	switch a.Placement() {
-	case model.PlaceEdge:
-		h.edge.Execute(task, done)
-	case model.PlaceFunction:
-		// Deploying/resizing the function mutates shared pool state,
-		// which is exactly why this happens hub-side; fixedCycles hands
-		// it the shard-captured prediction the serial path would use.
-		h.pred.cycles = a.Predicted()
-		fn, err := h.pool.For(task, &h.pred)
-		if err != nil {
-			now := h.se.Hub().Now()
-			done(model.ExecReport{Start: now, End: now, Err: err})
-			return
-		}
-		fn.Execute(task, done)
-	case model.PlaceVM:
-		h.vm.Execute(task, done)
-	default:
+	// Deploying or resizing a function mutates shared pool state, which
+	// is exactly why this happens hub-side; fixedCycles hands the pool the
+	// shard-captured prediction the serial path would use.
+	h.pred.cycles = a.Predicted()
+	exec, err := h.env.Executor(a.Placement(), task, &h.pred)
+	if err != nil {
 		now := h.se.Hub().Now()
-		done(model.ExecReport{Start: now, End: now,
-			Err: fmt.Errorf("core: sharded hub cannot execute placement %v", a.Placement())})
+		done(model.ExecReport{Start: now, End: now, Err: err})
+		return
 	}
+	exec.Execute(task, done)
 }
 
 // bind gives an attempt record of shard's pool its hop: the hub-side
@@ -129,7 +118,7 @@ func NewShardedFleet(cfg Config, n int) (*ShardedFleet, error) {
 	f := &ShardedFleet{SE: se, fleetUEs: newFleetUEs(&cfg, se.Hub(), n),
 		ueSrc: make([]*rng.Source, 0, n), policy: cfg.Policy}
 	f.sub.functions(rng.Fork(cfg.Seed, 0))
-	hub := &shardHub{se: se, substrates: &f.sub}
+	hub := &shardHub{se: se, env: sched.Env{Edge: f.sub.edge, Functions: f.sub.pool, VM: f.sub.vm}}
 
 	// Per-UE rng base: Derive(seed, 1) so the hub stream (Fork(seed, 0))
 	// and UE streams can never collide whatever n is.

@@ -33,7 +33,9 @@ func shardedFingerprint(t *testing.T, cfg Config, shards, devices, tasks int) (s
 	st := f.Stats()
 	var placements []string
 	for p, n := range st.ByPlacement {
-		placements = append(placements, fmt.Sprintf("%v=%d", p, n))
+		if n > 0 {
+			placements = append(placements, fmt.Sprintf("%v=%d", model.Placement(p), n))
+		}
 	}
 	sort.Strings(placements)
 	fp := fmt.Sprintf("c=%d f=%d m=%d r=%d mean=%x cost=%x energy=%x fcost=%x fenergy=%x p50=%x p95=%x by=%v",

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"offload/internal/model"
-	"offload/internal/network"
 	"offload/internal/sched"
 )
 
@@ -63,9 +62,6 @@ func (Rank) Name() string { return "rank" }
 // width, but finite so the slot table stays small.
 const functionSlots = 256
 
-// numPlacements sizes the arrays Place indexes by model.Placement.
-const numPlacements = int(model.PlaceVM) + 1
-
 // Place implements Placer.
 func (Rank) Place(job *Job, env *sched.Env, pred sched.Predictor) []model.Placement {
 	job.mustValidated()
@@ -74,14 +70,14 @@ func (Rank) Place(job *Job, env *sched.Env, pred sched.Predictor) []model.Placem
 
 	// w[id][p]: estimated uplink/execute/downlink seconds of node id at
 	// placement p; infinite where the placement cannot serve the node.
-	w := make([][numPlacements]estimate, n)
+	w := make([][model.NumPlacements]phases, n)
 	// wbar: mean estimate; rank: upward rank; aft: planned actual finish
 	// time — per node, out of one allocation.
 	f := make([]float64, 3*n)
 	wbar, rank, aft := f[:n:n], f[n:2*n:2*n], f[2*n:]
 	probe := new(model.Task)
 	for id := 0; id < n; id++ {
-		w[id] = nodeEstimates(job, NodeID(id), env, pred, probe)
+		w[id] = nodePhases(job, NodeID(id), env, avail, pred, probe)
 		sum, cnt := 0.0, 0
 		for _, p := range avail {
 			if v := w[id][p].total(); !math.IsInf(v, 1) {
@@ -131,7 +127,7 @@ func (Rank) Place(job *Job, env *sched.Env, pred sched.Predictor) []model.Placem
 
 	slots := slotTable(env, n)
 	channels := pathChannels(env)
-	var radioFree [numPlacements]float64 // per channel: when its radio frees up
+	var radioFree [model.NumPlacements]float64 // per channel: when its radio frees up
 	out := make([]model.Placement, n)
 	for _, id := range order {
 		ready := 0.0
@@ -184,25 +180,26 @@ func (Rank) Place(job *Job, env *sched.Env, pred sched.Predictor) []model.Placem
 	return out
 }
 
-// estimate breaks one node-at-placement plan into its phases: uplink
-// airtime, execution, downlink airtime, in seconds. Local execution has
-// zero transfer terms; an infeasible placement carries an infinite exec.
-type estimate struct {
+// phases is what Place keeps of a node's sched.Estimate at one
+// placement: uplink airtime, execution and downlink airtime, in seconds.
+// Local execution has zero transfer terms; a placement that cannot serve
+// the node carries an infinite exec. Keeping three of the estimate's
+// fields keeps the per-job table at 24 bytes a cell.
+type phases struct {
 	up, exec, down float64
 }
 
 // total is the uncontended end-to-end estimate.
-func (e estimate) total() float64 { return e.up + e.exec + e.down }
+func (e phases) total() float64 { return e.up + e.exec + e.down }
 
-// infeasible is the estimate for a placement that cannot serve a node.
-var infeasible = estimate{exec: math.Inf(1)}
+// infeasible is the phases of a placement that cannot serve a node.
+var infeasible = phases{exec: math.Inf(1)}
 
-// nodeEstimates prices one node at every placement the way the
-// deadline-aware policy does — demand prediction, public substrate
-// execution estimates, network transfer estimates — over the relay-model
-// transfer sizes. Infeasible placements get an infinite estimate. probe
-// is scratch space for the node's task, overwritten on every call.
-func nodeEstimates(job *Job, id NodeID, env *sched.Env, pred sched.Predictor, probe *model.Task) [numPlacements]estimate {
+// nodePhases prices one node at every available placement the way the
+// deadline-aware policy does — demand prediction, then the environment's
+// uncontended estimate — over the relay-model transfer sizes. probe is
+// scratch space for the node's task, overwritten on every call.
+func nodePhases(job *Job, id NodeID, env *sched.Env, avail []model.Placement, pred sched.Predictor, probe *model.Task) [model.NumPlacements]phases {
 	node := job.nodes[id]
 	in, out := job.TaskSizes(id)
 	*probe = model.Task{
@@ -217,41 +214,16 @@ func nodeEstimates(job *Job, id NodeID, env *sched.Env, pred sched.Predictor, pr
 	}
 	probe.Cycles = pred.PredictCycles(probe)
 
-	var ests [numPlacements]estimate
-	for p := range ests {
-		ests[p] = infeasible
+	var ph [model.NumPlacements]phases
+	for p := range ph {
+		ph[p] = infeasible
 	}
-	if dev := env.Device; dev != nil && !dev.Dead() {
-		ests[model.PlaceLocal] = estimate{exec: float64(dev.ExecTime(probe))}
-	}
-	if env.Edge != nil {
-		cfg := env.Edge.Config()
-		if cfg.MemoryPerServer == 0 || probe.MemoryBytes <= cfg.MemoryPerServer {
-			ests[model.PlaceEdge] = estimate{
-				up:   float64(env.EdgePath.EstimateTransfer(in, network.Uplink)),
-				exec: float64(env.Edge.ExecTime(probe)),
-				down: float64(env.EdgePath.EstimateTransfer(out, network.Downlink)),
-			}
+	for _, p := range avail {
+		if e := env.Estimate(p, probe); e.OK {
+			ph[p] = phases{up: e.Up, exec: e.Exec, down: e.Down}
 		}
 	}
-	if env.Functions != nil {
-		if dec, err := env.Functions.EstimateFor(probe, probe.Cycles); err == nil {
-			ests[model.PlaceFunction] = estimate{
-				up:   float64(env.CloudPath.EstimateTransfer(in, network.Uplink)),
-				exec: float64(dec.ExpectedTime),
-				down: float64(env.CloudPath.EstimateTransfer(out, network.Downlink)),
-			}
-		}
-	}
-	if env.VM != nil {
-		path := env.CloudPath
-		ests[model.PlaceVM] = estimate{
-			up:   float64(path.EstimateTransfer(in, network.Uplink)),
-			exec: float64(env.VM.ExecTime(probe)),
-			down: float64(path.EstimateTransfer(out, network.Downlink)),
-		}
-	}
-	return ests
+	return ph
 }
 
 // pathChannels assigns each remote placement the airtime channel of its
@@ -262,21 +234,17 @@ func nodeEstimates(job *Job, id NodeID, env *sched.Env, pred sched.Predictor, pr
 // invocations for the same radio. Uncontended paths get no channel:
 // their transfers overlap, so the uncontended estimate already prices
 // them.
-func pathChannels(env *sched.Env) [numPlacements]int {
-	paths := [numPlacements]*network.Path{
-		model.PlaceEdge:     env.EdgePath,
-		model.PlaceFunction: env.CloudPath,
-		model.PlaceVM:       env.CloudPath,
-	}
-	var ch [numPlacements]int
-	for p, path := range paths {
+func pathChannels(env *sched.Env) [model.NumPlacements]int {
+	var ch [model.NumPlacements]int
+	for p := range ch {
 		ch[p] = -1
+		path := env.Path(model.Placement(p))
 		if path == nil || !path.Config().Serialize {
 			continue
 		}
 		ch[p] = p
 		for q := range p {
-			if paths[q] == path {
+			if env.Path(model.Placement(q)) == path {
 				ch[p] = ch[q]
 				break
 			}
@@ -287,7 +255,7 @@ func pathChannels(env *sched.Env) [numPlacements]int {
 
 // slotPool tracks per-placement planned availability: one entry per
 // concurrent execution slot, holding the time it frees up.
-type slotPool [numPlacements][]float64
+type slotPool [model.NumPlacements][]float64
 
 // slotTable sizes every placement's slots out of one backing array. The
 // serverless substrate gets min(functionSlots, n) slots for an n-node
@@ -295,7 +263,7 @@ type slotPool [numPlacements][]float64
 // first minimum and unused slots read 0, so the used slots are always a
 // prefix, grown by at most one per node.
 func slotTable(env *sched.Env, n int) slotPool {
-	var size [numPlacements]int
+	var size [model.NumPlacements]int
 	size[model.PlaceLocal] = max(1, env.Device.Config().Cores)
 	if env.Edge != nil {
 		cfg := env.Edge.Config()

@@ -35,9 +35,15 @@ const (
 	PlaceEdge               // on a nearby edge server
 	PlaceFunction           // on cloud serverless (FaaS)
 	PlaceVM                 // on an always-on cloud VM
+
+	// NumPlacements counts the placements, PlaceUnknown included: a
+	// placement is a dense index, and every per-placement table is an
+	// array of this length. Values outside [0, NumPlacements) name no
+	// placement.
+	NumPlacements = iota
 )
 
-var placementNames = map[Placement]string{
+var placementNames = [NumPlacements]string{
 	PlaceUnknown:  "unknown",
 	PlaceLocal:    "local",
 	PlaceEdge:     "edge",
@@ -47,8 +53,8 @@ var placementNames = map[Placement]string{
 
 // String returns the lower-case placement name.
 func (p Placement) String() string {
-	if s, ok := placementNames[p]; ok {
-		return s
+	if uint(p) < NumPlacements {
+		return placementNames[p]
 	}
 	return fmt.Sprintf("placement(%d)", int(p))
 }

@@ -84,12 +84,8 @@ func (p *BudgetedPolicy) Decide(task *model.Task, env *Env, pred Predictor) mode
 	p.Budget.blocked++
 	// Fall back to the cheapest free capacity: the edge if present (its
 	// cost is sunk), the VM if present (likewise), else the device.
-	switch {
-	case env.Edge != nil:
+	if env.Serves(model.PlaceEdge) {
 		return model.PlaceEdge
-	case env.VM != nil:
-		return model.PlaceVM
-	default:
-		return model.PlaceLocal
 	}
+	return env.orLocal(model.PlaceVM)
 }

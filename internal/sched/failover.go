@@ -91,9 +91,7 @@ func (f *Failover) Validate() error {
 		return fmt.Errorf("sched: failover without region assignments")
 	}
 	for p, name := range f.Regions {
-		switch p {
-		case model.PlaceEdge, model.PlaceFunction, model.PlaceVM:
-		default:
+		if p <= model.PlaceLocal || p >= model.NumPlacements {
 			return fmt.Errorf("sched: failover region for non-remote placement %v", p)
 		}
 		if name == "" {
@@ -229,8 +227,7 @@ type failover struct {
 	cfg Failover
 
 	regions     []*regionHealth // deterministic order (first appearance over canonical placements)
-	byPlacement map[model.Placement]*regionHealth
-	remote      []model.Placement // env's remote placements, canonical order
+	byPlacement [model.NumPlacements]*regionHealth
 
 	waitq    []waiting
 	draining bool // set while drain re-routes the queue: re-parks must not re-count
@@ -258,13 +255,11 @@ func (s *Scheduler) initFailover() error {
 		return err
 	}
 	f.s = s
-	f.byPlacement = make(map[model.Placement]*regionHealth)
 	byName := make(map[string]*regionHealth)
-	for _, p := range model.AllPlacements() {
-		if p == model.PlaceLocal || !s.envHas(p) {
+	for _, p := range s.env.Available() {
+		if p == model.PlaceLocal {
 			continue
 		}
-		f.remote = append(f.remote, p)
 		name, ok := f.cfg.Regions[p]
 		if !ok {
 			continue
@@ -283,21 +278,6 @@ func (s *Scheduler) initFailover() error {
 		return fmt.Errorf("sched: no failover region maps to an available placement")
 	}
 	return nil
-}
-
-// envHas reports whether the environment serves the placement.
-func (s *Scheduler) envHas(p model.Placement) bool {
-	switch p {
-	case model.PlaceLocal:
-		return true
-	case model.PlaceEdge:
-		return s.env.Edge != nil
-	case model.PlaceFunction:
-		return s.env.Functions != nil
-	case model.PlaceVM:
-		return s.env.VM != nil
-	}
-	return false
 }
 
 // HasFailover reports whether the regional failover layer is installed.
@@ -448,7 +428,7 @@ func (f *failover) route(task *model.Task, p model.Placement) {
 	// Last-resort localization: the final retry attempt of a remote task
 	// runs on the device, which cannot be taken down by a regional fault.
 	if p != model.PlaceLocal && f.s.retry.MaxAttempts > 1 &&
-		f.s.attempts[task.ID]+1 >= f.s.retry.MaxAttempts {
+		f.s.ledger[task.ID].retries+1 >= f.s.retry.MaxAttempts {
 		f.localize(task)
 		return
 	}
@@ -489,8 +469,8 @@ func (f *failover) route(task *model.Task, p model.Placement) {
 // alternative returns the first remote placement (canonical order) whose
 // region is up, excluding the failed placement itself.
 func (f *failover) alternative(failed model.Placement) (model.Placement, bool) {
-	for _, p := range f.remote {
-		if p == failed {
+	for _, p := range f.s.env.Available() {
+		if p == model.PlaceLocal || p == failed {
 			continue
 		}
 		if rh := f.byPlacement[p]; rh != nil && rh.down {
@@ -507,7 +487,7 @@ func (f *failover) alternative(failed model.Placement) (model.Placement, bool) {
 func (f *failover) rehome(task *model.Task, from, to model.Placement) {
 	link := model.DefaultInterRegionLink()
 	cost := link.TransferCostUSD(task.InputBytes)
-	f.s.sunkUSD[task.ID] += cost
+	f.s.spend(task.ID, cost, 0)
 	f.stats.StateTransferUSD += cost
 	f.stats.ReHomed++
 	f.s.env.Events.Emit(trace.Event{Kind: trace.KindRehome, At: f.s.env.Eng.Now(), Task: task.ID, Placement: from, Target: to})
@@ -641,20 +621,20 @@ func (rh *regionHealth) probeDue() {
 // transient failure keeps the region down and re-arms the loop; anything
 // else marks it up.
 func (f *failover) probe(rh *regionHealth) {
-	exec, ok := f.probeTarget(rh.placements[0])
-	if !ok {
-		f.scheduleProbe(rh)
-		return
-	}
-	f.stats.Probes++
-	f.probeSeq++
 	canary := &model.Task{
-		ID:          probeBase + model.TaskID(f.probeSeq),
+		ID:          probeBase + model.TaskID(f.probeSeq+1),
 		App:         "__probe",
 		Cycles:      1e6,
 		MemoryBytes: 64 * model.MB,
 		Submitted:   f.s.env.Eng.Now(),
 	}
+	exec, err := f.s.env.Executor(rh.placements[0], canary, f.s.pred)
+	if err != nil {
+		f.scheduleProbe(rh)
+		return
+	}
+	f.stats.Probes++
+	f.probeSeq++
 	exec.Execute(canary, rh.probeDoneFn)
 }
 
@@ -672,30 +652,6 @@ func (rh *regionHealth) probeDone(rep model.ExecReport) {
 	f.noteSuccess(rh, now)
 }
 
-// probeTarget resolves the substrate executor behind a placement.
-func (f *failover) probeTarget(p model.Placement) (model.Executor, bool) {
-	switch p {
-	case model.PlaceEdge:
-		if f.s.env.Edge != nil {
-			return f.s.env.Edge, true
-		}
-	case model.PlaceFunction:
-		if f.s.env.Functions != nil {
-			fn, err := f.s.env.Functions.For(&model.Task{
-				App: "__probe", Cycles: 1e6, MemoryBytes: 64 * model.MB,
-			}, f.s.pred)
-			if err == nil {
-				return fn, true
-			}
-		}
-	case model.PlaceVM:
-		if f.s.env.VM != nil {
-			return f.s.env.VM, true
-		}
-	}
-	return nil, false
-}
-
 // retarget is route's lightweight sibling for the resilience layer's
 // attempt machinery: it re-points an attempt at a surviving region (or
 // the device) synchronously — attempt timeouts and hedges keep their
@@ -708,7 +664,7 @@ func (f *failover) retarget(task *model.Task, p model.Placement) model.Placement
 	}
 	if alt, ok := f.alternative(p); ok {
 		cost := model.DefaultInterRegionLink().TransferCostUSD(task.InputBytes)
-		f.s.sunkUSD[task.ID] += cost
+		f.s.spend(task.ID, cost, 0)
 		f.stats.StateTransferUSD += cost
 		f.stats.ReHomed++
 		f.s.env.Events.Emit(trace.Event{Kind: trace.KindRehome, At: f.s.env.Eng.Now(), Task: task.ID, Placement: p, Target: alt})

@@ -392,3 +392,43 @@ func TestLadderRungProgression(t *testing.T) {
 		}
 	}
 }
+
+// TestOutOfRangePlacementFails dispatches a placement outside the model's
+// range: no substrate, breaker or region knows it, so the task must
+// settle failed rather than index past a per-placement table, on a plain
+// scheduler and on one with every layer that keeps such tables.
+func TestOutOfRangePlacementFails(t *testing.T) {
+	bad := model.Placement(99)
+	if got := bad.String(); got != "placement(99)" {
+		t.Fatalf("String = %q", got)
+	}
+	layered := []Option{
+		WithRetries(RetryPolicy{MaxAttempts: 3, Backoff: 1}),
+		WithResilience(Resilience{
+			AttemptTimeout: 30, HedgeDelay: 5,
+			Breaker: &BreakerConfig{FailureThreshold: 1, OpenFor: 10},
+		}),
+		WithFailover(twoRegionFailover(&Ladder{})),
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{{"plain", nil}, {"resilience+failover", layered}} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := testEnv(t)
+			s, err := New(env, LocalOnly{}, Exact{}, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var settled []model.Outcome
+			s.DispatchThen(heavyTask(1), bad, func(o model.Outcome) { settled = append(settled, o) })
+			env.Eng.Run()
+			if len(settled) != 1 || !settled[0].Failed {
+				t.Fatalf("settled %+v, want one failed outcome", settled)
+			}
+			if st := s.Stats(); st.Failed != 1 || st.Completed != 0 {
+				t.Fatalf("stats failed=%d completed=%d, want 1 and 0", st.Failed, st.Completed)
+			}
+		})
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"offload/internal/alloc"
 	"offload/internal/model"
-	"offload/internal/network"
 	"offload/internal/rng"
 )
 
@@ -30,6 +29,15 @@ func (LocalOnly) Decide(*model.Task, *Env, Predictor) model.Placement {
 	return model.PlaceLocal
 }
 
+// orLocal returns p when the environment serves it and local otherwise:
+// how the static baselines degrade.
+func (e *Env) orLocal(p model.Placement) model.Placement {
+	if e.Serves(p) {
+		return p
+	}
+	return model.PlaceLocal
+}
+
 // EdgeAll offloads everything to the edge site — the edge-computing
 // comparator. It degrades to local when the environment has no edge.
 type EdgeAll struct{}
@@ -41,10 +49,7 @@ func (EdgeAll) Name() string { return "edge-all" }
 
 // Decide implements Policy.
 func (EdgeAll) Decide(_ *model.Task, env *Env, _ Predictor) model.Placement {
-	if env.Edge == nil {
-		return model.PlaceLocal
-	}
-	return model.PlaceEdge
+	return env.orLocal(model.PlaceEdge)
 }
 
 // CloudAll offloads everything to serverless — the naive cloud policy.
@@ -57,10 +62,7 @@ func (CloudAll) Name() string { return "cloud-all" }
 
 // Decide implements Policy.
 func (CloudAll) Decide(_ *model.Task, env *Env, _ Predictor) model.Placement {
-	if env.Functions == nil {
-		return model.PlaceLocal
-	}
-	return model.PlaceFunction
+	return env.orLocal(model.PlaceFunction)
 }
 
 // VMAll offloads everything to the always-on VM fleet.
@@ -73,10 +75,7 @@ func (VMAll) Name() string { return "vm-all" }
 
 // Decide implements Policy.
 func (VMAll) Decide(_ *model.Task, env *Env, _ Predictor) model.Placement {
-	if env.VM == nil {
-		return model.PlaceLocal
-	}
-	return model.PlaceVM
+	return env.orLocal(model.PlaceVM)
 }
 
 // Random picks uniformly among the available placements — the sanity
@@ -115,7 +114,7 @@ func (*Threshold) Name() string { return "threshold" }
 
 // Decide implements Policy.
 func (t *Threshold) Decide(task *model.Task, env *Env, pred Predictor) model.Placement {
-	if env.Functions == nil {
+	if !env.Serves(model.PlaceFunction) {
 		return model.PlaceLocal
 	}
 	if pred.PredictCycles(task) > t.Cycles {
@@ -151,38 +150,34 @@ func NewDeadlineAware() *DeadlineAware {
 // Name implements Policy.
 func (*DeadlineAware) Name() string { return "deadline-aware" }
 
-type estimate struct {
-	placement model.Placement
-	time      float64 // seconds
-	energyJ   float64
-	moneyUSD  float64
-	ok        bool
-}
-
 // Decide implements Policy.
 func (d *DeadlineAware) Decide(task *model.Task, env *Env, pred Predictor) model.Placement {
-	cycles := pred.PredictCycles(task)
-	ests := d.estimates(task, env, cycles)
+	predTask := *task
+	predTask.Cycles = pred.PredictCycles(task)
 
 	budget := math.Inf(1)
 	if task.HasDeadline() {
 		budget = float64(task.Deadline) * d.Safety
 	}
+	// Available is in canonical order (local, edge, function, VM), so
+	// ties resolve by that order.
 	best, bestScore := model.PlaceUnknown, math.Inf(1)
 	fastest, fastestTime := model.PlaceUnknown, math.Inf(1)
-	for _, e := range ests {
-		if !e.ok {
+	for _, p := range env.Available() {
+		e := env.Estimate(p, &predTask)
+		if !e.OK {
 			continue
 		}
-		if e.time < fastestTime {
-			fastest, fastestTime = e.placement, e.time
+		t := e.Time()
+		if t < fastestTime {
+			fastest, fastestTime = p, t
 		}
-		if e.time > budget {
+		if t > budget {
 			continue
 		}
-		score := e.moneyUSD + e.energyJ*d.EnergyUSDPerJ + e.time*d.TimeUSDPerSec
+		score := e.MoneyUSD + e.EnergyJ*d.EnergyUSDPerJ + t*d.TimeUSDPerSec
 		if score < bestScore {
-			best, bestScore = e.placement, score
+			best, bestScore = p, score
 		}
 	}
 	if best != model.PlaceUnknown {
@@ -192,83 +187,6 @@ func (d *DeadlineAware) Decide(task *model.Task, env *Env, pred Predictor) model
 		return fastest
 	}
 	return model.PlaceLocal
-}
-
-// estimates returns one estimate per substrate in the fixed order local,
-// edge, function, VM, so ties in Decide resolve by that order. Absent
-// substrates leave their slot not ok. The array keeps Decide free of
-// allocation.
-func (d *DeadlineAware) estimates(task *model.Task, env *Env, cycles float64) [4]estimate {
-	predTask := *task
-	predTask.Cycles = cycles
-
-	var ests [4]estimate
-
-	// Local: backlog-aware queue estimate plus compute energy.
-	dev := env.Device
-	localExec := float64(dev.ExecTime(&predTask))
-	queueFactor := float64(dev.Backlog())/float64(dev.Config().Cores) + 1
-	ests[0] = estimate{
-		placement: model.PlaceLocal,
-		time:      localExec * queueFactor,
-		energyJ:   dev.ComputeEnergyMilliJ(&predTask) / 1000,
-		ok:        !dev.Dead(),
-	}
-
-	if env.Edge != nil {
-		up := float64(env.EdgePath.EstimateTransfer(task.InputBytes, network.Uplink))
-		down := float64(env.EdgePath.EstimateTransfer(task.OutputBytes, network.Downlink))
-		exec := float64(env.Edge.ExecTime(&predTask))
-		cores := env.Edge.Config().Servers * env.Edge.Config().Cores
-		qf := float64(env.Edge.QueueLen())/float64(cores) + 1
-		ests[1] = estimate{
-			placement: model.PlaceEdge,
-			time:      up + exec*qf + down,
-			energyJ:   d.radioJ(env, up, down),
-			// Amortised infrastructure attribution: the core-seconds this
-			// task occupies, priced at the site's hourly cost.
-			moneyUSD: exec * env.Edge.Config().HourlyCostUSD / (3600 * float64(cores)),
-			ok:       env.Edge.Config().MemoryPerServer == 0 || task.MemoryBytes <= env.Edge.Config().MemoryPerServer,
-		}
-	}
-
-	if env.Functions != nil {
-		up := float64(env.CloudPath.EstimateTransfer(task.InputBytes, network.Uplink))
-		down := float64(env.CloudPath.EstimateTransfer(task.OutputBytes, network.Downlink))
-		dec, err := env.Functions.EstimateFor(task, cycles)
-		ests[2] = estimate{
-			placement: model.PlaceFunction,
-			time:      up + float64(dec.ExpectedTime) + down,
-			energyJ:   d.radioJ(env, up, down),
-			moneyUSD:  dec.ExpectedCostUSD,
-			ok:        err == nil,
-		}
-	}
-
-	if env.VM != nil {
-		path := env.CloudPath
-		up := float64(path.EstimateTransfer(task.InputBytes, network.Uplink))
-		down := float64(path.EstimateTransfer(task.OutputBytes, network.Downlink))
-		exec := float64(env.VM.ExecTime(&predTask))
-		cores := env.VM.Instances() * env.VM.Config().Cores
-		qf := 1.0
-		if cores > 0 {
-			qf = float64(env.VM.QueueLen())/float64(cores) + 1
-		}
-		ests[3] = estimate{
-			placement: model.PlaceVM,
-			time:      up + exec*qf + down,
-			energyJ:   d.radioJ(env, up, down),
-			moneyUSD:  exec * env.VM.Config().HourlyCostUSD / (3600 * float64(env.VM.Config().Cores)),
-			ok:        true,
-		}
-	}
-	return ests
-}
-
-func (d *DeadlineAware) radioJ(env *Env, upSec, downSec float64) float64 {
-	cfg := env.Device.Config()
-	return cfg.TxPowerW*upSec + cfg.RxPowerW*downSec
 }
 
 // EstimateFor sizes (without deploying) the function that would serve the

@@ -166,12 +166,21 @@ func TestDeadlineAwareHotPathAllocatesNothing(t *testing.T) {
 	env.Functions.ArrivalRateHint = 0.05
 	task := heavyTask(1)
 	d := NewDeadlineAware()
+	// Building a scheduler fixes the environment's placement list, as it
+	// is whenever a policy decides.
+	if _, err := New(env, d, nil); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		fn   func()
 	}{
 		{"FunctionPool.EstimateFor", func() { _, _ = env.Functions.EstimateFor(task, task.Cycles) }},
-		{"DeadlineAware.estimates", func() { _ = d.estimates(task, env, task.Cycles) }},
+		{"Env.Estimate", func() {
+			for _, p := range env.Available() {
+				_ = env.Estimate(p, task)
+			}
+		}},
 		{"DeadlineAware.Decide", func() { _ = d.Decide(task, env, Exact{}) }},
 	}
 	for _, tc := range cases {

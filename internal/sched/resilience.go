@@ -58,9 +58,7 @@ func (r *Resilience) Validate() error {
 			return err
 		}
 	}
-	switch r.Fallback {
-	case model.PlaceUnknown, model.PlaceLocal, model.PlaceEdge, model.PlaceFunction, model.PlaceVM:
-	default:
+	if uint(r.Fallback) >= model.NumPlacements {
 		return fmt.Errorf("sched: unknown fallback placement %v", r.Fallback)
 	}
 	return nil
@@ -329,25 +327,22 @@ func (s *Scheduler) releaseAttempt(a *attempt) {
 	s.freeTries.Put(a)
 }
 
-// breakerFor returns the breaker guarding a remote placement, creating it
-// on first use, or nil when breakers are off or the placement is local.
-func (s *Scheduler) breakerFor(p model.Placement) *Breaker {
-	if s.res.Breaker == nil || p == model.PlaceLocal {
-		return nil
+// installBreakers guards every remote placement the environment serves
+// with its own circuit breaker. The rest stay unguarded: an attempt at an
+// unserved placement fails without a transient error, so its breaker
+// could never trip.
+func (s *Scheduler) installBreakers() {
+	for _, p := range s.env.Available() {
+		if p == model.PlaceLocal {
+			continue
+		}
+		b := &Breaker{cfg: *s.res.Breaker} // validated in New
+		b.OnTransition(func(from, to BreakerState) {
+			s.env.Events.Emit(trace.Event{Kind: trace.KindBreaker, At: s.env.Eng.Now(),
+				Placement: p, From: from.String(), To: to.String()})
+		})
+		s.breakers[p] = b
 	}
-	if b, ok := s.breakers[p]; ok {
-		return b
-	}
-	b, err := NewBreaker(*s.res.Breaker)
-	if err != nil {
-		panic(err) // config validated in New
-	}
-	b.OnTransition(func(from, to BreakerState) {
-		s.env.Events.Emit(trace.Event{Kind: trace.KindBreaker, At: s.env.Eng.Now(),
-			Placement: p, From: from.String(), To: to.String()})
-	})
-	s.breakers[p] = b
-	return b
 }
 
 // launchAttempt starts one attempt of st's task: breaker check (with
@@ -360,7 +355,7 @@ func (s *Scheduler) launchAttempt(st *taskState, isHedge bool) {
 		// state-transfer egress) before the breaker sees it.
 		target = s.fo.retarget(st.task, target)
 	}
-	if br := s.breakerFor(target); br != nil && !br.Allow(s.env.Eng.Now()) {
+	if br := s.breakers[target]; br != nil && !br.Allow(s.env.Eng.Now()) {
 		target = s.res.fallback()
 		s.stats.Fallbacks++
 	}
@@ -437,7 +432,7 @@ func (s *Scheduler) onAttemptTimeout(a *attempt) {
 	a.abandoned = true
 	s.stats.Timeouts++
 	now := s.env.Eng.Now()
-	if br := s.breakerFor(a.placement); br != nil {
+	if br := s.breakers[a.placement]; br != nil {
 		br.OnFailure(now)
 	}
 	if s.fo != nil {
@@ -462,21 +457,19 @@ func (s *Scheduler) onAttemptDone(a *attempt, o model.Outcome) {
 		s.env.Eng.Cancel(a.timeoutEv)
 		a.timeoutEv = sim.EventRef{}
 	}
-	br := s.breakerFor(a.placement)
+	br := s.breakers[a.placement]
 	switch {
 	case a.abandoned:
 		// Already counted as a timeout failure; fold whatever the zombie
 		// attempt cost. No breaker feedback: the timeout already reported.
-		s.sunkUSD[st.task.ID] += o.CostUSD
-		s.sunkMJ[st.task.ID] += o.EnergyMilliJ
+		s.spend(st.task.ID, o.CostUSD, o.EnergyMilliJ)
 		s.env.Events.Emit(trace.Event{Kind: trace.KindAttemptCost, At: s.env.Eng.Now(),
 			Task: st.task.ID, Attempt: a.ordinal, CostUSD: o.CostUSD})
 	case st.settled || st.failed:
 		// The task was decided while this attempt was in flight (a losing
 		// hedge, or a late attempt after a terminal failure). Its cost
 		// still counts, and its result is genuine backend feedback.
-		s.sunkUSD[st.task.ID] += o.CostUSD
-		s.sunkMJ[st.task.ID] += o.EnergyMilliJ
+		s.spend(st.task.ID, o.CostUSD, o.EnergyMilliJ)
 		s.breakerFeedback(br, o)
 		s.foFeedback(a.placement, o)
 		status := trace.StatusLose
@@ -550,19 +543,14 @@ func (s *Scheduler) foFeedback(p model.Placement, o model.Outcome) {
 // into the sunk totals.
 func (s *Scheduler) handleAttemptFailure(st *taskState, o model.Outcome) {
 	if s.shouldRetryErr(st.task, o.Exec.Err) {
-		n := s.attempts[st.task.ID] + 1
-		s.attempts[st.task.ID] = n
-		s.sunkUSD[st.task.ID] += o.CostUSD
-		s.sunkMJ[st.task.ID] += o.EnergyMilliJ
-		s.stats.Retries++
+		n := s.retried(o)
 		st.pending = true
 		st.backoffs++
 		s.env.Eng.After(s.retryDelay(n), st.retryFn)
 		return
 	}
 	if st.failed {
-		s.sunkUSD[st.task.ID] += o.CostUSD
-		s.sunkMJ[st.task.ID] += o.EnergyMilliJ
+		s.spend(st.task.ID, o.CostUSD, o.EnergyMilliJ)
 		return
 	}
 	st.failed = true

@@ -65,7 +65,7 @@ type Env struct {
 	// The first nAvailable entries of available are Available's answer,
 	// fixed when a scheduler is built on the environment. An array, not
 	// a slice, so building a UE's scheduler allocates nothing for it.
-	available  [4]model.Placement // local, edge, function, VM at most
+	available  [model.NumPlacements - 1]model.Placement // every placement but PlaceUnknown
 	nAvailable int
 }
 
@@ -110,17 +110,135 @@ func (e *Env) Available() []model.Placement {
 
 // placements appends the placements the environment serves to out.
 func (e *Env) placements(out []model.Placement) []model.Placement {
-	out = append(out, model.PlaceLocal)
-	if e.Edge != nil {
-		out = append(out, model.PlaceEdge)
-	}
-	if e.Functions != nil {
-		out = append(out, model.PlaceFunction)
-	}
-	if e.VM != nil {
-		out = append(out, model.PlaceVM)
+	for p := model.PlaceLocal; p < model.NumPlacements; p++ {
+		if e.Serves(p) {
+			out = append(out, p)
+		}
 	}
 	return out
+}
+
+// The environment is the one place that resolves a placement: whether it
+// is served, the network path that reaches it, the substrate that
+// executes there, and what a task would cost there. Schedulers, policies,
+// planners and the sharded hub all read these instead of matching
+// placements to substrates themselves.
+
+// Serves reports whether the environment can run tasks at p. Local is
+// always served: the device is mandatory.
+func (e *Env) Serves(p model.Placement) bool {
+	switch p {
+	case model.PlaceLocal:
+		return true
+	case model.PlaceEdge:
+		return e.Edge != nil
+	case model.PlaceFunction:
+		return e.Functions != nil
+	case model.PlaceVM:
+		return e.VM != nil
+	}
+	return false
+}
+
+// Path returns the network path a task crosses to reach p, or nil when p
+// is local or not served. VMs live in the serverless region, so they
+// share the cloud path with functions.
+func (e *Env) Path(p model.Placement) *network.Path {
+	switch {
+	case !e.Serves(p):
+		return nil
+	case p == model.PlaceEdge:
+		return e.EdgePath
+	case p == model.PlaceFunction, p == model.PlaceVM:
+		return e.CloudPath
+	}
+	return nil
+}
+
+// Executor returns the remote substrate that runs the task at p. For
+// serverless that is the app's function, which the pool deploys or
+// resizes from pred's demand estimate: pred is drawn exactly once. Local
+// execution is the scheduler's own (it sets the device's frequency), so
+// p must be remote.
+func (e *Env) Executor(p model.Placement, task *model.Task, pred Predictor) (model.Executor, error) {
+	switch {
+	case p == model.PlaceLocal || !e.Serves(p):
+		return nil, fmt.Errorf("sched: no remote substrate serves placement %v", p)
+	case p == model.PlaceEdge:
+		return e.Edge, nil
+	case p == model.PlaceVM:
+		return e.VM, nil
+	}
+	fn, err := e.Functions.For(task, pred)
+	if err != nil {
+		return nil, err
+	}
+	return fn, nil
+}
+
+// Estimate is what running one task at one placement would take, priced
+// from public substrate estimates without reserving anything. Transfer
+// terms are zero for local execution.
+type Estimate struct {
+	Up, Exec, Down float64 // seconds: uplink airtime, execution, downlink airtime
+	Queue          float64 // factor the placement's current backlog stretches Exec by
+	EnergyJ        float64 // device energy: compute when local, radio when remote
+	MoneyUSD       float64 // execution spend, amortised for edge and VM
+	OK             bool    // the placement can serve the task
+}
+
+// Time is the end-to-end estimate under the placement's current backlog.
+func (e Estimate) Time() float64 { return e.Up + e.Exec*e.Queue + e.Down }
+
+// Estimate prices the task at p. The task's Cycles is the demand to price
+// (a prediction, not the truth); sizes, memory and deadline are the
+// task's own. An unserved placement is not OK.
+func (e *Env) Estimate(p model.Placement, task *model.Task) Estimate {
+	if p == model.PlaceLocal {
+		dev := e.Device
+		return Estimate{
+			Exec:    float64(dev.ExecTime(task)),
+			Queue:   float64(dev.Backlog())/float64(dev.Config().Cores) + 1,
+			EnergyJ: dev.ComputeEnergyMilliJ(task) / 1000,
+			OK:      !dev.Dead(),
+		}
+	}
+	path := e.Path(p)
+	if path == nil {
+		return Estimate{}
+	}
+	est := Estimate{
+		Up:    float64(path.EstimateTransfer(task.InputBytes, network.Uplink)),
+		Down:  float64(path.EstimateTransfer(task.OutputBytes, network.Downlink)),
+		Queue: 1,
+		OK:    true,
+	}
+	switch p {
+	case model.PlaceEdge:
+		cfg := e.Edge.Config()
+		cores := cfg.Servers * cfg.Cores
+		est.Exec = float64(e.Edge.ExecTime(task))
+		est.Queue = float64(e.Edge.QueueLen())/float64(cores) + 1
+		// Amortised infrastructure attribution: the core-seconds this
+		// task occupies, priced at the site's hourly cost.
+		est.MoneyUSD = est.Exec * cfg.HourlyCostUSD / (3600 * float64(cores))
+		est.OK = cfg.MemoryPerServer == 0 || task.MemoryBytes <= cfg.MemoryPerServer
+	case model.PlaceFunction:
+		dec, err := e.Functions.EstimateFor(task, task.Cycles)
+		est.Exec = float64(dec.ExpectedTime)
+		est.MoneyUSD = dec.ExpectedCostUSD
+		est.OK = err == nil
+	case model.PlaceVM:
+		cfg := e.VM.Config()
+		est.Exec = float64(e.VM.ExecTime(task))
+		if cores := e.VM.Instances() * cfg.Cores; cores > 0 {
+			est.Queue = float64(e.VM.QueueLen())/float64(cores) + 1
+		}
+		est.MoneyUSD = est.Exec * cfg.HourlyCostUSD / (3600 * float64(cfg.Cores))
+	}
+	dev := e.Device.Config()
+	est.EnergyJ = dev.TxPowerW*est.Up + dev.RxPowerW*est.Down
+	return est
 }
 
 // Scheduler drives tasks through the environment under one policy.
@@ -131,21 +249,17 @@ type Scheduler struct {
 	stats        Stats
 	afterTask    map[model.TaskID]func(model.Outcome)
 	retry        RetryPolicy
-	src          *rng.Source // backoff jitter; nil disables jitter
-	dvfsMinScale float64     // 0 disables per-task DVFS
-	attempts     map[model.TaskID]int
-	// sunk accumulates money and energy spent by failed attempts so the
-	// final outcome reports the true total.
-	sunkUSD map[model.TaskID]float64
-	sunkMJ  map[model.TaskID]float64
+	src          *rng.Source                  // backoff jitter; nil disables jitter
+	dvfsMinScale float64                      // 0 disables per-task DVFS
+	ledger       map[model.TaskID]retryLedger // tasks with retries or sunk spend, until they settle
 
 	// Resilience layer (nil when disabled): per-task attempt state, whose
 	// task and attempt records recycle through freeTasks and freeTries, one
-	// circuit breaker per remote placement, and the latency histogram the
-	// hedging delay quantile is computed from.
+	// circuit breaker per served remote placement (nil elsewhere), and the
+	// latency histogram the hedging delay quantile is computed from.
 	res        *Resilience
 	inflight   map[model.TaskID]*taskState
-	breakers   map[model.Placement]*Breaker
+	breakers   [model.NumPlacements]*Breaker
 	attemptLat *metrics.Histogram
 	freeTasks  sim.FreeList[*taskState]
 	freeTries  sim.FreeList[*attempt]
@@ -156,6 +270,35 @@ type Scheduler struct {
 
 	// plainDoneFn is s.plainDone, bound on the first plain dispatch.
 	plainDoneFn func(model.Outcome)
+}
+
+// retryLedger is what a task's earlier attempts left behind until it
+// settles: the failures that consumed a retry, and the money and device
+// energy that failed, abandoned or losing attempts spent, so the final
+// outcome reports the true totals.
+type retryLedger struct {
+	retries int
+	usd, mj float64
+}
+
+// spend adds what one more attempt of the task cost to its ledger.
+func (s *Scheduler) spend(id model.TaskID, usd, mj float64) {
+	l := s.ledger[id]
+	l.usd += usd
+	l.mj += mj
+	s.ledger[id] = l
+}
+
+// retried records that the failed outcome consumes a retry of its task,
+// adds its spend, and returns how many retries the task has used.
+func (s *Scheduler) retried(o model.Outcome) int {
+	l := s.ledger[o.Task.ID]
+	l.retries++
+	l.usd += o.CostUSD
+	l.mj += o.EnergyMilliJ
+	s.ledger[o.Task.ID] = l
+	s.stats.Retries++
+	return l.retries
 }
 
 // RetryPolicy re-dispatches tasks that failed with a transient
@@ -219,9 +362,7 @@ func New(env *Env, policy Policy, pred Predictor, opts ...Option) (*Scheduler, e
 	}
 	s := &Scheduler{env: env, policy: policy, pred: pred,
 		afterTask: make(map[model.TaskID]func(model.Outcome)),
-		attempts:  make(map[model.TaskID]int),
-		sunkUSD:   make(map[model.TaskID]float64),
-		sunkMJ:    make(map[model.TaskID]float64)}
+		ledger:    make(map[model.TaskID]retryLedger)}
 	s.stats.init()
 	for _, o := range opts {
 		o(s)
@@ -231,8 +372,10 @@ func New(env *Env, policy Policy, pred Predictor, opts ...Option) (*Scheduler, e
 			return nil, err
 		}
 		s.inflight = make(map[model.TaskID]*taskState)
-		s.breakers = make(map[model.Placement]*Breaker)
 		s.attemptLat = metrics.NewLatencyHistogram()
+		if s.res.Breaker != nil {
+			s.installBreakers()
+		}
 	}
 	if s.fo != nil {
 		if err := s.initFailover(); err != nil {
@@ -267,7 +410,7 @@ func (s *Scheduler) InFlight() int { return len(s.inflight) }
 func (s *Scheduler) OpenBreakers() int {
 	n := 0
 	for _, b := range s.breakers {
-		if b.State() != BreakerClosed {
+		if b != nil && b.State() != BreakerClosed {
 			n++
 		}
 	}
@@ -279,7 +422,9 @@ func (s *Scheduler) OpenBreakers() int {
 func (s *Scheduler) BreakerOpens() uint64 {
 	var n uint64
 	for _, b := range s.breakers {
-		n += b.Opens()
+		if b != nil {
+			n += b.Opens()
+		}
 	}
 	return n
 }
@@ -313,8 +458,13 @@ func (s *Scheduler) SubmitThen(task *model.Task, then func(model.Outcome)) {
 // resilience layer enabled the placement becomes the task's primary
 // target, subject to breaker rerouting, hedging and retries. With the
 // failover layer enabled the dispatch is first routed: a down region's
-// tasks re-home, park or localize per the degradation ladder.
+// tasks re-home, park or localize per the degradation ladder. A
+// placement outside the model's range names no substrate: the task
+// settles failed at PlaceUnknown.
 func (s *Scheduler) Dispatch(task *model.Task, placement model.Placement) {
+	if uint(placement) >= model.NumPlacements {
+		placement = model.PlaceUnknown
+	}
 	if s.fo != nil {
 		s.fo.route(task, placement)
 		return
@@ -334,7 +484,7 @@ func (s *Scheduler) dispatchDirect(task *model.Task, placement model.Placement) 
 	}
 	if s.env.Events.Active() {
 		s.env.Events.Emit(trace.Event{Kind: trace.KindAttemptStart, At: s.env.Eng.Now(),
-			Task: task.ID, Attempt: s.attempts[task.ID] + 1, Placement: placement})
+			Task: task.ID, Attempt: s.ledger[task.ID].retries + 1, Placement: placement})
 	}
 	s.dispatchTo(task, placement, s.plainDoneFn)
 }
@@ -344,7 +494,7 @@ func (s *Scheduler) dispatchDirect(task *model.Task, placement model.Placement) 
 func (s *Scheduler) plainDone(o model.Outcome) {
 	if s.env.Events.Active() {
 		s.env.Events.Emit(trace.Event{Kind: trace.KindAttemptEnd, At: s.env.Eng.Now(),
-			Task: o.Task.ID, Attempt: s.attempts[o.Task.ID] + 1, Outcome: o, Status: s.plainStatus(o)})
+			Task: o.Task.ID, Attempt: s.ledger[o.Task.ID].retries + 1, Outcome: o, Status: s.plainStatus(o)})
 	}
 	s.finish(o)
 }
@@ -365,57 +515,30 @@ func (s *Scheduler) plainStatus(o model.Outcome) string {
 // dispatchTo runs one attempt of the task at the placement and reports
 // its outcome to done.
 func (s *Scheduler) dispatchTo(task *model.Task, placement model.Placement, done func(model.Outcome)) {
-	switch placement {
-	case model.PlaceLocal:
+	if placement == model.PlaceLocal {
 		s.runLocal(task, done)
-	case model.PlaceEdge:
-		if s.env.Edge == nil {
-			s.fail(task, placement, done)
-			return
-		}
-		if s.env.Remote != nil {
-			s.runRemoteShared(task, placement, s.env.EdgePath, done)
-			return
-		}
-		s.runRemote(task, placement, s.env.Edge, 0, s.env.EdgePath, done)
-	case model.PlaceFunction:
-		if s.env.Functions == nil {
-			s.fail(task, placement, done)
-			return
-		}
-		if s.env.Remote != nil {
-			// Pool deploy/resize mutates shared state, so it happens on the
-			// hub (inside Remote.Execute), not here on the shard.
-			s.runRemoteShared(task, placement, s.env.CloudPath, done)
-			return
-		}
-		fn, err := s.env.Functions.For(task, s.pred)
-		if err != nil {
-			s.fail(task, placement, done)
-			return
-		}
-		s.runRemote(task, placement, fn, 0, s.env.CloudPath, done)
-	case model.PlaceVM:
-		if s.env.VM == nil {
-			s.fail(task, placement, done)
-			return
-		}
-		if s.env.Remote != nil {
-			s.runRemoteShared(task, placement, s.env.CloudPath, done)
-			return
-		}
-		s.runRemote(task, placement, s.env.VM, 0, s.env.CloudPath, done)
-	default:
-		s.fail(task, placement, done)
+		return
 	}
-}
-
-// runRemoteShared is runRemote with execution routed through env.Remote.
-// The demand prediction is captured here, at dispatch time on the shard,
-// so the hub sizes serverless instances with exactly the estimate the
-// serial path would have used.
-func (s *Scheduler) runRemoteShared(task *model.Task, placement model.Placement, path *network.Path, done func(model.Outcome)) {
-	s.runRemote(task, placement, nil, s.pred.PredictCycles(task), path, done)
+	path := s.env.Path(placement)
+	if path == nil {
+		s.fail(task, placement, done)
+		return
+	}
+	if s.env.Remote != nil {
+		// Execution, and with it the function pool's deploy and resize
+		// (shared state), happens behind Remote. The demand prediction
+		// is captured here, at dispatch, so the far side sizes
+		// serverless instances with exactly the estimate the serial path
+		// would have used.
+		s.runRemote(task, placement, nil, s.pred.PredictCycles(task), path, done)
+		return
+	}
+	exec, err := s.env.Executor(placement, task, s.pred)
+	if err != nil {
+		s.fail(task, placement, done)
+		return
+	}
+	s.runRemote(task, placement, exec, 0, path, done)
 }
 
 func (s *Scheduler) fail(task *model.Task, placement model.Placement, done func(model.Outcome)) {
@@ -505,22 +628,19 @@ func (s *Scheduler) finish(o model.Outcome) {
 		s.fo.observe(o.Placement, o.Failed, o.Exec.Err, s.env.Eng.Now())
 	}
 	if o.Task != nil && o.Failed && s.res == nil && s.shouldRetry(o) {
-		n := s.attempts[o.Task.ID] + 1
-		s.attempts[o.Task.ID] = n
-		s.sunkUSD[o.Task.ID] += o.CostUSD
-		s.sunkMJ[o.Task.ID] += o.EnergyMilliJ
-		s.stats.Retries++
+		n := s.retried(o)
 		task, placement := o.Task, o.Placement
 		s.env.Eng.After(s.retryDelay(n), func() { s.Dispatch(task, placement) })
 		return
 	}
 	if o.Task != nil {
-		o.Attempts = s.attempts[o.Task.ID] + 1
-		o.CostUSD += s.sunkUSD[o.Task.ID]
-		o.EnergyMilliJ += s.sunkMJ[o.Task.ID]
-		delete(s.attempts, o.Task.ID)
-		delete(s.sunkUSD, o.Task.ID)
-		delete(s.sunkMJ, o.Task.ID)
+		l, ok := s.ledger[o.Task.ID]
+		o.Attempts = l.retries + 1
+		o.CostUSD += l.usd
+		o.EnergyMilliJ += l.mj
+		if ok {
+			delete(s.ledger, o.Task.ID)
+		}
 	}
 	if o.Task != nil && !o.Failed {
 		s.pred.Observe(o.Task, o.Task.Cycles)
@@ -553,7 +673,7 @@ func (s *Scheduler) shouldRetryErr(task *model.Task, err error) bool {
 	if !model.Transient(err) {
 		return false
 	}
-	return s.attempts[task.ID]+1 < s.retry.MaxAttempts
+	return s.ledger[task.ID].retries+1 < s.retry.MaxAttempts
 }
 
 // retryDelay returns the backoff before re-dispatching attempt n+1 (n

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"offload/internal/model"
-	"offload/internal/network"
 	"offload/internal/sim"
 )
 
@@ -76,15 +75,13 @@ func (o *OffPeakShifter) affordable(task *model.Task, wait sim.Duration) bool {
 	if !task.HasDeadline() {
 		return true // fully delay tolerant
 	}
-	env := o.sched.env
-	cycles := o.sched.pred.PredictCycles(task)
-	dec, err := env.Functions.EstimateFor(task, cycles)
-	if err != nil {
+	predTask := *task
+	predTask.Cycles = o.sched.pred.PredictCycles(task)
+	e := o.sched.env.Estimate(model.PlaceFunction, &predTask)
+	if !e.OK {
 		return false
 	}
-	up := env.CloudPath.EstimateTransfer(task.InputBytes, network.Uplink)
-	down := env.CloudPath.EstimateTransfer(task.OutputBytes, network.Downlink)
-	needed := float64(wait) + float64(up) + float64(dec.ExpectedTime) + float64(down)
+	needed := float64(wait) + e.Up + e.Exec + e.Down
 	return needed <= float64(task.Deadline)*o.SafetyFactor
 }
 

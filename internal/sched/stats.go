@@ -32,12 +32,12 @@ type Stats struct {
 	FailedCostUSD      float64
 	FailedEnergyMilliJ float64
 
-	ByPlacement map[model.Placement]uint64
+	// ByPlacement counts completed tasks by where they ran.
+	ByPlacement [model.NumPlacements]uint64
 }
 
 func (s *Stats) init() {
 	s.Completion = metrics.NewLatencyHistogram()
-	s.ByPlacement = make(map[model.Placement]uint64)
 }
 
 func (s *Stats) record(o model.Outcome) {
