@@ -85,8 +85,11 @@ offbench-bin:
 # probes and a wait queue, E21's conservative-barrier engine must match
 # at one shard (the serial reference), two (a 2-vCPU layout) and seven (a
 # partition that divides nothing evenly), and E22's DAG jobs thread
-# precedence through the event core. Last, the whole test suite in a
-# taskpoison build, where a released task is poisoned and never reused,
+# precedence through the event core. Then the quick suite runs twice in
+# one process with observation on, and every table, registry export and
+# series must match byte for byte: Go randomises map order on every
+# range, so a result that depends on it differs between the runs. Last,
+# the whole test suite in a taskpoison build, where a released task is poisoned and never reused,
 # so a read of a task after it settled changes results. CI's determinism
 # job runs this target with metrics-golden and spans-golden.
 determinism: offbench-bin
@@ -110,6 +113,7 @@ determinism: offbench-bin
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E22 -parallel 1 -quiet > /tmp/offbench-e22-serial.txt
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E22 -parallel 4 -quiet > /tmp/offbench-e22-parallel.txt
 	cmp /tmp/offbench-e22-serial.txt /tmp/offbench-e22-parallel.txt
+	$(GO) test -count=1 -run '^TestSuiteIdenticalAcrossRunsInOneProcess$$' ./internal/exp/
 	$(GO) test -tags taskpoison ./...
 
 # The sharded-engine drill: the cross-shard determinism property and

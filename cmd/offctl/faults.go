@@ -105,9 +105,11 @@ func describeFaults(w io.Writer, spec faultsSpec) error {
 			fmt.Fprintf(w, "  %s\n", l)
 		}
 	}
-	for name := range schedules {
-		if !used[name] {
-			return fmt.Errorf("faults: region schedule for %q matches no backend", name)
+	if spec.Regions != nil {
+		for _, sch := range spec.Regions.Schedules {
+			if !used[sch.Region] {
+				return fmt.Errorf("faults: region schedule for %q matches no backend", sch.Region)
+			}
 		}
 	}
 	if spec.Regions != nil && spec.Regions.Failover != nil {

@@ -6,6 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"offload/internal/core"
+	"offload/internal/fault"
 )
 
 func TestLoadGraphTemplate(t *testing.T) {
@@ -99,5 +102,22 @@ func TestFaultsErrors(t *testing.T) {
 	}
 	if err := runFaults([]string{}, io.Discard); err == nil {
 		t.Error("missing -config accepted")
+	}
+}
+
+// TestFaultsOrphanScheduleErrorIsStable gives two schedules that match no
+// backend: the error must name the first in the file on every run,
+// whatever order a map would iterate them in.
+func TestFaultsOrphanScheduleErrorIsStable(t *testing.T) {
+	spec := faultsSpec{Regions: &core.RegionsConfig{VM: "west", Schedules: []fault.RegionSchedule{
+		{Region: "north", Outages: []fault.Window{{Start: 1, Duration: 1}}},
+		{Region: "south", Outages: []fault.Window{{Start: 1, Duration: 1}}},
+	}}}
+	const want = `faults: region schedule for "north" matches no backend`
+	for i := 0; i < 50; i++ {
+		err := describeFaults(io.Discard, spec)
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: error %v, want %q", i, err, want)
+		}
 	}
 }

@@ -105,15 +105,13 @@ func (t *tuner) retune(app string, obs *appObs, pool *sched.FunctionPool) int64 
 		ParallelFraction: obs.parFrac,
 		MemoryFloorBytes: obs.memFloor,
 		ColdStartProb:    obs.coldFrac,
-	}
-	if obs.deadline > 0 && pool.TimeBudgetFactor > 0 {
-		req.TimeBudget = sim.Duration(float64(obs.deadline) * pool.TimeBudgetFactor)
+		TimeBudget:       sched.ExecBudget(obs.deadline),
 	}
 	d, err := pool.Allocator().Choose(req)
 	if err != nil {
 		return 0
 	}
-	if relDiff(float64(d.MemoryBytes), float64(cur)) <= t.hysteresis {
+	if sched.Drift(float64(d.MemoryBytes), float64(cur)) <= t.hysteresis {
 		return 0
 	}
 	if pool.Resize(app, d.MemoryBytes) != nil {
@@ -121,15 +119,4 @@ func (t *tuner) retune(app string, obs *appObs, pool *sched.FunctionPool) int64 
 	}
 	t.resizes++
 	return d.MemoryBytes
-}
-
-func relDiff(now, then float64) float64 {
-	if then == 0 {
-		return 0
-	}
-	d := now/then - 1
-	if d < 0 {
-		d = -d
-	}
-	return d
 }

@@ -106,15 +106,6 @@ func (p *Pipeline) MustAdd(s Stage) {
 	}
 }
 
-// Stages returns the stage names in insertion order.
-func (p *Pipeline) Stages() []string {
-	out := make([]string, len(p.stages))
-	for i, s := range p.stages {
-		out[i] = s.Name
-	}
-	return out
-}
-
 // StageResult reports one stage execution.
 type StageResult struct {
 	Name       string

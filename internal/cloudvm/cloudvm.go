@@ -224,19 +224,9 @@ func (f *Fleet) runOn(in *instance, p *pending) {
 	f.eng.Cancel(in.idleEv)
 	in.idleEv = sim.EventRef{}
 	start := p.at
-	exec := f.ExecTime(p.task)
-	// Fault model: a crash occupies the core for CrashFrac of the run and
-	// reports a transient error; a straggler occupies it Slowdown× longer.
-	dec := fault.Decision{Slowdown: 1}
-	if f.inj != nil {
-		dec = f.inj.Decide(f.eng.Now())
-	}
-	if dec.Slowdown > 1 {
-		exec = sim.Duration(float64(exec) * dec.Slowdown)
-	}
-	if dec.Crash {
-		exec = sim.Duration(float64(exec) * dec.CrashFrac)
-	}
+	// A crash reports a transient error once its cut-short run ends.
+	dec := fault.Decide(f.inj, f.eng.Now())
+	exec := dec.Apply(f.ExecTime(p.task))
 	f.eng.After(exec, func() {
 		in.busy--
 		rep := model.ExecReport{

@@ -58,6 +58,13 @@ var configRules = []struct {
 	{allScopes, "edge configured without an edge path", func(c Config) bool { return c.Edge != nil && c.EdgePath == nil }},
 	{allScopes, "serverless configured without a cloud path", func(c Config) bool { return c.Serverless != nil && c.CloudPath == nil }},
 	{allScopes, "VM configured without a cloud path", func(c Config) bool { return c.VM != nil && c.CloudPath == nil }},
+	{allScopes, "EdgePath configured without edge", func(c Config) bool { return c.EdgePath != nil && c.Edge == nil }},
+	{allScopes, "CloudPath configured without serverless or a VM fleet", func(c Config) bool {
+		return c.CloudPath != nil && c.Serverless == nil && c.VM == nil
+	}},
+	{allScopes, "function pool knobs configured without serverless", func(c Config) bool {
+		return c.Serverless == nil && (c.ArrivalRateHint != 0 || c.RedeployTolerance != 0 || c.ProvisionedConcurrency != 0)
+	}},
 	{allScopes, "Fault configured without serverless", func(c Config) bool { return c.Fault != nil && c.Serverless == nil }},
 	{allScopes, "EdgeFault configured without edge", func(c Config) bool { return c.EdgeFault != nil && c.Edge == nil }},
 	{allScopes, "VMFault configured without a VM fleet", func(c Config) bool { return c.VMFault != nil && c.VM == nil }},
@@ -164,18 +171,18 @@ func newUE(cfg *Config, eng *sim.Engine, src *rng.Source, sub *substrates, remot
 		if backoff <= 0 {
 			backoff = 1
 		}
-		opts = append(opts, sched.WithRetries(sched.RetryPolicy{
+		rp := sched.RetryPolicy{
 			MaxAttempts: cfg.Retries,
 			Backoff:     backoff,
 			MaxBackoff:  cfg.RetryMaxBackoff,
-			FullJitter:  cfg.RetryJitter,
-		}))
+		}
+		if cfg.RetryJitter {
+			rp.Jitter = src.Split()
+		}
+		opts = append(opts, sched.WithRetries(rp))
 	}
 	if cfg.LocalDVFSMinScale > 0 {
 		opts = append(opts, sched.WithLocalDVFS(cfg.LocalDVFSMinScale))
-	}
-	if cfg.RetryJitter {
-		opts = append(opts, sched.WithRNG(src.Split()))
 	}
 	if cfg.Resilience != nil {
 		opts = append(opts, sched.WithResilience(*cfg.Resilience))

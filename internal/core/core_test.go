@@ -89,6 +89,41 @@ func TestRetryKnobsNeedRetries(t *testing.T) {
 	}
 }
 
+// TestSubstrateKnobsNeedTheirSubstrate: a path or a function-pool knob
+// whose substrate is absent would be ignored, so each constructor
+// rejects it by its rule; with the substrate present it is accepted.
+func TestSubstrateKnobsNeedTheirSubstrate(t *testing.T) {
+	cases := []struct {
+		name, rule string
+		drop, set  func(*Config)
+	}{
+		{"edge path", "EdgePath configured without edge",
+			func(c *Config) { c.Edge = nil }, func(c *Config) {}},
+		{"cloud path", "CloudPath configured without serverless or a VM fleet",
+			func(c *Config) { c.Serverless, c.VM = nil, nil }, func(c *Config) {}},
+		{"arrival rate hint", "function pool knobs configured without serverless",
+			func(c *Config) { c.Serverless = nil }, func(c *Config) { c.ArrivalRateHint = 0.1 }},
+		{"redeploy tolerance", "function pool knobs configured without serverless",
+			func(c *Config) { c.Serverless = nil }, func(c *Config) { c.RedeployTolerance = 0.3 }},
+		{"provisioned concurrency", "function pool knobs configured without serverless",
+			func(c *Config) { c.Serverless = nil }, func(c *Config) { c.ProvisionedConcurrency = 2 }},
+	}
+	for _, c := range cases {
+		cfg := DefaultConfig()
+		c.set(&cfg)
+		if _, err := NewSystem(cfg); err != nil {
+			t.Errorf("%s with its substrate: %v", c.name, err)
+		}
+		c.drop(&cfg)
+		if _, err := NewSystem(cfg); err == nil || !strings.HasSuffix(err.Error(), c.rule) {
+			t.Errorf("%s without its substrate: err = %v, want %q", c.name, err, c.rule)
+		}
+		if _, err := NewFleet(cfg, 2); err == nil || !strings.HasSuffix(err.Error(), c.rule) {
+			t.Errorf("%s without its substrate: NewFleet err = %v, want %q", c.name, err, c.rule)
+		}
+	}
+}
+
 func TestAllPoliciesBuild(t *testing.T) {
 	for _, p := range AllPolicies() {
 		cfg := DefaultConfig()

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"offload/internal/fault"
-	"offload/internal/model"
 	"offload/internal/sched"
 	"offload/internal/trace"
 	"offload/internal/workload"
@@ -26,8 +25,7 @@ func spanHeavyConfig() Config {
 	cfg.Resilience = &sched.Resilience{
 		AttemptTimeout: 90,
 		HedgeDelay:     15, HedgeQuantile: 0.9, MaxHedges: 1,
-		Breaker:  &sched.BreakerConfig{FailureThreshold: 4, OpenFor: 15, HalfOpenSuccesses: 1},
-		Fallback: model.PlaceLocal,
+		Breaker: &sched.BreakerConfig{FailureThreshold: 4, OpenFor: 15, HalfOpenSuccesses: 1},
 	}
 	return cfg
 }

@@ -271,6 +271,32 @@ func (o *Orchestrator) newJobState(n int) *jobState {
 	return st
 }
 
+// recycle puts a settled job's record back on the free list, keeping its
+// arrays and its bound then closure. In a taskpoison build (sim.Poison)
+// it poisons the record's node tasks, outcomes and critical path instead
+// and never reuses it, so a read of Result.NodeOutcomes, CritPath or CritS
+// after OnJobDone returns shows up in the results.
+func (o *Orchestrator) recycle(st *jobState) {
+	if sim.Poison {
+		nan := math.NaN()
+		for i := range st.critPath {
+			st.critPath[i], st.critS[i] = -1, nan
+		}
+		for i := range st.tasks {
+			st.tasks[i] = model.Task{ID: model.PoisonedTaskID, App: "released", Cycles: nan,
+				InputBytes: -1, OutputBytes: -1, MemoryBytes: -1}
+		}
+		for i := range st.outcomes {
+			st.outcomes[i] = model.Outcome{Task: &st.tasks[i], Started: -1, Finished: -1,
+				CostUSD: nan, EnergyMilliJ: nan, Failed: true}
+		}
+		return
+	}
+	*st = jobState{remaining: st.remaining, state: st.state, tasks: st.tasks,
+		outcomes: st.outcomes, then: st.then, critPath: st.critPath, critS: st.critS}
+	o.free.Put(st)
+}
+
 // release hands one ready node to the scheduler.
 func (o *Orchestrator) release(st *jobState, nid NodeID) {
 	node := st.job.nodes[nid]

@@ -129,7 +129,6 @@ type Device struct {
 	drainedJ  float64 // total energy drawn so far
 	dead      bool
 	executed  uint64
-	cpuScale  float64  // DVFS scale in (0, 1]
 	tailUntil sim.Time // end of the currently billed radio tail
 
 	free sim.FreeList[*localRun]
@@ -143,10 +142,9 @@ func New(eng *sim.Engine, cfg Config) *Device {
 		panic(err)
 	}
 	return &Device{
-		eng:      eng,
-		cfg:      cfg,
-		cpu:      sim.NewResource(eng, cfg.Name+"/cpu", cfg.Cores),
-		cpuScale: 1,
+		eng: eng,
+		cfg: cfg,
+		cpu: sim.NewResource(eng, cfg.Name+"/cpu", cfg.Cores),
 	}
 }
 
@@ -159,34 +157,23 @@ func (d *Device) Placement() model.Placement { return model.PlaceLocal }
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// SetCPUScale applies a DVFS-style frequency scale in (0, 1]. Power scales
-// with the square of frequency (a simplification of the cubic dynamic-power
-// law that keeps the energy ordering realistic). It panics outside (0, 1].
-func (d *Device) SetCPUScale(s float64) {
-	if s <= 0 || s > 1 {
-		panic(fmt.Sprintf("device: CPU scale %g outside (0,1]", s))
-	}
-	d.cpuScale = s
-}
-
-// EffectiveHz returns the current per-core clock after DVFS scaling.
-func (d *Device) EffectiveHz() float64 { return d.cfg.CPUHz * d.cpuScale }
-
 // ExecTime returns how long the task's computation takes on one core at
-// the current frequency.
+// full frequency.
 func (d *Device) ExecTime(task *model.Task) sim.Duration {
-	return sim.Duration(task.Cycles / d.EffectiveHz())
+	return sim.Duration(task.Cycles / d.cfg.CPUHz)
 }
 
-// Execute runs the task on the device CPU at the device-wide frequency.
-// The report carries the device's compute energy as a cost of zero
-// dollars; energy is also accumulated on the device battery.
+// Execute runs the task on the device CPU at full frequency. The report
+// carries the device's compute energy as a cost of zero dollars; energy is
+// also accumulated on the device battery.
 func (d *Device) Execute(task *model.Task, done func(model.ExecReport)) {
-	d.ExecuteScaled(task, d.cpuScale, done)
+	d.ExecuteScaled(task, 1, done)
 }
 
-// ExecuteScaled runs the task at a per-task DVFS scale in (0, 1],
-// overriding the device-wide setting. Lower scales stretch execution time
+// ExecuteScaled runs the task at a per-task DVFS scale in (0, 1]; DVFS is
+// chosen per task, never device-wide. Power scales with the square of
+// frequency (a simplification of the cubic dynamic-power law that keeps
+// the energy ordering realistic), so lower scales stretch execution time
 // by 1/scale and cut energy by roughly the same factor (P ∝ f², t ∝ 1/f ⇒
 // E ∝ f) — the lever a delay-tolerant local policy can pull instead of
 // offloading.
@@ -289,10 +276,10 @@ func (d *Device) RadioEnergyMilliJ(dur sim.Duration, uplink bool) float64 {
 }
 
 // ComputeEnergyMilliJ returns the energy (mJ) that executing the task
-// locally would consume, without draining it. Planners use this estimate.
+// locally at full frequency would consume, without draining it. Planners
+// use this estimate.
 func (d *Device) ComputeEnergyMilliJ(task *model.Task) float64 {
-	powerW := d.cfg.ActivePowerW * d.cpuScale * d.cpuScale
-	return powerW * float64(d.ExecTime(task)) * 1000
+	return d.cfg.ActivePowerW * float64(d.ExecTime(task)) * 1000
 }
 
 func (d *Device) drain(joules float64) {

@@ -240,6 +240,9 @@ func TestMainsPoweredNeverDies(t *testing.T) {
 	}
 }
 
+// TestDVFSSlowsAndSaves runs a task at half frequency and holds it to the
+// full-speed estimates planners read: twice ExecTime, half
+// ComputeEnergyMilliJ.
 func TestDVFSSlowsAndSaves(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, testConfig())
@@ -247,28 +250,15 @@ func TestDVFSSlowsAndSaves(t *testing.T) {
 	fullTime := d.ExecTime(task)
 	fullEnergy := d.ComputeEnergyMilliJ(task)
 
-	d.SetCPUScale(0.5)
-	if got := d.ExecTime(task); math.Abs(float64(got)-2*float64(fullTime)) > 1e-9 {
-		t.Fatalf("half-speed ExecTime = %v, want %v", got, 2*fullTime)
+	var rep model.ExecReport
+	d.ExecuteScaled(task, 0.5, func(r model.ExecReport) { rep = r })
+	eng.Run()
+	if got := rep.Duration(); math.Abs(float64(got)-2*float64(fullTime)) > 1e-9 {
+		t.Fatalf("half-speed duration = %v, want %v", got, 2*fullTime)
 	}
 	// Energy = P*f^2 * (t/f) = P*t*f: half frequency halves energy here.
-	if got := d.ComputeEnergyMilliJ(task); math.Abs(got-fullEnergy/2) > 1e-6 {
-		t.Fatalf("half-speed energy = %g, want %g", got, fullEnergy/2)
-	}
-}
-
-func TestSetCPUScalePanics(t *testing.T) {
-	eng := sim.NewEngine()
-	d := New(eng, testConfig())
-	for _, s := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SetCPUScale(%g) did not panic", s)
-				}
-			}()
-			d.SetCPUScale(s)
-		}()
+	if got := d.DrainedJ() * 1000; math.Abs(got-fullEnergy/2) > 1e-6 {
+		t.Fatalf("half-speed energy = %g mJ, want %g", got, fullEnergy/2)
 	}
 }
 

@@ -157,19 +157,9 @@ type edgeRun struct {
 func (run *edgeRun) grant() {
 	c := run.c
 	run.granted = c.eng.Now()
-	exec := c.ExecTime(run.task)
-	// Fault model: a crash holds the core for CrashFrac of the run and
-	// reports a transient error; a straggler holds it Slowdown× longer.
-	dec := fault.Decision{Slowdown: 1}
-	if c.inj != nil {
-		dec = c.inj.Decide(run.granted)
-	}
-	if dec.Slowdown > 1 {
-		exec = sim.Duration(float64(exec) * dec.Slowdown)
-	}
-	if dec.Crash {
-		exec = sim.Duration(float64(exec) * dec.CrashFrac)
-	}
+	// A crash reports a transient error once its cut-short run ends.
+	dec := fault.Decide(c.inj, run.granted)
+	exec := dec.Apply(c.ExecTime(run.task))
 	run.crash = dec.Crash
 	c.eng.After(exec, run.finishFn)
 }

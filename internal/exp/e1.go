@@ -64,7 +64,9 @@ func E1Placement(s Scale) ([]*metrics.Table, error) {
 		for _, policy := range e1Policies {
 			cfg := e1ConfigFor(policy)
 			cfg.Seed = s.Seed
-			cfg.ArrivalRateHint = e1Rate
+			if cfg.Serverless != nil {
+				cfg.ArrivalRateHint = e1Rate // sizes the function pool
+			}
 			res, err := runCell(s, cfg, mix, feed{rate: e1Rate})
 			if err != nil {
 				return nil, err

@@ -68,7 +68,7 @@ func E14Bursts(s Scale) ([]*metrics.Table, error) {
 			cfg.ArrivalRateHint = meanRate
 			backend.mutate(&cfg)
 			if cfg.Policy == core.PolicyVMAll {
-				cfg.Serverless = nil
+				cfg.Serverless, cfg.ArrivalRateHint = nil, 0
 			}
 
 			sys, err := core.NewSystem(cfg)

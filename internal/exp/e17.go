@@ -70,8 +70,7 @@ func E17Resilience(s Scale) ([]*metrics.Table, error) {
 		{"brk+fallback", func(cfg *core.Config) {
 			retry(cfg)
 			cfg.Resilience = &sched.Resilience{
-				Breaker:  &sched.BreakerConfig{FailureThreshold: 5, OpenFor: 20, HalfOpenSuccesses: 1},
-				Fallback: model.PlaceLocal,
+				Breaker: &sched.BreakerConfig{FailureThreshold: 5, OpenFor: 20, HalfOpenSuccesses: 1},
 			}
 		}},
 		{"hedged", func(cfg *core.Config) {

@@ -52,6 +52,36 @@ type Decision struct {
 	Slowdown float64
 }
 
+// Decide returns inj's decision for an invocation starting at now, or no
+// fault when inj is nil.
+func Decide(inj Injector, now sim.Time) Decision {
+	if inj == nil {
+		return Decision{Slowdown: 1}
+	}
+	return inj.Decide(now)
+}
+
+// Stretch returns exec slowed by a straggler's Slowdown.
+func (d Decision) Stretch(exec sim.Duration) sim.Duration {
+	if d.Slowdown > 1 {
+		return sim.Duration(float64(exec) * d.Slowdown)
+	}
+	return exec
+}
+
+// Cut returns exec cut short at CrashFrac when the invocation crashes.
+func (d Decision) Cut(exec sim.Duration) sim.Duration {
+	if d.Crash {
+		return sim.Duration(float64(exec) * d.CrashFrac)
+	}
+	return exec
+}
+
+// Apply is the fault rule for a substrate without a timeout: a crash holds
+// the executor for CrashFrac of the run, a straggler holds it Slowdown×
+// longer.
+func (d Decision) Apply(exec sim.Duration) sim.Duration { return d.Cut(d.Stretch(exec)) }
+
 // Injector samples one fault Decision per invocation. Implementations are
 // deterministic functions of their rng.Source and the (non-decreasing)
 // times they are asked about; like the rest of the simulator they are not

@@ -31,9 +31,6 @@ func NewTimeSeries(name string, cols ...string) *TimeSeries {
 // Name returns the series name.
 func (ts *TimeSeries) Name() string { return ts.name }
 
-// Columns returns the column names, excluding the implicit leading time.
-func (ts *TimeSeries) Columns() []string { return ts.cols }
-
 // Len returns the number of recorded samples.
 func (ts *TimeSeries) Len() int { return len(ts.rows) }
 

@@ -1,6 +1,10 @@
 package model
 
-import "offload/internal/sim"
+import (
+	"math"
+
+	"offload/internal/sim"
+)
 
 // TaskPool is the free list of one engine's tasks: the workload stream
 // draws every task from it, and the scheduler releases a task back once
@@ -48,4 +52,35 @@ func (p *TaskPool) Release(t *Task) {
 		return
 	}
 	p.release(t)
+}
+
+// PoisonedTaskID is the ID a released task carries in a taskpoison
+// build.
+const PoisonedTaskID TaskID = 1 << 62
+
+// release clears t and keeps it for the next New. In a taskpoison build
+// (sim.Poison) it poisons t instead and never reuses it, so any read of a
+// task after its release shows up in the results: a foreign ID, NaN
+// demand and negative sizes fail validation, skew every sum and change
+// every golden.
+func (p *TaskPool) release(t *Task) {
+	if sim.Poison {
+		*t = Task{
+			ID:          PoisonedTaskID,
+			App:         "released",
+			Component:   "released",
+			InputBytes:  -1,
+			OutputBytes: -1,
+			Cycles:      math.NaN(),
+			MemoryBytes: -1,
+
+			ParallelFraction: math.NaN(),
+			Deadline:         -1,
+			Submitted:        -1,
+			Priority:         math.MinInt,
+		}
+		return
+	}
+	*t = Task{}
+	p.free.Put(t)
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+
 	"offload/internal/model"
 	"offload/internal/network"
 	"offload/internal/sim"
@@ -27,6 +29,24 @@ func (p *AttemptPool) get(s *Scheduler) *RemoteAttempt {
 	}
 	a.s = s
 	return a
+}
+
+// release clears a finished record, keeping its bound callbacks and its
+// backend's hop, and puts it back for the next attempt on the engine. In
+// a taskpoison build (sim.Poison) it poisons the record instead and never
+// reuses it: with no scheduler, no callbacks and no hop, a late backend
+// reply or a zombie continuation that reaches it panics, and a read of
+// its prediction or outcome sees NaN.
+func (p *AttemptPool) release(a *RemoteAttempt) {
+	if sim.Poison {
+		nan := math.NaN()
+		*a = RemoteAttempt{placement: -1, started: -1, predicted: nan, up: -1, down: -1, energy: nan,
+			rep: model.ExecReport{Start: -1, End: -1, CostUSD: nan}}
+		return
+	}
+	*a = RemoteAttempt{Hop: a.Hop, uplinkFn: a.uplinkFn, downlinkFn: a.downlinkFn,
+		execFn: a.execFn, resumeFn: a.resumeFn}
+	p.free.Put(a)
 }
 
 // RemoteAttempt is one remote attempt in flight: uplink, execution,

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"offload/internal/model"
 	"offload/internal/sim"
@@ -90,11 +91,18 @@ func (f *Failover) Validate() error {
 	if len(f.Regions) == 0 {
 		return fmt.Errorf("sched: failover without region assignments")
 	}
-	for p, name := range f.Regions {
+	// Check the entries in placement order, so that with several bad
+	// entries the error names the same one on every run.
+	placements := make([]model.Placement, 0, len(f.Regions))
+	for p := range f.Regions {
+		placements = append(placements, p)
+	}
+	slices.Sort(placements)
+	for _, p := range placements {
 		if p <= model.PlaceLocal || p >= model.NumPlacements {
 			return fmt.Errorf("sched: failover region for non-remote placement %v", p)
 		}
-		if name == "" {
+		if name := f.Regions[p]; name == "" {
 			return fmt.Errorf("sched: empty region name for placement %v", p)
 		}
 	}

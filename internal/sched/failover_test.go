@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"offload/internal/fault"
@@ -60,6 +61,24 @@ func TestFailoverValidation(t *testing.T) {
 		Regions: map[model.Placement]string{model.PlaceVM: "west"},
 	})); err == nil {
 		t.Error("New accepted a region homed on an absent substrate")
+	}
+}
+
+// TestFailoverValidationErrorIsStable gives Regions two bad entries: the
+// error must name the lower placement on every run, whatever order the
+// map iterates in.
+func TestFailoverValidationErrorIsStable(t *testing.T) {
+	fo := Failover{Regions: map[model.Placement]string{
+		model.PlaceEdge:     "",
+		model.PlaceFunction: "",
+		model.PlaceVM:       "",
+	}}
+	want := fmt.Sprintf("sched: empty region name for placement %v", model.PlaceEdge)
+	for i := 0; i < 50; i++ {
+		err := fo.Validate()
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: error %v, want %q", i, err, want)
+		}
 	}
 }
 

@@ -19,10 +19,6 @@ type FunctionPool struct {
 	alloc    *alloc.Allocator
 	byApp    map[string]*poolEntry
 
-	// TimeBudgetFactor converts a task deadline into the execution budget
-	// handed to the allocator: transfers and queueing consume the rest of
-	// the slack. Defaults to 0.5.
-	TimeBudgetFactor float64
 	// ArrivalRateHint drives the cold-start probability estimate. Zero
 	// means "unknown" (pessimistic: every invocation cold).
 	ArrivalRateHint float64
@@ -45,11 +41,24 @@ type poolEntry struct {
 // NewFunctionPool returns a pool on the given platform.
 func NewFunctionPool(p *serverless.Platform) *FunctionPool {
 	return &FunctionPool{
-		platform:         p,
-		alloc:            alloc.New(p.Config()),
-		byApp:            make(map[string]*poolEntry),
-		TimeBudgetFactor: 0.5,
+		platform: p,
+		alloc:    alloc.New(p.Config()),
+		byApp:    make(map[string]*poolEntry),
 	}
+}
+
+// execBudgetShare is the share of a task's deadline handed to the
+// allocator as the execution budget: transfers and queueing consume the
+// rest of the slack.
+const execBudgetShare = 0.5
+
+// ExecBudget turns a deadline into the execution budget the allocator
+// sizes a function for. No deadline (zero) gives no budget.
+func ExecBudget(deadline sim.Duration) sim.Duration {
+	if deadline <= 0 {
+		return 0
+	}
+	return sim.Duration(float64(deadline) * execBudgetShare)
 }
 
 // Platform returns the underlying serverless platform.
@@ -67,12 +76,10 @@ func (p *FunctionPool) request(task *model.Task, predictedCycles float64) alloc.
 		ParallelFraction: task.ParallelFraction,
 		MemoryFloorBytes: task.MemoryBytes,
 		ColdStartProb:    1,
+		TimeBudget:       ExecBudget(task.Deadline),
 	}
 	if p.ArrivalRateHint > 0 {
 		req.ColdStartProb = alloc.ColdStartProbability(p.ArrivalRateHint, p.platform.Config().KeepAlive)
-	}
-	if task.HasDeadline() && p.TimeBudgetFactor > 0 {
-		req.TimeBudget = sim.Duration(float64(task.Deadline) * p.TimeBudgetFactor)
 	}
 	return req
 }
@@ -83,7 +90,7 @@ func (p *FunctionPool) For(task *model.Task, pred Predictor) (*serverless.Functi
 	predicted := pred.PredictCycles(task)
 	entry, ok := p.byApp[task.App]
 	if ok {
-		if p.RedeployTolerance > 0 && drift(predicted, entry.sizedCycles) > p.RedeployTolerance {
+		if p.RedeployTolerance > 0 && Drift(predicted, entry.sizedCycles) > p.RedeployTolerance {
 			if err := p.deploy(task, predicted, entry); err != nil {
 				return nil, err
 			}
@@ -149,7 +156,9 @@ func (p *FunctionPool) Sized(app string) int64 {
 	return 0
 }
 
-func drift(now, then float64) float64 {
+// Drift returns |now/then − 1|, the relative change from then to now, or 0
+// when then is 0.
+func Drift(now, then float64) float64 {
 	if then == 0 {
 		return 0
 	}

@@ -35,10 +35,9 @@ type Resilience struct {
 	MaxHedges     int
 
 	// Breaker, when non-nil, installs one circuit breaker per remote
-	// placement. While a placement's breaker refuses an attempt, the task
-	// is rerouted to Fallback (default PlaceLocal) instead.
-	Breaker  *BreakerConfig
-	Fallback model.Placement
+	// placement. While a placement's breaker refuses an attempt, the
+	// attempt runs on the device instead.
+	Breaker *BreakerConfig
 }
 
 // Validate reports whether the configuration is usable.
@@ -58,9 +57,6 @@ func (r *Resilience) Validate() error {
 			return err
 		}
 	}
-	if uint(r.Fallback) >= model.NumPlacements {
-		return fmt.Errorf("sched: unknown fallback placement %v", r.Fallback)
-	}
 	return nil
 }
 
@@ -76,13 +72,6 @@ func (r *Resilience) maxHedges() int {
 // hedgeMinSamples remote attempt latencies must be observed before the
 // hedge delay follows HedgeQuantile instead of the fixed HedgeDelay.
 const hedgeMinSamples = 20
-
-func (r *Resilience) fallback() model.Placement {
-	if r.Fallback == model.PlaceUnknown {
-		return model.PlaceLocal
-	}
-	return r.Fallback
-}
 
 // BreakerState is a circuit breaker's position.
 type BreakerState int
@@ -346,7 +335,7 @@ func (s *Scheduler) installBreakers() {
 }
 
 // launchAttempt starts one attempt of st's task: breaker check (with
-// fallback rerouting), per-attempt timeout, hedge timer, dispatch.
+// fallback to the device), per-attempt timeout, hedge timer, dispatch.
 func (s *Scheduler) launchAttempt(st *taskState, isHedge bool) {
 	target := st.placement
 	if s.fo != nil {
@@ -356,7 +345,7 @@ func (s *Scheduler) launchAttempt(st *taskState, isHedge bool) {
 		target = s.fo.retarget(st.task, target)
 	}
 	if br := s.breakers[target]; br != nil && !br.Allow(s.env.Eng.Now()) {
-		target = s.res.fallback()
+		target = model.PlaceLocal
 		s.stats.Fallbacks++
 	}
 	a := s.freeTries.Get()

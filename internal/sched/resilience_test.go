@@ -39,7 +39,6 @@ func TestResilienceValidation(t *testing.T) {
 		{"negative max hedges", Resilience{MaxHedges: -1}},
 		{"breaker without threshold", Resilience{Breaker: &BreakerConfig{OpenFor: 10}}},
 		{"breaker without cooldown", Resilience{Breaker: &BreakerConfig{FailureThreshold: 3}}},
-		{"unknown fallback", Resilience{Fallback: model.Placement(99)}},
 	}
 	env := testEnv(t)
 	for _, c := range cases {
@@ -173,8 +172,7 @@ func TestBreakerFallbackBeatsFailFast(t *testing.T) {
 	res, err := New(resEnv, CloudAll{}, Exact{},
 		WithRetries(RetryPolicy{MaxAttempts: 4, Backoff: 2, MaxBackoff: 16}),
 		WithResilience(Resilience{
-			Breaker:  &BreakerConfig{FailureThreshold: 3, OpenFor: 30},
-			Fallback: model.PlaceLocal,
+			Breaker: &BreakerConfig{FailureThreshold: 3, OpenFor: 30},
 		}))
 	if err != nil {
 		t.Fatal(err)
@@ -384,8 +382,7 @@ func TestHedgeDelayQuantile(t *testing.T) {
 
 // TestRetryDelayCapAndOverflow pins the backoff arithmetic: the exponent
 // is capped so large attempt counts cannot overflow into negative delays,
-// MaxBackoff clamps the result, and FullJitter without an rng stream is
-// silently inert.
+// and MaxBackoff clamps the result.
 func TestRetryDelayCapAndOverflow(t *testing.T) {
 	env := testEnv(t)
 	s, err := New(env, CloudAll{}, Exact{},
@@ -417,12 +414,6 @@ func TestRetryDelayCapAndOverflow(t *testing.T) {
 	if got := s.retryDelay(1); got != 1 {
 		t.Fatalf("retryDelay(1) = %g below the cap, want 1", float64(got))
 	}
-
-	// FullJitter without WithRNG: deterministic, uses the capped value.
-	s.retry.FullJitter = true
-	if got := s.retryDelay(10); got != 60 {
-		t.Fatalf("jitter without rng changed the delay to %g", float64(got))
-	}
 }
 
 // TestRetryJitterDeterminism: full jitter draws uniformly below the capped
@@ -431,8 +422,7 @@ func TestRetryDelayCapAndOverflow(t *testing.T) {
 func TestRetryJitterDeterminism(t *testing.T) {
 	mk := func() *Scheduler {
 		s, err := New(testEnv(t), CloudAll{}, Exact{},
-			WithRetries(RetryPolicy{MaxAttempts: 100, Backoff: 1, MaxBackoff: 60, FullJitter: true}),
-			WithRNG(rng.New(7)))
+			WithRetries(RetryPolicy{MaxAttempts: 100, Backoff: 1, MaxBackoff: 60, Jitter: rng.New(7)}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -249,7 +249,6 @@ type Scheduler struct {
 	stats        Stats
 	afterTask    map[model.TaskID]func(model.Outcome)
 	retry        RetryPolicy
-	src          *rng.Source                  // backoff jitter; nil disables jitter
 	dvfsMinScale float64                      // 0 disables per-task DVFS
 	ledger       map[model.TaskID]retryLedger // tasks with retries or sunk spend, until they settle
 
@@ -304,14 +303,14 @@ func (s *Scheduler) retried(o model.Outcome) int {
 // RetryPolicy re-dispatches tasks that failed with a transient
 // infrastructure error. MaxAttempts counts all tries (1 disables retries);
 // Backoff delays each re-dispatch and doubles per attempt, capped at
-// MaxBackoff (zero leaves it uncapped). With FullJitter the delay is drawn
-// uniformly from [0, backoff) using the scheduler's rng stream, which
-// decorrelates retry stampedes without losing determinism.
+// MaxBackoff (zero leaves it uncapped). With a Jitter stream the delay is
+// drawn uniformly from [0, backoff), which decorrelates retry stampedes
+// without losing determinism; a nil Jitter means no jitter.
 type RetryPolicy struct {
 	MaxAttempts int
 	Backoff     sim.Duration
 	MaxBackoff  sim.Duration
-	FullJitter  bool
+	Jitter      *rng.Source
 }
 
 // Option configures a Scheduler.
@@ -320,12 +319,6 @@ type Option func(*Scheduler)
 // WithRetries enables transparent retries of transient failures.
 func WithRetries(rp RetryPolicy) Option {
 	return func(s *Scheduler) { s.retry = rp }
-}
-
-// WithRNG gives the scheduler its own random stream, used for retry
-// backoff jitter. Without one, FullJitter is silently disabled.
-func WithRNG(src *rng.Source) Option {
-	return func(s *Scheduler) { s.src = src }
 }
 
 // WithResilience enables the client-side resilience layer: per-attempt
@@ -552,8 +545,8 @@ func (s *Scheduler) fail(task *model.Task, placement model.Placement, done func(
 func (s *Scheduler) runLocal(task *model.Task, done func(model.Outcome)) {
 	start := task.Submitted
 	dev := s.env.Device
-	// Default to the device-wide DVFS setting; per-task DVFS overrides it.
-	scale := dev.EffectiveHz() / dev.Config().CPUHz
+	// Full speed unless per-task DVFS picks a lower frequency.
+	scale := 1.0
 	if s.dvfsMinScale > 0 {
 		scale = s.dvfsScale(task)
 	}
@@ -688,8 +681,8 @@ func (s *Scheduler) retryDelay(n int) sim.Duration {
 	if mb := float64(s.retry.MaxBackoff); mb > 0 && d > mb {
 		d = mb
 	}
-	if s.retry.FullJitter && s.src != nil {
-		d = s.src.Uniform(0, d)
+	if s.retry.Jitter != nil {
+		d = s.retry.Jitter.Uniform(0, d)
 	}
 	return sim.Duration(d)
 }

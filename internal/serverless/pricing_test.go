@@ -188,12 +188,6 @@ func TestProvisionedCapacityFeeAccrues(t *testing.T) {
 	if math.Abs(got-want)/want > 1e-9 {
 		t.Fatalf("ProvisionedCostUSD = %g, want %g", got, want)
 	}
-	// Removing the function stops accrual but keeps the accrued fee.
-	p.Remove("warm")
-	eng.RunUntil(7200)
-	if after := p.ProvisionedCostUSD(); math.Abs(after-want)/want > 1e-9 {
-		t.Fatalf("fee kept accruing after removal: %g", after)
-	}
 }
 
 // TestProvisionedCostSumsInNameOrder accrues capacity fees on four

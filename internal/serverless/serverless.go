@@ -31,8 +31,6 @@ var (
 	ErrOutOfMemory = errors.New("serverless: task exceeds function memory")
 	// ErrTimedOut is reported when execution exceeds the function timeout.
 	ErrTimedOut = errors.New("serverless: execution exceeded function timeout")
-	// ErrNotDeployed is reported when invoking an undeployed function.
-	ErrNotDeployed = errors.New("serverless: function not deployed")
 	// ErrTransient is an injected infrastructure failure (a crashed
 	// container, a dropped invocation). It wraps model.ErrTransient, so
 	// callers classify it with model.Transient and should retry.
@@ -403,9 +401,6 @@ type Platform struct {
 	functions map[string]*Function
 	slots     *sim.Resource // account concurrency
 
-	// retiredProvisionedUSD keeps capacity fees of removed functions.
-	retiredProvisionedUSD float64
-
 	free sim.FreeList[*invocation]
 
 	stats Stats
@@ -481,6 +476,8 @@ type FunctionConfig struct {
 
 // Deploy registers (or re-configures) a function. Memory is clamped to the
 // ladder: it must lie within [MinMemory, MaxMemory] and on a step boundary.
+// A re-deploy re-configures the existing *Function in place, and functions
+// are never removed, so a *Function stays the live one.
 func (p *Platform) Deploy(fc FunctionConfig) (*Function, error) {
 	if fc.Name == "" {
 		return nil, fmt.Errorf("serverless: function with empty name")
@@ -510,28 +507,15 @@ func (p *Platform) Deploy(fc FunctionConfig) (*Function, error) {
 	return f, nil
 }
 
-// Remove deletes a function. Invoking it afterwards fails.
-func (p *Platform) Remove(name string) {
-	if f, ok := p.functions[name]; ok {
-		f.accrueProvisioned()
-		p.retiredProvisionedUSD += f.provisionedUSD
-		f.cfg.ProvisionedConcurrency = 0
-		f.discardWarm()
-		f.removed = true
-		delete(p.functions, name)
-	}
-}
-
 // ProvisionedCostUSD returns capacity fees accrued by every function's
-// provisioned concurrency up to now, including removed functions, summed
-// in function-name order.
+// provisioned concurrency up to now, summed in function-name order.
 func (p *Platform) ProvisionedCostUSD() float64 {
 	names := make([]string, 0, len(p.functions))
 	for name := range p.functions {
 		names = append(names, name)
 	}
 	slices.Sort(names)
-	total := p.retiredProvisionedUSD
+	total := 0.0
 	for _, name := range names {
 		total += p.functions[name].ProvisionedCostUSD()
 	}
@@ -550,7 +534,6 @@ type Function struct {
 	cfg        FunctionConfig
 	warm       []*container
 	spare      sim.FreeList[*container] // containers out of the warm pool
-	removed    bool
 	generation int
 
 	invocations uint64
@@ -642,7 +625,7 @@ func (f *Function) takeWarm() bool {
 
 // parkWarm returns a container to the pool and schedules its expiry.
 func (f *Function) parkWarm() {
-	if f.removed || f.platform.cfg.KeepAlive == 0 {
+	if f.platform.cfg.KeepAlive == 0 {
 		return
 	}
 	c := f.spare.Get()
@@ -687,10 +670,6 @@ func (f *Function) Execute(task *model.Task, done func(model.ExecReport)) {
 		p.eng.After(0, func() {
 			done(model.ExecReport{Start: start, End: p.eng.Now(), Err: err})
 		})
-	}
-	if f.removed || p.functions[f.cfg.Name] != f {
-		fail(ErrNotDeployed)
-		return
 	}
 	if task.MemoryBytes > f.cfg.MemoryBytes {
 		fail(fmt.Errorf("%w: need %d, have %d", ErrOutOfMemory, task.MemoryBytes, f.cfg.MemoryBytes))
@@ -749,25 +728,16 @@ func (inv *invocation) grant() {
 	// slowdown can push the invocation over the timeout, while a crash
 	// cuts the (possibly clamped) execution short at CrashFrac of the
 	// way through — still billed, as real platforms do.
-	dec := fault.Decision{Slowdown: 1}
-	if p.inj != nil {
-		dec = p.inj.Decide(inv.granted)
-	}
-	if dec.Slowdown > 1 {
-		exec = sim.Duration(float64(exec) * dec.Slowdown)
-	}
+	dec := fault.Decide(p.inj, inv.granted)
+	exec = dec.Stretch(exec)
 	inv.timedOut = false
 	if to := f.platform.cfg.DefaultTimeout; to > 0 && exec > to {
 		exec = to
-		inv.timedOut = true
+		inv.timedOut = !dec.Crash
 	}
 	inv.crashed = dec.Crash
-	if inv.crashed {
-		exec = sim.Duration(float64(exec) * dec.CrashFrac)
-		inv.timedOut = false
-	}
-	inv.exec = exec
-	p.eng.After(inv.cold+exec, inv.finishFn)
+	inv.exec = dec.Cut(exec)
+	p.eng.After(inv.cold+inv.exec, inv.finishFn)
 }
 
 // finish bills the invocation, returns the record to the free list and

@@ -410,18 +410,6 @@ func TestTimeout(t *testing.T) {
 	}
 }
 
-func TestRemoveRejectsInvocations(t *testing.T) {
-	eng, p := newTestPlatform(t, testConfig())
-	f := deploy(t, p, "gone", 1024)
-	p.Remove("gone")
-	var rep model.ExecReport
-	f.Execute(&model.Task{Cycles: 1}, func(r model.ExecReport) { rep = r })
-	eng.Run()
-	if !errors.Is(rep.Err, ErrNotDeployed) {
-		t.Fatalf("err = %v, want ErrNotDeployed", rep.Err)
-	}
-}
-
 func TestRedeployDiscardsWarmContainers(t *testing.T) {
 	cfg := testConfig()
 	cfg.ColdStart = ColdStartModel{MedianSec: 0.5, Sigma: 0}

@@ -7,7 +7,8 @@ import "fmt"
 // worker cores is a Resource with capacity 8.
 //
 // Callers request a unit with Acquire and get a callback when one is
-// granted; they must call Release exactly once per grant.
+// granted; they must call Release exactly once per grant. A request
+// cannot be withdrawn: every Acquire is granted in FIFO order.
 //
 // Requests are held by value in two FIFOs the resource owns: waiting
 // requests queue for a unit, granted ones wait for their zero-delay
@@ -21,7 +22,6 @@ type Resource struct {
 	inUse    int
 	waiting  fifo
 	granted  fifo
-	lastID   uint64
 	// dispatchFn is r.dispatch, bound on the first grant so that building
 	// a resource costs no more than it did before pooling.
 	dispatchFn func()
@@ -34,43 +34,10 @@ type Resource struct {
 	queuedTime Duration
 }
 
-// request is one Acquire, held by value in a fifo: 24 bytes, since the
-// cancelled flag rides in the top bit of the id.
+// request is one Acquire, held by value in a fifo: 16 bytes.
 type request struct {
 	fn       func()
 	enqueued Time
-	id       uint64 // Acquire's sequence number, | cancelledBit once cancelled
-}
-
-// cancelledBit marks a cancelled request's id. Ids count Acquire calls,
-// so they never reach it.
-const cancelledBit = 1 << 63
-
-func (q *request) cancelled() bool { return q.id&cancelledBit != 0 }
-
-// Pending is a handle to one Acquire. The zero Pending refers to nothing.
-type Pending struct {
-	r  *Resource
-	id uint64
-}
-
-// Cancel withdraws the request. A queued request is dropped and never
-// granted. A request already granted whose callback has not run yet (its
-// zero-delay dispatch is still pending) never runs its callback either:
-// when the dispatch fires, the unit is released at once and passes to the
-// head of the wait queue, if any. Cancelling after the callback ran, or
-// cancelling the zero Pending, is a no-op.
-func (p Pending) Cancel() {
-	if p.r == nil {
-		return
-	}
-	if req := p.r.waiting.find(p.id); req != nil {
-		req.id |= cancelledBit
-		return
-	}
-	if req := p.r.granted.find(p.id); req != nil {
-		req.id |= cancelledBit
-	}
 }
 
 // NewResource returns a resource with the given capacity attached to eng.
@@ -92,31 +59,21 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of requests waiting for a unit.
-func (r *Resource) QueueLen() int {
-	n := 0
-	for i := 0; i < r.waiting.n; i++ {
-		if !r.waiting.at(i).cancelled() {
-			n++
-		}
-	}
-	return n
-}
+func (r *Resource) QueueLen() int { return r.waiting.n }
 
 // Acquire requests one unit. If a unit is free, fn runs via a zero-delay
 // event (so the caller's stack unwinds first); otherwise the request
-// queues FIFO. The returned Pending can cancel the request.
-func (r *Resource) Acquire(fn func()) Pending {
+// queues FIFO.
+func (r *Resource) Acquire(fn func()) {
 	if fn == nil {
 		panic("sim: Acquire with nil callback")
 	}
-	r.lastID++
-	req := request{fn: fn, enqueued: r.eng.Now(), id: r.lastID}
+	req := request{fn: fn, enqueued: r.eng.Now()}
 	if r.inUse < r.capacity {
 		r.grant(req)
 	} else {
 		r.waiting.push(req)
 	}
-	return Pending{r: r, id: req.id}
 }
 
 // Release returns one unit to the pool and grants it to the head of the
@@ -127,14 +84,10 @@ func (r *Resource) Release() {
 	}
 	r.accumulate()
 	r.inUse--
-	for r.waiting.n > 0 {
+	if r.waiting.n > 0 {
 		req := r.waiting.pop()
-		if req.cancelled() {
-			continue
-		}
 		r.queuedTime += r.eng.Now().Sub(req.enqueued)
 		r.grant(req)
-		return
 	}
 }
 
@@ -153,16 +106,7 @@ func (r *Resource) grant(req request) {
 // one dispatch with After(0), at a time that never decreases and with a
 // rising sequence number, so dispatches fire in grant order and the front
 // of the granted FIFO is always the grant this event was scheduled for.
-func (r *Resource) dispatch() {
-	req := r.granted.pop()
-	if req.cancelled() {
-		// The holder cancelled between grant and dispatch; return the
-		// unit rather than leak it.
-		r.Release()
-		return
-	}
-	req.fn()
-}
+func (r *Resource) dispatch() { r.granted.pop().fn() }
 
 func (r *Resource) accumulate() {
 	now := r.eng.Now()
@@ -204,9 +148,8 @@ type fifo struct {
 func (q *fifo) push(req request) {
 	if q.n == len(q.buf) {
 		grown := make([]request, max(2*len(q.buf), 4))
-		for i := 0; i < q.n; i++ {
-			grown[i] = *q.at(i)
-		}
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
 		q.buf, q.head = grown, 0
 	}
 	q.buf[(q.head+q.n)&(len(q.buf)-1)] = req
@@ -221,18 +164,4 @@ func (q *fifo) pop() request {
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return req
-}
-
-// at returns the i-th request from the front.
-func (q *fifo) at(i int) *request { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
-
-// find returns the queued request with the given id, or nil; a
-// cancelled request is never found again.
-func (q *fifo) find(id uint64) *request {
-	for i := 0; i < q.n; i++ {
-		if req := q.at(i); req.id == id {
-			return req
-		}
-	}
-	return nil
 }

@@ -129,9 +129,10 @@ func (r *refResource) MeanQueueWait() Duration {
 }
 
 // resourceModel is what the differential harness drives: the pooled
-// Resource or the reference, with Acquire returning its cancel function.
+// Resource or the reference. The reference's cancellation is not driven:
+// the pooled Resource has none.
 type resourceModel struct {
-	acquire       func(fn func()) (cancel func())
+	acquire       func(fn func())
 	release       func()
 	inUse         func() int
 	queueLen      func() int
@@ -143,7 +144,7 @@ type resourceModel struct {
 func pooledModel(e *Engine, capacity int) resourceModel {
 	r := NewResource(e, "pooled", capacity)
 	return resourceModel{
-		acquire:       func(fn func()) func() { return r.Acquire(fn).Cancel },
+		acquire:       r.Acquire,
 		release:       r.Release,
 		inUse:         r.InUse,
 		queueLen:      r.QueueLen,
@@ -156,7 +157,7 @@ func pooledModel(e *Engine, capacity int) resourceModel {
 func referenceModel(e *Engine, capacity int) resourceModel {
 	r := newRefResource(e, "reference", capacity)
 	return resourceModel{
-		acquire:       func(fn func()) func() { return r.Acquire(fn).Cancel },
+		acquire:       func(fn func()) { r.Acquire(fn) },
 		release:       r.Release,
 		inUse:         r.InUse,
 		queueLen:      r.QueueLen,
@@ -170,13 +171,9 @@ func referenceModel(e *Engine, capacity int) resourceModel {
 // returns its log: every grant with its time, the queue length and units
 // in use after every operation, and the final statistics with their exact
 // bits. The first byte picks the capacity (1–4); each later pair of bytes
-// is one operation, run as an event after a delay of 0–3 time units from
-// the previous one:
-//
-//   - acquire a unit and hold it for 0–7 time units before releasing it;
-//   - cancel an earlier acquire, which may still be queued, granted but
-//     not yet dispatched, or already running;
-//   - acquire and cancel in the same event, before the grant dispatches.
+// is one acquire, run as an event after a delay of 0–3 time units from
+// the previous one, that holds its unit for 0–7 time units before
+// releasing it.
 func resourceScript(data []byte, build func(*Engine, int) resourceModel) string {
 	if len(data) == 0 {
 		return ""
@@ -184,14 +181,7 @@ func resourceScript(data []byte, build func(*Engine, int) resourceModel) string 
 	e := NewEngine()
 	r := build(e, int(data[0]%4)+1)
 	var log strings.Builder
-	var cancels []func()
-	acquire := func(hold Duration) {
-		k := len(cancels)
-		cancels = append(cancels, r.acquire(func() {
-			fmt.Fprintf(&log, "grant %d at %v\n", k, e.Now())
-			e.After(hold, r.release)
-		}))
-	}
+	acquires := 0
 	ops := data[1:]
 	var step func()
 	step = func() {
@@ -200,19 +190,14 @@ func resourceScript(data []byte, build func(*Engine, int) resourceModel) string 
 		}
 		op, arg := ops[0], ops[1]
 		ops = ops[2:]
-		switch op % 4 {
-		case 0, 1:
-			acquire(Duration(arg % 8))
-		case 2:
-			if len(cancels) > 0 {
-				cancels[int(arg)%len(cancels)]()
-			}
-		case 3:
-			acquire(Duration(arg % 8))
-			cancels[len(cancels)-1]()
-		}
+		k, hold := acquires, Duration(arg%8)
+		acquires++
+		r.acquire(func() {
+			fmt.Fprintf(&log, "grant %d at %v\n", k, e.Now())
+			e.After(hold, r.release)
+		})
 		fmt.Fprintf(&log, "op at %v: queue %d in use %d\n", e.Now(), r.queueLen(), r.inUse())
-		e.After(Duration(op/4%4), step)
+		e.After(Duration(op%4), step)
 	}
 	e.After(0, step)
 	e.Run()
@@ -221,7 +206,7 @@ func resourceScript(data []byte, build func(*Engine, int) resourceModel) string 
 	return log.String()
 }
 
-// FuzzResourceMatchesReference replays random acquire, release and cancel
+// FuzzResourceMatchesReference replays random acquire and release
 // scripts against the pooled Resource and the closure-based reference and
 // requires identical grant order, grant times, queue lengths and
 // statistics.

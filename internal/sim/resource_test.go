@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
+	"unsafe"
 )
 
 // holdFor acquires r, holds it for d, then releases.
@@ -79,27 +79,6 @@ func TestResourceFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestResourceCancelQueued(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "cpu", 1)
-	granted := map[int]bool{}
-	holdFor(e, r, 10, nil)
-	var pendings []Pending
-	for i := 0; i < 3; i++ {
-		i := i
-		p := r.Acquire(func() {
-			granted[i] = true
-			e.After(1, r.Release)
-		})
-		pendings = append(pendings, p)
-	}
-	pendings[1].Cancel()
-	e.Run()
-	if !granted[0] || granted[1] || !granted[2] {
-		t.Fatalf("granted = %v, want 0 and 2 only", granted)
-	}
-}
-
 func TestResourceUtilization(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "cpu", 1)
@@ -162,33 +141,6 @@ func TestQueueLenAndInUse(t *testing.T) {
 	}
 }
 
-// TestResourceCancelBetweenGrantAndDispatch cancels a request after its
-// grant but before the grant's zero-delay dispatch runs: the callback
-// never runs, and the unit passes to the next waiter at the same instant.
-func TestResourceCancelBetweenGrantAndDispatch(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "cpu", 1)
-	var ran []string
-	first := r.Acquire(func() { ran = append(ran, "first") })
-	r.Acquire(func() {
-		ran = append(ran, fmt.Sprintf("second at %v", e.Now()))
-		e.After(5, r.Release)
-	})
-	if r.InUse() != 1 || r.QueueLen() != 1 {
-		t.Fatalf("before dispatch: in use %d, queue %d; want 1 and 1", r.InUse(), r.QueueLen())
-	}
-	first.Cancel()
-	e.Run()
-	if len(ran) != 1 || ran[0] != "second at 0" {
-		t.Fatalf("callbacks ran %q, want only the second, at 0", ran)
-	}
-	if r.InUse() != 0 || r.QueueLen() != 0 || r.Grants() != 2 {
-		t.Fatalf("after drain: in use %d, queue %d, grants %d; want 0, 0, 2", r.InUse(), r.QueueLen(), r.Grants())
-	}
-	first.Cancel() // long after the grant: a no-op
-	Pending{}.Cancel()
-}
-
 // TestResourceSteadyStateAllocatesNothing holds Acquire, dispatch and
 // Release to zero allocations once the FIFOs have reached their
 // high-water mark, on both the immediate-grant and the queued path.
@@ -207,5 +159,13 @@ func TestResourceSteadyStateAllocatesNothing(t *testing.T) {
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("Acquire/Release cycle allocates %v times, want 0", n)
+	}
+}
+
+// TestRequestIs16Bytes pins a queued request to a callback and an enqueue
+// time: every waiting Acquire costs one slot of this size.
+func TestRequestIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(request{}); n != 16 {
+		t.Fatalf("unsafe.Sizeof(request{}) = %d, want 16", n)
 	}
 }

@@ -122,9 +122,6 @@ func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 // NumShards returns the shard count.
 func (se *ShardedEngine) NumShards() int { return len(se.shards) }
 
-// Interval returns the barrier interval.
-func (se *ShardedEngine) Interval() Duration { return se.interval }
-
 // Epoch returns the index of the next epoch to run; after Run it is one
 // past the last executed epoch. Idle-skipped epochs count, so this can
 // be much larger than Windows.
