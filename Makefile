@@ -85,10 +85,14 @@ offbench-bin:
 # probes and a wait queue, E21's conservative-barrier engine must match
 # at one shard (the serial reference), two (a 2-vCPU layout) and seven (a
 # partition that divides nothing evenly), and E22's DAG jobs thread
-# precedence through the event core. Then the quick suite runs twice in
-# one process with observation on, and every table, registry export and
-# series must match byte for byte: Go randomises map order on every
-# range, so a result that depends on it differs between the runs. Last,
+# precedence through the event core. Then the bit-level checks: the quick
+# suite runs twice in one process with observation on, and every table
+# must hold the same values bit for bit and every table, registry export
+# and series match byte for byte (Go randomises map order on every range,
+# so a result that depends on it differs between the runs); the first
+# run's table values must match the SHA-256 digests pinned in
+# internal/exp/exact_test.go; and E21's values must be bit-identical at
+# 1, 2, 4 and 7 shards. Last,
 # the whole test suite in a taskpoison build, where a released task is poisoned and never reused,
 # so a read of a task after it settled changes results. CI's determinism
 # job runs this target with metrics-golden and spans-golden.
@@ -113,7 +117,7 @@ determinism: offbench-bin
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E22 -parallel 1 -quiet > /tmp/offbench-e22-serial.txt
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E22 -parallel 4 -quiet > /tmp/offbench-e22-parallel.txt
 	cmp /tmp/offbench-e22-serial.txt /tmp/offbench-e22-parallel.txt
-	$(GO) test -count=1 -run '^TestSuiteIdenticalAcrossRunsInOneProcess$$' ./internal/exp/
+	$(GO) test -count=1 -run 'ExactPinned|IdenticalAcrossRuns|ShardCountInvariance' ./internal/exp/
 	$(GO) test -tags taskpoison ./...
 
 # The sharded-engine drill: the cross-shard determinism property and
@@ -159,7 +163,11 @@ spans-golden: offbench-bin
 	diff -r results/spans-golden /tmp/offbench-spans-serial
 
 # Regenerate the committed quick-scale golden CSVs after an intentional
-# change to experiment output.
+# change to experiment output. The CSVs round most cells to three or four
+# digits; the full-precision digests in internal/exp/exact_test.go are
+# refreshed in the same commit by pasting the map that
+# `go test -run TestQuickSuiteExactPinned ./internal/exp/` prints when it
+# fails.
 golden:
 	rm -rf results/golden results/metrics-golden results/spans-golden
 	$(GO) run ./cmd/offbench -scale quick -csv -seed 1 -quiet -out results/golden > /dev/null

@@ -24,7 +24,7 @@ func fakeRegistry(fail, panics bool) []exp.Experiment {
 		return exp.Experiment{ID: id, Seq: seq, Claim: id + " claim",
 			Run: func(s exp.Scale) ([]*metrics.Table, error) {
 				tbl := metrics.NewTable(id+" table", "seed", "tasks")
-				tbl.AddRowf(s.Seed, s.Tasks)
+				tbl.Add(s.Seed, s.Tasks)
 				return []*metrics.Table{tbl}, nil
 			}}
 	}
@@ -233,7 +233,7 @@ func TestRunParallelStderrNotTorn(t *testing.T) {
 			Run: func(s exp.Scale) ([]*metrics.Table, error) {
 				time.Sleep(time.Duration(s.Seed%5) * time.Millisecond)
 				tbl := metrics.NewTable(id+" table", "seed")
-				tbl.AddRowf(s.Seed)
+				tbl.Add(s.Seed)
 				return []*metrics.Table{tbl}, nil
 			}}
 	}

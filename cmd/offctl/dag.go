@@ -80,13 +80,7 @@ func runDAG(args []string, w io.Writer) error {
 	for _, id := range job.TopoOrder() {
 		n := job.Node(id)
 		in, out := job.TaskSizes(id)
-		tbl.AddRow(n.Name,
-			fmt.Sprintf("%.3g", n.Cycles/1e9),
-			fmt.Sprintf("%d", in),
-			fmt.Sprintf("%d", out),
-			fmt.Sprintf("%d", len(job.Preds(id))),
-			fmt.Sprintf("%d", len(job.Succs(id))),
-		)
+		tbl.Add(n.Name, fmt.Sprintf("%.3g", n.Cycles/1e9), in, out, len(job.Preds(id)), len(job.Succs(id)))
 	}
 	fmt.Fprintln(w, tbl.String())
 	return nil

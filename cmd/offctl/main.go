@@ -137,8 +137,7 @@ func main() {
 		tbl := metrics.NewTable("demand catalog for "+g.Name(),
 			"component", "mean_gcycles", "p95_gcycles", "memory_mb", "runs")
 		for _, p := range cat.Profiles() {
-			tbl.AddRowf(p.Name, p.MeanCycles/1e9, p.P95Cycles/1e9,
-				fmt.Sprintf("%d", p.MemoryBytes/model.MB), fmt.Sprintf("%d", p.Runs))
+			tbl.Add(p.Name, p.MeanCycles/1e9, p.P95Cycles/1e9, p.MemoryBytes/model.MB, p.Runs)
 		}
 		fmt.Println(tbl.String())
 		return
@@ -181,7 +180,7 @@ func main() {
 		fmt.Printf("estimated serverless cost per run: $%.6g\n", plan.EstimatedCostPerRunUSD)
 		tbl := metrics.NewTable("deployment manifest", "function", "component", "memory_mb")
 		for _, fn := range plan.Manifest.Functions {
-			tbl.AddRow(fn.Name, fn.Component, fmt.Sprintf("%d", fn.MemoryBytes/model.MB))
+			tbl.Add(fn.Name, fn.Component, fn.MemoryBytes/model.MB)
 		}
 		fmt.Println(tbl.String())
 		if *outFlag != "" {
@@ -218,16 +217,14 @@ func simulatePlan(g *callgraph.Graph, seed uint64, runs int, noise float64) erro
 	}
 	res := results[0]
 	fmt.Printf("app: %s (offloaded: %v)\n\n", plan.App, plan.Remote)
-	tbl := metrics.NewTable("one simulated run", "component", "side", "start_s", "dur_s", "transfer_s", "usd")
+	tbl := metrics.NewTable("one simulated run", "component", "side", "start_s", "dur_s", "transfer_s", "usd").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Fixed3, metrics.Fixed3, metrics.Fixed3)
 	for _, cr := range res.Components {
 		side := "device"
 		if cr.Remote {
 			side = "cloud"
 		}
-		tbl.AddRow(cr.Name, side,
-			fmt.Sprintf("%.3f", float64(cr.Start)),
-			fmt.Sprintf("%.3f", float64(cr.End.Sub(cr.Start))),
-			fmt.Sprintf("%.3f", cr.TransferS),
+		tbl.Add(cr.Name, side, float64(cr.Start), float64(cr.End.Sub(cr.Start)), cr.TransferS,
 			fmt.Sprintf("%.3g", cr.Exec.CostUSD))
 	}
 	fmt.Println(tbl.String())

@@ -118,22 +118,22 @@ func printScenario(w io.Writer, sys *core.System, label string, tasks int, rate 
 	st := sys.Stats()
 	summary := metrics.NewTable(fmt.Sprintf("offctl run: %s, %d tasks at %g/s", label, tasks, rate),
 		"metric", "value")
-	summary.AddRowf("completed", fmt.Sprintf("%d", st.Completed))
-	summary.AddRowf("failed", fmt.Sprintf("%d", st.Failed))
-	summary.AddRowf("mean completion (s)", st.MeanCompletion())
-	summary.AddRowf("p95 completion (s)", st.P95Completion())
-	summary.AddRowf("deadline misses", fmt.Sprintf("%d (%.1f%%)", st.Missed, 100*st.MissRate()))
-	summary.AddRowf("marginal cost ($/task)", st.CostPerTask())
-	summary.AddRowf("infrastructure cost ($)", sys.InfrastructureCostUSD())
-	summary.AddRowf("device energy (mJ/task)", st.EnergyPerTaskMilliJ())
-	summary.AddRowf("virtual time (s)", float64(sys.Eng.Now()))
-	summary.AddRowf("events fired", fmt.Sprintf("%d", sys.Eng.Fired()))
+	summary.Add("completed", st.Completed)
+	summary.Add("failed", st.Failed)
+	summary.Add("mean completion (s)", st.MeanCompletion())
+	summary.Add("p95 completion (s)", st.P95Completion())
+	summary.Add("deadline misses", fmt.Sprintf("%d (%.1f%%)", st.Missed, 100*st.MissRate()))
+	summary.Add("marginal cost ($/task)", st.CostPerTask())
+	summary.Add("infrastructure cost ($)", sys.InfrastructureCostUSD())
+	summary.Add("device energy (mJ/task)", st.EnergyPerTaskMilliJ())
+	summary.Add("virtual time (s)", float64(sys.Eng.Now()))
+	summary.Add("events fired", sys.Eng.Fired())
 	fmt.Fprintln(w, summary.String())
 
 	placements := metrics.NewTable("placements", "placement", "tasks")
 	for _, p := range model.AllPlacements() {
 		if n := st.ByPlacement[p]; n > 0 {
-			placements.AddRow(p.String(), fmt.Sprintf("%d", n))
+			placements.Add(p.String(), n)
 		}
 	}
 	fmt.Fprintln(w, placements.String())
@@ -141,10 +141,10 @@ func printScenario(w io.Writer, sys *core.System, label string, tasks int, rate 
 	if p := sys.Platform(); p != nil && p.Stats().Invocations > 0 {
 		ps := p.Stats()
 		faas := metrics.NewTable("serverless platform", "metric", "value")
-		faas.AddRowf("invocations", fmt.Sprintf("%d", ps.Invocations))
-		faas.AddRowf("cold starts", fmt.Sprintf("%d (%.1f%%)", ps.ColdStarts,
+		faas.Add("invocations", ps.Invocations)
+		faas.Add("cold starts", fmt.Sprintf("%d (%.1f%%)", ps.ColdStarts,
 			100*float64(ps.ColdStarts)/float64(ps.Invocations)))
-		faas.AddRowf("billed ($)", ps.BilledUSD)
+		faas.Add("billed ($)", ps.BilledUSD)
 		fmt.Fprintln(w, faas.String())
 	}
 }

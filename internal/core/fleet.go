@@ -113,11 +113,11 @@ func (s FleetStats) MissRate() float64 {
 // Table renders the fleet aggregate for terminal output.
 func (s FleetStats) Table() *metrics.Table {
 	t := metrics.NewTable("fleet aggregate", "metric", "value")
-	t.AddRowf("completed", fmt.Sprintf("%d", s.Completed))
-	t.AddRowf("failed", fmt.Sprintf("%d", s.Failed))
-	t.AddRowf("mean completion (s)", s.MeanCompletion)
-	t.AddRowf("miss rate", fmt.Sprintf("%.2f%%", 100*s.MissRate()))
-	t.AddRowf("cost ($)", s.CostUSD)
-	t.AddRowf("energy (mJ)", s.EnergyMilliJ)
+	t.Add("completed", s.Completed)
+	t.Add("failed", s.Failed)
+	t.Add("mean completion (s)", s.MeanCompletion)
+	t.Add("miss rate", fmt.Sprintf("%.2f%%", 100*s.MissRate()))
+	t.Add("cost ($)", s.CostUSD)
+	t.Add("energy (mJ)", s.EnergyMilliJ)
 	return t
 }

@@ -44,6 +44,7 @@ type Observer struct {
 	every  sim.Duration
 	next   sim.Time
 	series *metrics.TimeSeries
+	row    []float64 // scratch for one sample; Record copies it
 }
 
 // Observe attaches an observer that samples every interval of simulated
@@ -96,8 +97,7 @@ func (o *Observer) drive() {
 func (o *Observer) sample() {
 	s := o.sys
 	st := s.Stats()
-	vals := make([]float64, 0, len(observeColumns))
-	vals = append(vals,
+	vals := append(o.row[:0],
 		float64(st.Completed),
 		float64(st.Failed),
 		float64(s.Scheduler.InFlight()),
@@ -144,6 +144,7 @@ func (o *Observer) sample() {
 		)
 	}
 	o.series.Record(float64(s.Eng.Now()), vals...)
+	o.row = vals
 }
 
 // Registry aggregates the system's end-of-run counters, peaks and the

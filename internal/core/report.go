@@ -118,39 +118,35 @@ func (s *System) Report() Report {
 
 // Table renders the report as a two-column metrics.Table for printing.
 func (r Report) Table() *metrics.Table {
-	t := metrics.NewTable("run report · policy="+string(r.Policy), "metric", "value")
-	t.AddRowf("completed", r.Completed)
-	t.AddRowf("failed", r.Failed)
-	t.AddRowf("missed deadline", r.Missed)
-	t.AddRowf("retries", r.Retries)
-	t.AddRowf("timeouts", r.Timeouts)
-	t.AddRowf("hedges", r.Hedges)
-	t.AddRowf("fallbacks", r.Fallbacks)
-	t.AddRowf("mean completion (s)", fmtF(r.MeanCompletionS))
-	t.AddRowf("p95 completion (s)", fmtF(r.P95CompletionS))
-	t.AddRowf("miss rate", fmtF(r.MissRate))
-	t.AddRowf("cost completed (USD)", fmtF(r.CompletedCostUSD))
-	t.AddRowf("cost failed (USD)", fmtF(r.FailedCostUSD))
-	t.AddRowf("cost infra (USD)", fmtF(r.InfraCostUSD))
-	t.AddRowf("cost total (USD)", fmtF(r.TotalCostUSD()))
-	t.AddRowf("cost per task (USD)", fmtF(r.CostPerTaskUSD))
-	t.AddRowf("energy per task (mJ)", fmtF(r.EnergyPerTaskMilliJ))
-	t.AddRowf("cold-start fraction", fmtF(r.ColdStartFraction))
+	t := metrics.NewTable("run report · policy="+string(r.Policy), "metric", "value").Kinds(metrics.Auto, metrics.Exact)
+	t.Add("completed", r.Completed)
+	t.Add("failed", r.Failed)
+	t.Add("missed deadline", r.Missed)
+	t.Add("retries", r.Retries)
+	t.Add("timeouts", r.Timeouts)
+	t.Add("hedges", r.Hedges)
+	t.Add("fallbacks", r.Fallbacks)
+	t.Add("mean completion (s)", r.MeanCompletionS)
+	t.Add("p95 completion (s)", r.P95CompletionS)
+	t.Add("miss rate", r.MissRate)
+	t.Add("cost completed (USD)", r.CompletedCostUSD)
+	t.Add("cost failed (USD)", r.FailedCostUSD)
+	t.Add("cost infra (USD)", r.InfraCostUSD)
+	t.Add("cost total (USD)", r.TotalCostUSD())
+	t.Add("cost per task (USD)", r.CostPerTaskUSD)
+	t.Add("energy per task (mJ)", r.EnergyPerTaskMilliJ)
+	t.Add("cold-start fraction", r.ColdStartFraction)
 	for _, ph := range r.Phases {
-		t.AddRowf("phase "+ph.Phase+" (s)", fmtF(ph.MeanS))
+		t.Add("phase "+ph.Phase+" (s)", ph.MeanS)
 	}
 	if r.Jobs > 0 {
-		t.AddRowf("jobs", r.Jobs)
-		t.AddRowf("jobs failed", r.JobsFailed)
-		t.AddRowf("nodes skipped", r.NodesSkipped)
-		t.AddRowf("mean makespan (s)", fmtF(r.MeanMakespanS))
-		t.AddRowf("p95 makespan (s)", fmtF(r.P95MakespanS))
-		t.AddRowf("mean critical path (s)", fmtF(r.MeanCritS))
-		t.AddRowf("mean node slack (s)", fmtF(r.MeanSlackS))
+		t.Add("jobs", r.Jobs)
+		t.Add("jobs failed", r.JobsFailed)
+		t.Add("nodes skipped", r.NodesSkipped)
+		t.Add("mean makespan (s)", r.MeanMakespanS)
+		t.Add("p95 makespan (s)", r.P95MakespanS)
+		t.Add("mean critical path (s)", r.MeanCritS)
+		t.Add("mean node slack (s)", r.MeanSlackS)
 	}
 	return t
-}
-
-func fmtF(v float64) string {
-	return metrics.FormatFloat(v)
 }

@@ -54,7 +54,8 @@ func e1ConfigFor(policy core.PolicyName) core.Config {
 func E1Placement(s Scale) ([]*metrics.Table, error) {
 	tbl := metrics.NewTable(
 		"E1 (Fig 1): placement policies across application templates",
-		"app", "policy", "mean_s", "p95_s", "miss", "task_usd", "infra_usd", "task_mJ")
+		"app", "policy", "mean_s", "p95_s", "miss", "task_usd", "infra_usd", "task_mJ").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Seconds, metrics.Seconds, metrics.Percent, metrics.USD, metrics.USD, metrics.MilliJ)
 	apps := []string{"video-transcode", "ml-batch", "photo-pipeline", "report-gen", "sci-batch"}
 	for _, app := range apps {
 		mix, err := workload.Mix(app)
@@ -72,14 +73,8 @@ func E1Placement(s Scale) ([]*metrics.Table, error) {
 				return nil, err
 			}
 			st := res.stats
-			tbl.AddRow(app, string(policy),
-				seconds(st.MeanCompletion()),
-				seconds(st.P95Completion()),
-				pct(st.MissRate()),
-				usd(st.CostPerTask()),
-				usd(res.infraUSD),
-				fmtMilliJ(st.EnergyPerTaskMilliJ()),
-			)
+			tbl.Add(app, policy, st.MeanCompletion(), st.P95Completion(), st.MissRate(),
+				st.CostPerTask(), res.infraUSD, st.EnergyPerTaskMilliJ())
 		}
 	}
 	return []*metrics.Table{tbl}, nil

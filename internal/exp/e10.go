@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"offload/internal/callgraph"
 	"offload/internal/core"
 	"offload/internal/metrics"
@@ -28,7 +26,8 @@ func E10PredictionError(s Scale) ([]*metrics.Table, error) {
 	}
 	tbl := metrics.NewTable(
 		"E10 (Tab 4): impact of demand-prediction error on the framework",
-		"rel_error", "mean_s", "miss", "task_usd", "excess_cost", "task_mJ", "cloud_share")
+		"rel_error", "mean_s", "miss", "task_usd", "excess_cost", "task_mJ", "cloud_share").
+		Kinds(metrics.Auto, metrics.Seconds, metrics.Percent, metrics.USD, metrics.Percent, metrics.MilliJ, metrics.Percent)
 
 	baseCost := 0.0
 	for _, noise := range []float64{0, 0.1, 0.25, 0.5, 1.0} {
@@ -61,15 +60,8 @@ func E10PredictionError(s Scale) ([]*metrics.Table, error) {
 		if res.stats.Completed > 0 {
 			cloudShare = float64(res.stats.ByPlacement[model.PlaceFunction]) / float64(res.stats.Completed)
 		}
-		tbl.AddRow(
-			fmt.Sprintf("%g", noise),
-			seconds(res.stats.MeanCompletion()),
-			pct(res.stats.MissRate()),
-			usd(cost),
-			pct(excess),
-			fmtMilliJ(res.stats.EnergyPerTaskMilliJ()),
-			pct(cloudShare),
-		)
+		tbl.Add(noise, res.stats.MeanCompletion(), res.stats.MissRate(), cost, excess,
+			res.stats.EnergyPerTaskMilliJ(), cloudShare)
 	}
 	return []*metrics.Table{tbl}, nil
 }

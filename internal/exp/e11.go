@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"offload/internal/callgraph"
 	"offload/internal/core"
 	"offload/internal/metrics"
@@ -28,7 +26,8 @@ func E11OffPeak(s Scale) ([]*metrics.Table, error) {
 	}
 	tbl := metrics.NewTable(
 		"E11 (Tab 5): shifting delay-tolerant work into the off-peak window",
-		"slack_x", "shifting", "shifted", "task_usd", "saving", "miss", "mean_s")
+		"slack_x", "shifting", "shifted", "task_usd", "saving", "miss", "mean_s").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Percent, metrics.USD, metrics.Percent, metrics.Percent, metrics.Seconds)
 
 	// Arrivals start at 20:00 virtual time — two hours before the window
 	// opens, so shifting means a real wait that tight deadlines cannot
@@ -62,20 +61,12 @@ func E11OffPeak(s Scale) ([]*metrics.Table, error) {
 			if baseCost > 0 {
 				saving = 1 - cost/baseCost
 			}
-			shifted := "-"
+			shifted := metrics.Missing
 			if shift && res.system.Shifter != nil {
 				sh := res.system.Shifter
-				shifted = pct(float64(sh.Shifted()) / float64(sh.Shifted()+sh.Immediate()))
+				shifted = float64(sh.Shifted()) / float64(sh.Shifted()+sh.Immediate())
 			}
-			tbl.AddRow(
-				fmt.Sprintf("%g", factor),
-				fmt.Sprintf("%v", shift),
-				shifted,
-				usd(cost),
-				pct(saving),
-				pct(res.stats.MissRate()),
-				seconds(res.stats.MeanCompletion()),
-			)
+			tbl.Add(factor, shift, shifted, cost, saving, res.stats.MissRate(), res.stats.MeanCompletion())
 		}
 	}
 	return []*metrics.Table{tbl}, nil

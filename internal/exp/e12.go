@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"offload/internal/core"
 	"offload/internal/metrics"
 	"offload/internal/serverless"
@@ -26,7 +24,8 @@ func E12Failures(s Scale) ([]*metrics.Table, error) {
 	}
 	tbl := metrics.NewTable(
 		"E12 (Tab 6): transient failures, with and without retries",
-		"failure_rate", "retries", "task_failures", "sched_retries", "task_usd", "mean_s", "miss")
+		"failure_rate", "retries", "task_failures", "sched_retries", "task_usd", "mean_s", "miss").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Percent, metrics.Auto, metrics.USD, metrics.Seconds, metrics.Percent)
 
 	for _, rate := range []float64{0.05, 0.2, 0.5} {
 		for _, attempts := range []int{1, 5} {
@@ -47,15 +46,8 @@ func E12Failures(s Scale) ([]*metrics.Table, error) {
 				return nil, err
 			}
 			st := res.stats
-			tbl.AddRow(
-				fmt.Sprintf("%g", rate),
-				fmt.Sprintf("%d", attempts),
-				pct(float64(st.Failed)/float64(st.Total())),
-				fmt.Sprintf("%d", st.Retries),
-				usd(st.CostPerTask()),
-				seconds(st.MeanCompletion()),
-				pct(st.MissRate()),
-			)
+			tbl.Add(rate, attempts, float64(st.Failed)/float64(st.Total()), st.Retries,
+				st.CostPerTask(), st.MeanCompletion(), st.MissRate())
 		}
 	}
 	return []*metrics.Table{tbl}, nil

@@ -20,7 +20,8 @@ import (
 func E13DVFS(s Scale) ([]*metrics.Table, error) {
 	tbl := metrics.NewTable(
 		"E13 (Tab 7): race-to-idle vs DVFS vs offloading",
-		"app", "mode", "task_mJ", "mean_s", "miss", "vs_full")
+		"app", "mode", "task_mJ", "mean_s", "miss", "vs_full").
+		Kinds(metrics.Auto, metrics.Auto, metrics.MilliJ, metrics.Seconds, metrics.Percent, metrics.Percent)
 	apps := []string{"sci-batch", "report-gen"}
 	modes := []struct {
 		name   string
@@ -65,16 +66,11 @@ func E13DVFS(s Scale) ([]*metrics.Table, error) {
 			if mode.name == "local-full-speed" {
 				fullEnergy = energy
 			}
-			rel := "-"
+			rel := metrics.Missing
 			if fullEnergy > 0 {
-				rel = pct(energy/fullEnergy - 1)
+				rel = energy/fullEnergy - 1
 			}
-			tbl.AddRow(app, mode.name,
-				fmtMilliJ(energy),
-				seconds(res.stats.MeanCompletion()),
-				pct(res.stats.MissRate()),
-				rel,
-			)
+			tbl.Add(app, mode.name, energy, res.stats.MeanCompletion(), res.stats.MissRate(), rel)
 		}
 	}
 	return []*metrics.Table{tbl}, nil

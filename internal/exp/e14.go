@@ -26,7 +26,8 @@ func E14Bursts(s Scale) ([]*metrics.Table, error) {
 	}
 	tbl := metrics.NewTable(
 		"E14 (Tab 8): absorbing bursty arrivals (equal long-run rate)",
-		"arrivals", "backend", "mean_s", "p95_s", "miss", "task_usd", "infra_usd")
+		"arrivals", "backend", "mean_s", "p95_s", "miss", "task_usd", "infra_usd").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Seconds, metrics.Seconds, metrics.Percent, metrics.USD, metrics.USD)
 
 	// MMPP: calm 0.01/s, burst 3/s; calm spells ~20 min, bursts ~2 min.
 	// The long-run mean (~0.28/s) keeps the fixed VM stable on the steady
@@ -89,13 +90,8 @@ func E14Bursts(s Scale) ([]*metrics.Table, error) {
 			sys.Run()
 
 			st := sys.Stats()
-			tbl.AddRow(arrivals, backend.name,
-				seconds(st.MeanCompletion()),
-				seconds(st.P95Completion()),
-				pct(st.MissRate()),
-				usd(st.CostPerTask()),
-				usd(sys.InfrastructureCostUSD()),
-			)
+			tbl.Add(arrivals, backend.name, st.MeanCompletion(), st.P95Completion(), st.MissRate(),
+				st.CostPerTask(), sys.InfrastructureCostUSD())
 		}
 	}
 	return []*metrics.Table{tbl}, nil

@@ -33,7 +33,8 @@ import (
 func E15Granularity(s Scale) ([]*metrics.Table, error) {
 	tbl := metrics.NewTable(
 		"E15 (Tab 9): one aggregated function vs one function per component",
-		"app", "deployment", "functions", "run_s", "run_usd", "run_mJ")
+		"app", "deployment", "functions", "run_s", "run_usd", "run_mJ").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Auto, metrics.Seconds, metrics.USD, metrics.MilliJ)
 	const runs = 5
 	templates := callgraph.Templates()
 	for _, app := range []string{"ml-batch", "sci-batch", "report-gen"} {
@@ -42,14 +43,12 @@ func E15Granularity(s Scale) ([]*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tbl.AddRow(app, "monolithic", "1",
-			seconds(mono.meanS), usd(mono.meanUSD), fmtMilliJ(mono.meanMJ))
+		tbl.Add(app, "monolithic", 1, mono.meanS, mono.meanUSD, mono.meanMJ)
 		per, err := runPerComponent(s, g, runs)
 		if err != nil {
 			return nil, err
 		}
-		tbl.AddRow(app, "per-component", fmt.Sprintf("%d", per.functions),
-			seconds(per.meanS), usd(per.meanUSD), fmtMilliJ(per.meanMJ))
+		tbl.Add(app, "per-component", per.functions, per.meanS, per.meanUSD, per.meanMJ)
 	}
 	return []*metrics.Table{tbl}, nil
 }

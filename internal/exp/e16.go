@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"offload/internal/alloc"
 	"offload/internal/metrics"
 	"offload/internal/model"
@@ -33,7 +31,8 @@ func E16Providers(s Scale) ([]*metrics.Table, error) {
 
 	tbl := metrics.NewTable(
 		"E16 (Tab 10): allocator choice and cost per provider",
-		"profile", "provider", "chosen_mb", "exec_s", "cost_usd", "cost_ratio")
+		"profile", "provider", "chosen_mb", "exec_s", "cost_usd", "cost_ratio").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Auto, metrics.Seconds, metrics.USD, metrics.Ratio2)
 	for _, p := range profiles {
 		base := 0.0
 		for i, cfg := range providers {
@@ -45,16 +44,11 @@ func E16Providers(s Scale) ([]*metrics.Table, error) {
 			if i == 0 {
 				base = d.ExpectedCostUSD
 			}
-			ratio := "-"
+			ratio := metrics.Missing
 			if base > 0 {
-				ratio = fmt.Sprintf("%.2fx", d.ExpectedCostUSD/base)
+				ratio = d.ExpectedCostUSD / base
 			}
-			tbl.AddRow(p.name, cfg.Name,
-				fmt.Sprintf("%d", d.MemoryBytes/model.MB),
-				seconds(float64(d.ExpectedTime)),
-				usd(d.ExpectedCostUSD),
-				ratio,
-			)
+			tbl.Add(p.name, cfg.Name, d.MemoryBytes/model.MB, float64(d.ExpectedTime), d.ExpectedCostUSD, ratio)
 		}
 	}
 	return []*metrics.Table{tbl}, nil

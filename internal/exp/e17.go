@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"offload/internal/core"
 	"offload/internal/fault"
 	"offload/internal/metrics"
@@ -53,7 +51,9 @@ func E17Resilience(s Scale) ([]*metrics.Table, error) {
 	tbl := metrics.NewTable(
 		"E17: resilience strategies under correlated cloud outages",
 		"burst_s", "strategy", "task_fail", "p95_s", "task_usd",
-		"task_mJ", "fallbacks", "hedges", "recovery_s")
+		"task_mJ", "fallbacks", "hedges", "recovery_s").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Percent, metrics.Seconds, metrics.USD,
+			metrics.MilliJ, metrics.Auto, metrics.Auto, metrics.Seconds)
 
 	retry := func(cfg *core.Config) {
 		cfg.Retries = 6
@@ -117,21 +117,12 @@ func E17Resilience(s Scale) ([]*metrics.Table, error) {
 				return nil, err
 			}
 			st := res.stats
-			recovery := "-"
+			recovery := metrics.Missing
 			if lag >= 0 {
-				recovery = seconds(lag)
+				recovery = lag
 			}
-			tbl.AddRow(
-				fmt.Sprintf("%g", float64(burst)),
-				strat.name,
-				pct(float64(st.Failed)/float64(st.Total())),
-				seconds(st.P95Completion()),
-				usd(st.CostPerTask()),
-				fmtMilliJ(st.EnergyPerTaskMilliJ()),
-				fmt.Sprintf("%d", st.Fallbacks),
-				fmt.Sprintf("%d", st.Hedges),
-				recovery,
-			)
+			tbl.Add(float64(burst), strat.name, float64(st.Failed)/float64(st.Total()), st.P95Completion(),
+				st.CostPerTask(), st.EnergyPerTaskMilliJ(), st.Fallbacks, st.Hedges, recovery)
 		}
 	}
 	return []*metrics.Table{tbl}, nil

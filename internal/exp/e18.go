@@ -96,7 +96,8 @@ func E18Attribution(s Scale) ([]*metrics.Table, error) {
 
 	phaseTbl := metrics.NewTable(
 		"E18: critical-path attribution across controlled cells",
-		"cell", "phase", "mean_s", "share", "share_p95")
+		"cell", "phase", "mean_s", "share", "share_p95").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Auto, metrics.Percent, metrics.Percent)
 	type cellOut struct {
 		att   *trace.Attribution
 		waste trace.Waste
@@ -123,9 +124,7 @@ func E18Attribution(s Scale) ([]*metrics.Table, error) {
 				if ps.MeanS == 0 {
 					continue
 				}
-				phaseTbl.AddRow(cell.name, phase,
-					fmt.Sprintf("%.4g", ps.MeanS),
-					pct(ps.ShareMean), pct(ps.ShareP95))
+				phaseTbl.Add(cell.name, phase, ps.MeanS, ps.ShareMean, ps.ShareP95)
 			}
 		}
 	}
@@ -147,7 +146,7 @@ func E18Attribution(s Scale) ([]*metrics.Table, error) {
 			verdict = "NO"
 			pass = false
 		}
-		checks.AddRow(name, measured, expect, verdict)
+		checks.Add(name, measured, expect, verdict)
 	}
 
 	coldBase := phaseOf("baseline", trace.PhaseColdStart).MeanS
@@ -163,12 +162,12 @@ func E18Attribution(s Scale) ([]*metrics.Table, error) {
 	execNoHedge := phaseOf("stragglers", trace.PhaseExec).ShareP95
 	execHedged := phaseOf("hedged", trace.PhaseExec).ShareP95
 	add("hedging cuts exec share of the P95 band",
-		fmt.Sprintf("%s -> %s", pct(execNoHedge), pct(execHedged)),
+		metrics.Percent.Format(execNoHedge)+" -> "+metrics.Percent.Format(execHedged),
 		"hedged < unhedged", execHedged < execNoHedge)
 
 	hw := outs["hedged"].waste
 	add("hedged cell pays for losing attempts",
-		fmt.Sprintf("%d lost hedges at %s", hw.LostHedges, usd(hw.LostUSD)),
+		fmt.Sprintf("%d lost hedges at %s", hw.LostHedges, metrics.USD.Format(hw.LostUSD)),
 		"> 0", hw.LostHedges > 0 && hw.LostUSD > 0)
 
 	maxDrift := 0.0

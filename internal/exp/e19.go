@@ -2,7 +2,6 @@ package exp
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"offload/internal/adapt"
@@ -254,7 +253,8 @@ func E19Adaptive(s Scale) ([]*metrics.Table, error) {
 	detail := metrics.NewTable(
 		"E19: adaptive vs static placement under regime drift",
 		"cell", "policy", "obj", "p95_s", "task_usd", "fail",
-		"switches", "sheds", "drift", "resizes")
+		"switches", "sheds", "drift", "resizes").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Fixed3, metrics.Seconds, metrics.USD, metrics.Percent)
 
 	objs := make([][]float64, len(policies)) // [policy][cell]
 	for i := range objs {
@@ -275,22 +275,12 @@ func E19Adaptive(s Scale) ([]*metrics.Table, error) {
 			obj := score.objective()
 			objs[pi][ci] = obj
 			st := res.stats
-			sheds, drift, resizes := "-", "-", "-"
+			sheds, drift, resizes := metrics.Missing, metrics.Missing, metrics.Missing
 			if ctrl := res.system.Adapt(); ctrl != nil {
-				sheds = fmt.Sprintf("%d", ctrl.Sheds())
-				drift = fmt.Sprintf("%d", ctrl.DriftResets())
-				resizes = fmt.Sprintf("%d", ctrl.Resizes())
+				sheds, drift, resizes = ctrl.Sheds(), ctrl.DriftResets(), ctrl.Resizes()
 			}
-			detail.AddRow(
-				cell.name,
-				string(policy),
-				fmt.Sprintf("%.3f", obj),
-				seconds(st.P95Completion()),
-				usd(st.CostPerTask()),
-				pct(float64(st.Failed)/float64(st.Total())),
-				fmt.Sprintf("%d", score.switches()),
-				sheds, drift, resizes,
-			)
+			detail.Add(cell.name, policy, obj, st.P95Completion(), st.CostPerTask(),
+				float64(st.Failed)/float64(st.Total()), score.switches(), sheds, drift, resizes)
 		}
 	}
 
@@ -320,29 +310,16 @@ func E19Adaptive(s Scale) ([]*metrics.Table, error) {
 
 	summary := metrics.NewTable(
 		"E19 summary: cumulative objective and regret vs static-best oracle",
-		"policy", "outage", "cold-2x", "burst", "total", "regret")
+		"policy", "outage", "cold-2x", "burst", "total", "regret").
+		Kinds(metrics.Auto, metrics.Fixed3, metrics.Fixed3, metrics.Fixed3, metrics.Fixed3, metrics.Percent)
 	for pi, policy := range policies {
 		var total float64
 		for _, v := range objs[pi] {
 			total += v
 		}
-		summary.AddRow(
-			string(policy),
-			fmt.Sprintf("%.3f", objs[pi][0]),
-			fmt.Sprintf("%.3f", objs[pi][1]),
-			fmt.Sprintf("%.3f", objs[pi][2]),
-			fmt.Sprintf("%.3f", total),
-			pct((total-oracleTotal)/oracleTotal),
-		)
+		summary.Add(policy, objs[pi][0], objs[pi][1], objs[pi][2], total, (total-oracleTotal)/oracleTotal)
 	}
-	summary.AddRow(
-		"oracle(static-best)",
-		fmt.Sprintf("%.3f", oracle[0]),
-		fmt.Sprintf("%.3f", oracle[1]),
-		fmt.Sprintf("%.3f", oracle[2]),
-		fmt.Sprintf("%.3f", oracleTotal),
-		"-",
-	)
+	summary.Add("oracle(static-best)", oracle[0], oracle[1], oracle[2], oracleTotal, metrics.Missing)
 	return []*metrics.Table{detail, summary}, nil
 }
 

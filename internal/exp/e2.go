@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"offload/internal/alloc"
 	"offload/internal/metrics"
 	"offload/internal/model"
@@ -32,10 +30,12 @@ func E2MemorySweep(s Scale) ([]*metrics.Table, error) {
 
 	curve := metrics.NewTable(
 		"E2 (Fig 2): execution time and cost vs function memory",
-		"profile", "memory_mb", "exec_s", "cost_usd", "chosen")
+		"profile", "memory_mb", "exec_s", "cost_usd", "chosen").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Seconds, metrics.USD)
 	choice := metrics.NewTable(
 		"E2 summary: allocator pick vs sweep optimum",
-		"profile", "chosen_mb", "optimum_mb", "chosen_usd", "optimum_usd")
+		"profile", "chosen_mb", "optimum_mb", "chosen_usd", "optimum_usd").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Auto, metrics.USD, metrics.USD)
 
 	for _, p := range e2Profiles {
 		sweep, err := allocator.Sweep(p.req)
@@ -71,14 +71,10 @@ func E2MemorySweep(s Scale) ([]*metrics.Table, error) {
 			if isChosen {
 				mark = "<== chosen"
 			}
-			curve.AddRow(p.name, fmt.Sprintf("%d", mb),
-				seconds(float64(d.ExpectedTime)), usd(d.ExpectedCostUSD), mark)
+			curve.Add(p.name, mb, float64(d.ExpectedTime), d.ExpectedCostUSD, mark)
 		}
-		choice.AddRow(p.name,
-			fmt.Sprintf("%d", chosen.MemoryBytes/model.MB),
-			fmt.Sprintf("%d", best.MemoryBytes/model.MB),
-			usd(chosen.ExpectedCostUSD),
-			usd(best.ExpectedCostUSD))
+		choice.Add(p.name, chosen.MemoryBytes/model.MB, best.MemoryBytes/model.MB,
+			chosen.ExpectedCostUSD, best.ExpectedCostUSD)
 	}
 	return []*metrics.Table{curve, choice}, nil
 }

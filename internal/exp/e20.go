@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"offload/internal/core"
 	"offload/internal/fault"
 	"offload/internal/metrics"
@@ -142,7 +140,9 @@ func E20Failover(s Scale) ([]*metrics.Table, error) {
 	tbl := metrics.NewTable(
 		"E20: regional failover and graceful degradation under disaster drills",
 		"scenario", "strategy", "task_fail", "p95_s", "task_usd",
-		"shed", "rehomed", "lost", "degraded_s", "mttd_s", "mttr_s", "avail")
+		"shed", "rehomed", "lost", "degraded_s", "mttd_s", "mttr_s", "avail").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Percent, metrics.Seconds, metrics.USD,
+			metrics.Auto, metrics.Auto, metrics.Auto, metrics.Seconds, metrics.Seconds, metrics.Seconds, metrics.Percent)
 
 	retry := func(cfg *core.Config) {
 		cfg.Retries = 5
@@ -175,24 +175,20 @@ func E20Failover(s Scale) ([]*metrics.Table, error) {
 				return nil, err
 			}
 			st := res.stats
-			tbl.AddRow(append([]string{
-				scen.name,
-				strat.name,
-				pct(float64(st.Failed) / float64(st.Total())),
-				seconds(st.P95Completion()),
-				usd(st.CostPerTask()),
-			}, e20FailoverCols(res)...)...)
+			tbl.Add(append([]any{scen.name, strat.name, float64(st.Failed) / float64(st.Total()),
+				st.P95Completion(), st.CostPerTask()}, e20FailoverCols(res)...)...)
 		}
 	}
 	return []*metrics.Table{tbl}, nil
 }
 
-// e20FailoverCols renders the failover-layer columns of one cell; every
-// column is "-" for postures without the layer.
-func e20FailoverCols(res runResult) []string {
+// e20FailoverCols returns the failover-layer columns of one cell; every
+// column is Missing for postures without the layer.
+func e20FailoverCols(res runResult) []any {
 	sc := res.system.Scheduler
 	if !sc.HasFailover() {
-		return []string{"-", "-", "-", "-", "-", "-", "-"}
+		m := metrics.Missing
+		return []any{m, m, m, m, m, m, m}
 	}
 	fs := sc.FailoverStats()
 	elapsed := float64(res.system.Eng.Now())
@@ -213,20 +209,12 @@ func e20FailoverCols(res runResult) []string {
 			mttrN++
 		}
 	}
-	mttd, mttr := "-", "-"
+	mttd, mttr := metrics.Missing, metrics.Missing
 	if mttdN > 0 {
-		mttd = seconds(mttdSum / float64(mttdN))
+		mttd = mttdSum / float64(mttdN)
 	}
 	if mttrN > 0 {
-		mttr = seconds(mttrSum / float64(mttrN))
+		mttr = mttrSum / float64(mttrN)
 	}
-	return []string{
-		fmt.Sprintf("%d", fs.Shed),
-		fmt.Sprintf("%d", fs.ReHomed),
-		fmt.Sprintf("%d", fs.Lost),
-		seconds(sc.DegradedSeconds()),
-		mttd,
-		mttr,
-		pct(availSum / float64(regions)),
-	}
+	return []any{fs.Shed, fs.ReHomed, fs.Lost, sc.DegradedSeconds(), mttd, mttr, availSum / float64(regions)}
 }

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"offload/internal/core"
 	"offload/internal/metrics"
 	"offload/internal/rng"
@@ -93,16 +91,9 @@ func E21FlashCrowd(s Scale) ([]*metrics.Table, error) {
 	}
 	tbl := metrics.NewTable(
 		"E21: flash crowd at sharded-engine scale, one shared serverless region",
-		"devices", "tasks", "events", "windows", "mean_s", "p95_s", "task_usd", "miss")
-	tbl.AddRow(
-		fmt.Sprintf("%d", devices),
-		fmt.Sprintf("%d", st.Completed+st.Failed),
-		fmt.Sprintf("%d", fleet.Events()),
-		fmt.Sprintf("%d", fleet.SE.Windows()),
-		seconds(st.MeanCompletion),
-		seconds(st.P95Completion()),
-		usd(costPerTask),
-		pct(st.MissRate()),
-	)
+		"devices", "tasks", "events", "windows", "mean_s", "p95_s", "task_usd", "miss").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Auto, metrics.Auto, metrics.Seconds, metrics.Seconds, metrics.USD, metrics.Percent)
+	tbl.Add(devices, st.Completed+st.Failed, fleet.Events(), fleet.SE.Windows(),
+		st.MeanCompletion, st.P95Completion(), costPerTask, st.MissRate())
 	return []*metrics.Table{tbl}, nil
 }

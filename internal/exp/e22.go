@@ -163,24 +163,16 @@ func e22RunCell(s Scale, shape workload.JobTemplate, placement core.DAGPlacement
 func E22DAGPlacement(s Scale) ([]*metrics.Table, error) {
 	tbl := metrics.NewTable(
 		"E22: DAG jobs — precedence-oblivious release vs upward-rank placement",
-		"shape", "placement", "jobs", "mean_mk_s", "p95_mk_s", "crit_s", "slack_s", "node_usd", "fail")
+		"shape", "placement", "jobs", "mean_mk_s", "p95_mk_s", "crit_s", "slack_s", "node_usd", "fail").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Auto, metrics.Seconds, metrics.Seconds, metrics.Seconds, metrics.Seconds, metrics.USD)
 	for _, shape := range e22Shapes {
 		for _, placement := range e22Placements {
 			cell, err := e22RunCell(s, shape.tmpl, placement)
 			if err != nil {
 				return nil, err
 			}
-			tbl.AddRow(
-				shape.name,
-				string(placement),
-				fmt.Sprintf("%d", cell.jobs),
-				seconds(cell.meanMkS),
-				seconds(cell.p95MkS),
-				seconds(cell.critS),
-				seconds(cell.slackS),
-				usd(cell.nodeUSD),
-				fmt.Sprintf("%d", cell.failed),
-			)
+			tbl.Add(shape.name, placement, cell.jobs, cell.meanMkS, cell.p95MkS, cell.critS, cell.slackS,
+				cell.nodeUSD, cell.failed)
 		}
 	}
 	return []*metrics.Table{tbl}, nil

@@ -30,7 +30,8 @@ func E3Partition(s Scale) ([]*metrics.Table, error) {
 	m := e3Model()
 	tbl := metrics.NewTable(
 		"E3 (Tab 1): partition objective by algorithm (lower is better)",
-		"graph", "n", "all_local", "all_remote", "greedy", "anneal", "min_cut", "optimal", "mincut_gap")
+		"graph", "n", "all_local", "all_remote", "greedy", "anneal", "min_cut", "optimal", "mincut_gap").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Auto, metrics.Auto, metrics.Auto, metrics.Auto, metrics.Auto, metrics.Auto, metrics.Percent)
 
 	run := func(name string, g *callgraph.Graph, seed uint64) error {
 		bf, err := partition.BruteForce(g, m)
@@ -53,15 +54,10 @@ func E3Partition(s Scale) ([]*metrics.Table, error) {
 		if bf.Objective > 0 {
 			gap = mc.Objective/bf.Objective - 1
 		}
-		tbl.AddRow(name, fmt.Sprintf("%d", g.Len()),
-			fmt.Sprintf("%.4g", partition.Objective(g, m, partition.AllLocal(g))),
-			fmt.Sprintf("%.4g", partition.Objective(g, m, partition.AllRemote(g))),
-			fmt.Sprintf("%.4g", gr.Objective),
-			fmt.Sprintf("%.4g", an.Objective),
-			fmt.Sprintf("%.4g", mc.Objective),
-			fmt.Sprintf("%.4g", bf.Objective),
-			pct(gap),
-		)
+		tbl.Add(name, g.Len(),
+			partition.Objective(g, m, partition.AllLocal(g)),
+			partition.Objective(g, m, partition.AllRemote(g)),
+			gr.Objective, an.Objective, mc.Objective, bf.Objective, gap)
 		return nil
 	}
 

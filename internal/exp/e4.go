@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"offload/internal/core"
 	"offload/internal/metrics"
 	"offload/internal/sim"
@@ -27,7 +25,8 @@ func E4ColdStart(s Scale) ([]*metrics.Table, error) {
 	keepAlives := []sim.Duration{0, 60, 420, 900}
 	coldTbl := metrics.NewTable(
 		"E4 (Fig 3a): cold-start fraction vs arrival rate and keep-alive",
-		"rate_per_s", "keepalive_s", "cold_frac", "mean_s", "task_usd")
+		"rate_per_s", "keepalive_s", "cold_frac", "mean_s", "task_usd").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Percent, metrics.Seconds, metrics.USD)
 	for _, rate := range rates {
 		for _, ka := range keepAlives {
 			cfg := core.DefaultConfig()
@@ -42,13 +41,7 @@ func E4ColdStart(s Scale) ([]*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			coldTbl.AddRow(
-				fmt.Sprintf("%g", rate),
-				fmt.Sprintf("%g", float64(ka)),
-				pct(res.coldRate),
-				seconds(res.stats.MeanCompletion()),
-				usd(res.stats.CostPerTask()),
-			)
+			coldTbl.Add(rate, float64(ka), res.coldRate, res.stats.MeanCompletion(), res.stats.CostPerTask())
 		}
 	}
 
@@ -56,7 +49,8 @@ func E4ColdStart(s Scale) ([]*metrics.Table, error) {
 	// one per task.
 	batchTbl := metrics.NewTable(
 		"E4 (Fig 3b): batching delay-tolerant tasks at rate 0.002/s",
-		"batch_size", "cold_frac", "mean_s", "task_usd")
+		"batch_size", "cold_frac", "mean_s", "task_usd").
+		Kinds(metrics.Auto, metrics.Percent, metrics.Seconds, metrics.USD)
 	for _, size := range []int{1, 4, 16} {
 		cfg := core.DefaultConfig()
 		cfg.Seed = s.Seed
@@ -70,12 +64,7 @@ func E4ColdStart(s Scale) ([]*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		batchTbl.AddRow(
-			fmt.Sprintf("%d", size),
-			pct(res.coldRate),
-			seconds(res.stats.MeanCompletion()),
-			usd(res.stats.CostPerTask()),
-		)
+		batchTbl.Add(size, res.coldRate, res.stats.MeanCompletion(), res.stats.CostPerTask())
 	}
 
 	// Ablation: cold-start-aware sizing (rate hint) vs naive pessimistic
@@ -83,7 +72,8 @@ func E4ColdStart(s Scale) ([]*metrics.Table, error) {
 	// headroom and can pick cheaper configurations.
 	ablTbl := metrics.NewTable(
 		"E4 ablation: cold-start-aware allocation vs naive",
-		"rate_per_s", "aware", "sized_mb", "mean_s", "task_usd")
+		"rate_per_s", "aware", "sized_mb", "mean_s", "task_usd").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Auto, metrics.Seconds, metrics.USD)
 	for _, rate := range []float64{0.002, 2} {
 		for _, aware := range []bool{false, true} {
 			cfg := core.DefaultConfig()
@@ -98,20 +88,15 @@ func E4ColdStart(s Scale) ([]*metrics.Table, error) {
 				return nil, err
 			}
 			sized := res.system.Env.Functions.Sized("report-gen")
-			ablTbl.AddRow(
-				fmt.Sprintf("%g", rate),
-				fmt.Sprintf("%v", aware),
-				fmt.Sprintf("%d", sized/(1<<20)),
-				seconds(res.stats.MeanCompletion()),
-				usd(res.stats.CostPerTask()),
-			)
+			ablTbl.Add(rate, aware, sized/(1<<20), res.stats.MeanCompletion(), res.stats.CostPerTask())
 		}
 	}
 	// Provisioned concurrency: zero cold starts for a flat capacity fee —
 	// worth it at steady rates, wasteful for sporadic traffic.
 	provTbl := metrics.NewTable(
 		"E4 (Fig 3c): provisioned concurrency vs on-demand",
-		"rate_per_s", "provisioned", "cold_frac", "mean_s", "task_usd", "capacity_usd_per_task")
+		"rate_per_s", "provisioned", "cold_frac", "mean_s", "task_usd", "capacity_usd_per_task").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Percent, metrics.Seconds, metrics.USD, metrics.USD)
 	for _, rate := range []float64{0.002, 0.2} {
 		for _, prov := range []int{0, 1, 2} {
 			cfg := core.DefaultConfig()
@@ -129,14 +114,7 @@ func E4ColdStart(s Scale) ([]*metrics.Table, error) {
 				capacityPerTask = res.system.Platform().ProvisionedCostUSD() /
 					float64(res.stats.Completed)
 			}
-			provTbl.AddRow(
-				fmt.Sprintf("%g", rate),
-				fmt.Sprintf("%d", prov),
-				pct(res.coldRate),
-				seconds(res.stats.MeanCompletion()),
-				usd(res.stats.CostPerTask()),
-				usd(capacityPerTask),
-			)
+			provTbl.Add(rate, prov, res.coldRate, res.stats.MeanCompletion(), res.stats.CostPerTask(), capacityPerTask)
 		}
 	}
 	return []*metrics.Table{coldTbl, batchTbl, ablTbl, provTbl}, nil

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"offload/internal/core"
 	"offload/internal/device"
 	"offload/internal/metrics"
@@ -27,7 +25,8 @@ func E5Energy(s Scale) ([]*metrics.Table, error) {
 
 	tbl := metrics.NewTable(
 		"E5 (Fig 4): device energy per task and projected battery life",
-		"app", "policy", "task_mJ", "tasks_per_charge", "extension_x")
+		"app", "policy", "task_mJ", "tasks_per_charge", "extension_x").
+		Kinds(metrics.Auto, metrics.Auto, metrics.MilliJ, metrics.Whole, metrics.Ratio)
 	for _, app := range apps {
 		mix, err := workload.Mix(app)
 		if err != nil {
@@ -59,11 +58,7 @@ func E5Energy(s Scale) ([]*metrics.Table, error) {
 			if perTaskMilliJ > 0 && localPerTask > 0 {
 				extension = localPerTask / perTaskMilliJ
 			}
-			tbl.AddRow(app, string(policy),
-				fmtMilliJ(perTaskMilliJ),
-				fmt.Sprintf("%.0f", tasksPerCharge),
-				fmt.Sprintf("%.1fx", extension),
-			)
+			tbl.Add(app, policy, perTaskMilliJ, tasksPerCharge, extension)
 		}
 	}
 	// Connectivity scenario: the same offloading on cellular pays the LTE
@@ -71,7 +66,8 @@ func E5Energy(s Scale) ([]*metrics.Table, error) {
 	// energy for small payloads and erodes the offloading dividend.
 	tailTbl := metrics.NewTable(
 		"E5b: radio tail — WiFi vs LTE connectivity for cloud offloading",
-		"app", "connectivity", "task_mJ", "extension_x")
+		"app", "connectivity", "task_mJ", "extension_x").
+		Kinds(metrics.Auto, metrics.Auto, metrics.MilliJ, metrics.Ratio)
 	for _, app := range []string{"report-gen", "sci-batch"} {
 		mix, err := workload.Mix(app)
 		if err != nil {
@@ -110,16 +106,8 @@ func E5Energy(s Scale) ([]*metrics.Table, error) {
 			if perTask > 0 {
 				ext = localPerTask / perTask
 			}
-			tailTbl.AddRow(app, conn, fmtMilliJ(perTask), fmt.Sprintf("%.1fx", ext))
+			tailTbl.Add(app, conn, perTask, ext)
 		}
 	}
 	return []*metrics.Table{tbl, tailTbl}, nil
-}
-
-// fmtMilliJ renders a millijoule figure compactly.
-func fmtMilliJ(v float64) string {
-	if v >= 1000 {
-		return fmt.Sprintf("%.3gJ", v/1000)
-	}
-	return fmt.Sprintf("%.3gmJ", v)
 }

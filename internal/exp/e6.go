@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"offload/internal/callgraph"
 	"offload/internal/core"
 	"offload/internal/metrics"
@@ -31,7 +29,8 @@ func E6DeadlineSlack(s Scale) ([]*metrics.Table, error) {
 
 	tbl := metrics.NewTable(
 		"E6 (Fig 5): deadline-miss rate vs slack factor",
-		"slack_x", "policy", "miss", "mean_s", "task_usd")
+		"slack_x", "policy", "miss", "mean_s", "task_usd").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Percent, metrics.Seconds, metrics.USD)
 	for _, factor := range factors {
 		scaled := scaleDeadlines(mix, factor)
 		for _, policy := range policies {
@@ -43,13 +42,7 @@ func E6DeadlineSlack(s Scale) ([]*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			tbl.AddRow(
-				fmt.Sprintf("%g", factor),
-				string(policy),
-				pct(res.stats.MissRate()),
-				seconds(res.stats.MeanCompletion()),
-				usd(res.stats.CostPerTask()),
-			)
+			tbl.Add(factor, policy, res.stats.MissRate(), res.stats.MeanCompletion(), res.stats.CostPerTask())
 		}
 	}
 	return []*metrics.Table{tbl}, nil

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"math"
 
 	"offload/internal/cloudvm"
@@ -36,7 +35,8 @@ func E7CostCrossover(s Scale) ([]*metrics.Table, error) {
 
 	tbl := metrics.NewTable(
 		"E7 (Tab 2): monthly cost vs task volume (report-gen)",
-		"tasks_per_hour", "serverless_usd", "vm_usd", "vm_instances", "edge_usd", "cheapest")
+		"tasks_per_hour", "serverless_usd", "vm_usd", "vm_instances", "edge_usd", "cheapest").
+		Kinds(metrics.Auto, metrics.USD, metrics.USD, metrics.Auto, metrics.USD)
 	for _, perHour := range []float64{1, 10, 100, 1000, 5000} {
 		rate := perHour / 3600
 
@@ -67,14 +67,7 @@ func E7CostCrossover(s Scale) ([]*metrics.Table, error) {
 		if edgeMonthly < low {
 			cheapest = "edge"
 		}
-		tbl.AddRow(
-			fmt.Sprintf("%g", perHour),
-			usd(serverlessMonthly),
-			usd(vmMonthly),
-			fmt.Sprintf("%d", instances),
-			usd(edgeMonthly),
-			cheapest,
-		)
+		tbl.Add(perHour, serverlessMonthly, vmMonthly, instances, edgeMonthly, cheapest)
 	}
 	return []*metrics.Table{tbl}, nil
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"errors"
-	"fmt"
 
 	"offload/internal/callgraph"
 	"offload/internal/cicd"
@@ -41,10 +40,12 @@ func E8Pipeline(s Scale) ([]*metrics.Table, error) {
 
 	stageTbl := metrics.NewTable(
 		"E8 (Tab 3a): pipeline stage durations (vanilla vs offload-integrated)",
-		"app", "pipeline", "stage", "start_s", "dur_s")
+		"app", "pipeline", "stage", "start_s", "dur_s").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Auto, metrics.Seconds, metrics.Seconds)
 	totalTbl := metrics.NewTable(
 		"E8 (Tab 3b): end-to-end pipeline time and overhead",
-		"app", "vanilla_s", "offload_s", "overhead")
+		"app", "vanilla_s", "offload_s", "overhead").
+		Kinds(metrics.Auto, metrics.Seconds, metrics.Seconds, metrics.Percent)
 
 	templates := callgraph.Templates()
 	for _, app := range apps {
@@ -58,25 +59,21 @@ func E8Pipeline(s Scale) ([]*metrics.Table, error) {
 			return nil, err
 		}
 		for _, res := range vanRep.Results {
-			stageTbl.AddRow(app, "vanilla", res.Name,
-				seconds(float64(res.Start)), seconds(float64(res.Duration())))
+			stageTbl.Add(app, "vanilla", res.Name, float64(res.Start), float64(res.Duration()))
 		}
 		for _, res := range offRep.Results {
-			stageTbl.AddRow(app, "offload", res.Name,
-				seconds(float64(res.Start)), seconds(float64(res.Duration())))
+			stageTbl.Add(app, "offload", res.Name, float64(res.Start), float64(res.Duration()))
 		}
 		overhead := float64(offRep.Duration())/float64(vanRep.Duration()) - 1
-		totalTbl.AddRow(app,
-			seconds(float64(vanRep.Duration())),
-			seconds(float64(offRep.Duration())),
-			pct(overhead))
+		totalTbl.Add(app, float64(vanRep.Duration()), float64(offRep.Duration()), overhead)
 	}
 
 	// Regression round: a healthy deploy establishes the manifest, then a
 	// 5x-slower build goes through the same pipeline.
 	rbTbl := metrics.NewTable(
 		"E8 (Tab 3c): canary verdict and rollback on an injected regression",
-		"round", "canary_mean_s", "canary_slo_s", "passed", "rolled_back", "released")
+		"round", "canary_mean_s", "canary_slo_s", "passed", "rolled_back", "released").
+		Kinds(metrics.Auto, metrics.Seconds, metrics.Seconds)
 	g := templates["report-gen"]
 	healthyRep, healthyCtx, err := runPipeline(newE8Build(s, g, 0, nil))
 	if err != nil {
@@ -136,11 +133,6 @@ func addRollbackRow(tbl *metrics.Table, round string, rep cicd.Report, ctx *cicd
 	rb, _ := rep.Stage("rollback")
 	rolledBack := errors.Is(rb.Err, cicd.ErrRolledBack)
 	release, _ := rep.Stage("release")
-	tbl.AddRow(round,
-		seconds(canary.MeanExecS),
-		seconds(2*canary.ExpectedS),
-		fmt.Sprintf("%v", canary.Passed),
-		fmt.Sprintf("%v", rolledBack),
-		fmt.Sprintf("%v", !release.Skipped && release.Err == nil),
-	)
+	tbl.Add(round, canary.MeanExecS, 2*canary.ExpectedS, canary.Passed, rolledBack,
+		!release.Skipped && release.Err == nil)
 }

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"offload/internal/core"
 	"offload/internal/metrics"
 )
@@ -23,7 +21,8 @@ import (
 func E9Scalability(s Scale) ([]*metrics.Table, error) {
 	tbl := metrics.NewTable(
 		"E9 (Fig 6): fleet scaling on one shared serverless region",
-		"devices", "tasks", "events", "mean_s", "task_usd", "miss")
+		"devices", "tasks", "events", "mean_s", "task_usd", "miss").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Auto, metrics.Seconds, metrics.USD, metrics.Percent)
 
 	sizes := []int{1, 10, s.Devices / 5, s.Devices}
 	seen := map[int]bool{}
@@ -57,14 +56,7 @@ func E9Scalability(s Scale) ([]*metrics.Table, error) {
 		if st.Completed > 0 {
 			costPerTask = st.CostUSD / float64(st.Completed)
 		}
-		tbl.AddRow(
-			fmt.Sprintf("%d", k),
-			fmt.Sprintf("%d", st.Completed+st.Failed),
-			fmt.Sprintf("%d", events),
-			seconds(st.MeanCompletion),
-			usd(costPerTask),
-			pct(st.MissRate()),
-		)
+		tbl.Add(k, st.Completed+st.Failed, events, st.MeanCompletion, costPerTask, st.MissRate())
 	}
 	return []*metrics.Table{tbl}, nil
 }

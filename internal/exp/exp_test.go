@@ -1,54 +1,37 @@
 package exp
 
 import (
-	"strconv"
+	"math"
 	"strings"
 	"testing"
 
 	"offload/internal/metrics"
 )
 
-// rows parses a table's CSV back into cells for shape assertions.
-func rows(t *testing.T, tbl *metrics.Table) (header []string, data [][]string) {
+// rowOf returns the first row of tbl whose cells match every column/value
+// pair in kv: a string value is compared with the cell as it renders, a
+// float64 with the stored number.
+func rowOf(t *testing.T, tbl *metrics.Table, kv ...any) int {
 	t.Helper()
-	lines := strings.Split(strings.TrimSpace(tbl.CSV()), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("table %q has no data rows", tbl.Title())
-	}
-	header = strings.Split(lines[0], ",")
-	for _, line := range lines[1:] {
-		data = append(data, strings.Split(line, ","))
-	}
-	return header, data
-}
-
-// col returns the index of a named column.
-func col(t *testing.T, header []string, name string) int {
-	t.Helper()
-	for i, h := range header {
-		if h == name {
+	for i := 0; i < tbl.Len(); i++ {
+		match := true
+		for j := 0; j < len(kv) && match; j += 2 {
+			col := kv[j].(string)
+			switch want := kv[j+1].(type) {
+			case string:
+				match = tbl.Text(i, col) == want
+			case float64:
+				match = tbl.Float(i, col) == want
+			default:
+				t.Fatalf("rowOf: unsupported key %T", want)
+			}
+		}
+		if match {
 			return i
 		}
 	}
-	t.Fatalf("no column %q in %v", name, header)
+	t.Fatalf("table %q has no row %v", tbl.Title(), kv)
 	return -1
-}
-
-// num parses a cell that may carry $, %, s, J or x suffixes.
-func num(t *testing.T, cell string) float64 {
-	t.Helper()
-	c := strings.TrimSpace(cell)
-	c = strings.TrimPrefix(c, "$")
-	c = strings.TrimSuffix(c, "%")
-	c = strings.TrimSuffix(c, "x")
-	c = strings.TrimSuffix(c, "s")
-	c = strings.TrimSuffix(c, "mJ")
-	c = strings.TrimSuffix(c, "J")
-	v, err := strconv.ParseFloat(c, 64)
-	if err != nil {
-		t.Fatalf("cell %q not numeric: %v", cell, err)
-	}
-	return v
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -73,58 +56,38 @@ func TestE1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, data := rows(t, tables[0])
-	if len(data) != 25 { // 5 apps × 5 policies
-		t.Fatalf("E1 has %d rows, want 25", len(data))
-	}
-	app := col(t, header, "app")
-	policy := col(t, header, "policy")
-	mean := col(t, header, "mean_s")
-	taskUSD := col(t, header, "task_usd")
-	infra := col(t, header, "infra_usd")
-	energy := col(t, header, "task_mJ")
-
-	byKey := map[string][]string{}
-	for _, r := range data {
-		byKey[r[app]+"/"+r[policy]] = r
+	tbl := tables[0]
+	if tbl.Len() != 25 { // 5 apps × 5 policies
+		t.Fatalf("E1 has %d rows, want 25", tbl.Len())
 	}
 	for _, a := range []string{"sci-batch", "report-gen", "ml-batch"} {
-		local := byKey[a+"/local-only"]
-		cloud := byKey[a+"/cloud-all"]
-		edge := byKey[a+"/edge-all"]
-		aware := byKey[a+"/deadline-aware"]
+		local := rowOf(t, tbl, "app", a, "policy", "local-only")
+		cloud := rowOf(t, tbl, "app", a, "policy", "cloud-all")
+		edge := rowOf(t, tbl, "app", a, "policy", "edge-all")
+		aware := rowOf(t, tbl, "app", a, "policy", "deadline-aware")
 		// The thesis: cloud offloading beats local on completion time for
 		// compute-heavy apps, at micro-dollar cost and far less energy.
-		if num(t, cloud[mean]) >= num(t, local[mean]) {
-			t.Errorf("%s: cloud (%s) not faster than local (%s)", a, cloud[mean], local[mean])
+		if c, l := tbl.Float(cloud, "mean_s"), tbl.Float(local, "mean_s"); c >= l {
+			t.Errorf("%s: cloud (%gs) not faster than local (%gs)", a, c, l)
 		}
-		if jEnergy(t, cloud[energy]) >= jEnergy(t, local[energy]) {
+		if tbl.Float(cloud, "task_mJ") >= tbl.Float(local, "task_mJ") {
 			t.Errorf("%s: cloud energy not below local", a)
 		}
 		// Local pays no money; edge pays no marginal money but carries the
 		// infrastructure column; cloud carries no infrastructure.
-		if num(t, local[taskUSD]) != 0 || num(t, local[infra]) != 0 {
+		if tbl.Float(local, "task_usd") != 0 || tbl.Float(local, "infra_usd") != 0 {
 			t.Errorf("%s: local-only costs money", a)
 		}
-		if num(t, edge[infra]) <= 0 {
+		if tbl.Float(edge, "infra_usd") <= 0 {
 			t.Errorf("%s: edge has no infrastructure cost", a)
 		}
-		if num(t, cloud[infra]) != 0 {
+		if tbl.Float(cloud, "infra_usd") != 0 {
 			t.Errorf("%s: cloud-all charged infrastructure", a)
 		}
-		if num(t, aware[infra]) != 0 {
+		if tbl.Float(aware, "infra_usd") != 0 {
 			t.Errorf("%s: deadline-aware charged infrastructure", a)
 		}
 	}
-}
-
-// jEnergy normalises the mJ/J formatting to joules.
-func jEnergy(t *testing.T, cell string) float64 {
-	t.Helper()
-	if strings.HasSuffix(cell, "mJ") {
-		return num(t, cell) / 1000
-	}
-	return num(t, cell)
 }
 
 func TestE2Shape(t *testing.T) {
@@ -132,21 +95,17 @@ func TestE2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, curve := rows(t, tables[0])
-	if len(curve) < 20 {
-		t.Fatalf("E2 curve has %d rows", len(curve))
+	if n := tables[0].Len(); n < 20 {
+		t.Fatalf("E2 curve has %d rows", n)
 	}
-	header, summary := rows(t, tables[1])
-	chosenMB := col(t, header, "chosen_mb")
-	optimumMB := col(t, header, "optimum_mb")
-	chosenUSD := col(t, header, "chosen_usd")
-	optimumUSD := col(t, header, "optimum_usd")
-	for _, r := range summary {
-		if r[chosenMB] != r[optimumMB] {
-			t.Errorf("profile %s: allocator picked %s MB, optimum %s MB", r[0], r[chosenMB], r[optimumMB])
+	summary := tables[1]
+	for r := 0; r < summary.Len(); r++ {
+		profile := summary.Text(r, "profile")
+		if c, o := summary.Float(r, "chosen_mb"), summary.Float(r, "optimum_mb"); c != o {
+			t.Errorf("profile %s: allocator picked %g MB, optimum %g MB", profile, c, o)
 		}
-		if num(t, r[chosenUSD]) > num(t, r[optimumUSD])*1.0001 {
-			t.Errorf("profile %s: chosen cost above optimum", r[0])
+		if summary.Float(r, "chosen_usd") > summary.Float(r, "optimum_usd")*1.0001 {
+			t.Errorf("profile %s: chosen cost above optimum", profile)
 		}
 	}
 }
@@ -156,21 +115,18 @@ func TestE3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, data := rows(t, tables[0])
-	gap := col(t, header, "mincut_gap")
-	mc := col(t, header, "min_cut")
-	local := col(t, header, "all_local")
-	remote := col(t, header, "all_remote")
-	greedy := col(t, header, "greedy")
-	for _, r := range data {
-		if num(t, r[gap]) > 0.01 {
-			t.Errorf("graph %s: min-cut gap %s above 0.01%%", r[0], r[gap])
+	tbl := tables[0]
+	for r := 0; r < tbl.Len(); r++ {
+		graph := tbl.Text(r, "graph")
+		mc, local := tbl.Float(r, "min_cut"), tbl.Float(r, "all_local")
+		if gap := tbl.Float(r, "mincut_gap"); gap > 1e-4 {
+			t.Errorf("graph %s: min-cut gap %g above 0.01%%", graph, gap)
 		}
-		if num(t, r[mc]) > num(t, r[local])+1e-12 || num(t, r[mc]) > num(t, r[remote])+1e-12 {
-			t.Errorf("graph %s: min-cut worse than a trivial assignment", r[0])
+		if mc > local+1e-12 || mc > tbl.Float(r, "all_remote")+1e-12 {
+			t.Errorf("graph %s: min-cut worse than a trivial assignment", graph)
 		}
-		if num(t, r[greedy]) > num(t, r[local])+1e-12 {
-			t.Errorf("graph %s: greedy worse than all-local", r[0])
+		if tbl.Float(r, "greedy") > local+1e-12 {
+			t.Errorf("graph %s: greedy worse than all-local", graph)
 		}
 	}
 }
@@ -180,33 +136,27 @@ func TestE4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, data := rows(t, tables[0])
-	rate := col(t, header, "rate_per_s")
-	ka := col(t, header, "keepalive_s")
-	cold := col(t, header, "cold_frac")
-	for _, r := range data {
-		if r[ka] == "0" && num(t, r[cold]) != 100 {
-			t.Errorf("keep-alive 0 with cold fraction %s", r[cold])
+	cold := tables[0]
+	for r := 0; r < cold.Len(); r++ {
+		if c := cold.Float(r, "cold_frac"); cold.Float(r, "keepalive_s") == 0 && c != 1 {
+			t.Errorf("keep-alive 0 with cold fraction %g", c)
 		}
 	}
 	// At a fixed moderate rate, cold fraction must fall with keep-alive.
-	var last float64 = 101
-	for _, r := range data {
-		if r[rate] != "0.02" {
+	last := math.Inf(1)
+	for r := 0; r < cold.Len(); r++ {
+		if cold.Float(r, "rate_per_s") != 0.02 {
 			continue
 		}
-		c := num(t, r[cold])
+		c := cold.Float(r, "cold_frac")
 		if c > last+1e-9 {
 			t.Errorf("cold fraction rose with keep-alive at rate 0.02: %v -> %v", last, c)
 		}
 		last = c
 	}
 	// Batching: cold fraction strictly falls as batch size grows.
-	bh, bdata := rows(t, tables[1])
-	bcold := col(t, bh, "cold_frac")
-	prev := 101.0
-	for _, r := range bdata {
-		c := num(t, r[bcold])
+	prev := math.Inf(1)
+	for _, c := range tables[1].Column("cold_frac") {
 		if c > prev+1e-9 {
 			t.Errorf("batching did not reduce cold starts: %v after %v", c, prev)
 		}
@@ -219,19 +169,18 @@ func TestE5Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, data := rows(t, tables[0])
-	policy := col(t, header, "policy")
-	ext := col(t, header, "extension_x")
-	for _, r := range data {
-		e := num(t, r[ext])
-		if r[policy] == "local-only" {
+	tbl := tables[0]
+	for r := 0; r < tbl.Len(); r++ {
+		e := tbl.Float(r, "extension_x")
+		policy := tbl.Text(r, "policy")
+		if policy == "local-only" {
 			if e != 1 {
 				t.Errorf("local extension %g != 1", e)
 			}
 			continue
 		}
 		if e <= 1 {
-			t.Errorf("%s/%s: battery extension %g not above local", r[0], r[policy], e)
+			t.Errorf("%s/%s: battery extension %g not above local", tbl.Text(r, "app"), policy, e)
 		}
 	}
 }
@@ -241,37 +190,28 @@ func TestE6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, data := rows(t, tables[0])
-	slack := col(t, header, "slack_x")
-	policy := col(t, header, "policy")
-	miss := col(t, header, "miss")
-	missOf := func(s, p string) float64 {
-		for _, r := range data {
-			if r[slack] == s && r[policy] == p {
-				return num(t, r[miss])
-			}
-		}
-		t.Fatalf("no row %s/%s", s, p)
-		return 0
+	tbl := tables[0]
+	missOf := func(slack float64, policy string) float64 {
+		return tbl.Float(rowOf(t, tbl, "slack_x", slack, "policy", policy), "miss")
 	}
 	// At generous slack everything converges to zero misses — the core
 	// non-time-critical claim.
 	for _, p := range []string{"edge-all", "cloud-all", "deadline-aware"} {
-		if m := missOf("1", p); m != 0 {
-			t.Errorf("%s misses %g%% at slack 1", p, m)
+		if m := missOf(1, p); m != 0 {
+			t.Errorf("%s misses %g at slack 1", p, m)
 		}
-		if m := missOf("10", p); m != 0 {
-			t.Errorf("%s misses %g%% at slack 10", p, m)
+		if m := missOf(10, p); m != 0 {
+			t.Errorf("%s misses %g at slack 10", p, m)
 		}
 	}
 	// At brutal slack everyone misses a lot.
-	if m := missOf("0.0002", "cloud-all"); m < 50 {
-		t.Errorf("cloud-all misses only %g%% at slack 0.0002", m)
+	if m := missOf(0.0002, "cloud-all"); m < 0.5 {
+		t.Errorf("cloud-all misses only %g at slack 0.0002", m)
 	}
 	// Deadline-aware never does meaningfully worse than cloud-all.
-	for _, s := range []string{"0.01", "0.1", "1", "10"} {
-		if missOf(s, "deadline-aware") > missOf(s, "cloud-all")+10 {
-			t.Errorf("deadline-aware much worse than cloud-all at slack %s", s)
+	for _, s := range []float64{0.01, 0.1, 1, 10} {
+		if missOf(s, "deadline-aware") > missOf(s, "cloud-all")+0.1 {
+			t.Errorf("deadline-aware much worse than cloud-all at slack %g", s)
 		}
 	}
 }
@@ -281,20 +221,17 @@ func TestE7Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, data := rows(t, tables[0])
-	cheapest := col(t, header, "cheapest")
+	tbl := tables[0]
 	// Serverless cheapest at the lowest volume; not at the highest.
-	if data[0][cheapest] != "serverless" {
-		t.Errorf("lowest volume cheapest = %s", data[0][cheapest])
+	if c := tbl.Text(0, "cheapest"); c != "serverless" {
+		t.Errorf("lowest volume cheapest = %s", c)
 	}
-	if last := data[len(data)-1][cheapest]; last == "serverless" {
+	if tbl.Text(tbl.Len()-1, "cheapest") == "serverless" {
 		t.Error("serverless still cheapest at the highest volume")
 	}
 	// Serverless monthly cost grows with volume.
-	sl := col(t, header, "serverless_usd")
 	prev := -1.0
-	for _, r := range data {
-		v := num(t, r[sl])
+	for _, v := range tbl.Column("serverless_usd") {
 		if v < prev {
 			t.Errorf("serverless monthly cost fell with volume: %v -> %v", prev, v)
 		}
@@ -307,28 +244,25 @@ func TestE8Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, totals := rows(t, tables[1])
-	header := []string{"app", "vanilla_s", "offload_s", "overhead"}
-	for _, r := range totals {
-		van := num(t, r[1])
-		off := num(t, r[2])
+	totals := tables[1]
+	for r := 0; r < totals.Len(); r++ {
+		van, off := totals.Float(r, "vanilla_s"), totals.Float(r, "offload_s")
 		if off <= van {
-			t.Errorf("%s: offload pipeline not slower than vanilla", r[0])
+			t.Errorf("%s: offload pipeline not slower than vanilla", totals.Text(r, "app"))
 		}
 		if off > van*1.6 {
-			t.Errorf("%s: offload overhead implausible: %v vs %v", r[0], off, van)
+			t.Errorf("%s: offload overhead implausible: %v vs %v", totals.Text(r, "app"), off, van)
 		}
 	}
-	_ = header
-	rh, rbRows := rows(t, tables[2])
-	passed := col(t, rh, "passed")
-	rolled := col(t, rh, "rolled_back")
-	released := col(t, rh, "released")
-	if rbRows[0][passed] != "true" || rbRows[0][rolled] != "false" || rbRows[0][released] != "true" {
-		t.Errorf("healthy round wrong: %v", rbRows[0])
+	rb := tables[2]
+	verdict := func(r int) string {
+		return rb.Text(r, "passed") + "/" + rb.Text(r, "rolled_back") + "/" + rb.Text(r, "released")
 	}
-	if rbRows[1][passed] != "false" || rbRows[1][rolled] != "true" || rbRows[1][released] != "false" {
-		t.Errorf("regressed round wrong: %v", rbRows[1])
+	if v := verdict(0); v != "true/false/true" {
+		t.Errorf("healthy round passed/rolled_back/released = %s", v)
+	}
+	if v := verdict(1); v != "false/true/false" {
+		t.Errorf("regressed round passed/rolled_back/released = %s", v)
 	}
 }
 
@@ -337,21 +271,19 @@ func TestE9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, data := rows(t, tables[0])
-	devices := col(t, header, "devices")
-	miss := col(t, header, "miss")
-	if len(data) < 3 {
-		t.Fatalf("E9 has %d rows", len(data))
+	tbl := tables[0]
+	if tbl.Len() < 3 {
+		t.Fatalf("E9 has %d rows", tbl.Len())
 	}
 	prev := 0.0
-	for _, r := range data {
-		d := num(t, r[devices])
+	for r := 0; r < tbl.Len(); r++ {
+		d := tbl.Float(r, "devices")
 		if d <= prev {
 			t.Errorf("device counts not increasing: %v after %v", d, prev)
 		}
 		prev = d
-		if num(t, r[miss]) > 20 {
-			t.Errorf("fleet of %s misses %s of deadlines", r[devices], r[miss])
+		if m := tbl.Float(r, "miss"); m > 0.2 {
+			t.Errorf("fleet of %g misses %g of deadlines", d, m)
 		}
 	}
 }
@@ -361,39 +293,34 @@ func TestE11Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, data := rows(t, tables[0])
-	slack := col(t, header, "slack_x")
-	shifting := col(t, header, "shifting")
-	shifted := col(t, header, "shifted")
-	saving := col(t, header, "saving")
-	miss := col(t, header, "miss")
-	var genSaving, tightShifted float64
-	tightShifted = -1
-	for _, r := range data {
-		if r[shifting] != "true" {
+	tbl := tables[0]
+	genSaving, tightShifted := math.NaN(), math.NaN()
+	for r := 0; r < tbl.Len(); r++ {
+		if tbl.Text(r, "shifting") != "true" {
 			continue
 		}
-		switch r[slack] {
-		case "24":
-			genSaving = num(t, r[saving])
-			if num(t, r[shifted]) < 90 {
-				t.Errorf("generous slack shifted only %s", r[shifted])
+		slack, shifted := tbl.Float(r, "slack_x"), tbl.Float(r, "shifted")
+		switch slack {
+		case 24:
+			genSaving = tbl.Float(r, "saving")
+			if !(shifted >= 0.9) {
+				t.Errorf("generous slack shifted only %g", shifted)
 			}
-		case "0.05":
-			tightShifted = num(t, r[shifted])
+		case 0.05:
+			tightShifted = shifted
 		}
 		// The shifter must never cause more misses than the tight-deadline
 		// baseline already has; in particular, at generous slack it must
 		// stay at zero.
-		if r[slack] != "0.05" && num(t, r[miss]) != 0 {
-			t.Errorf("slack %s: shifting caused %s misses", r[slack], r[miss])
+		if m := tbl.Float(r, "miss"); slack != 0.05 && m != 0 {
+			t.Errorf("slack %g: shifting caused %g misses", slack, m)
 		}
 	}
-	if genSaving < 40 {
-		t.Errorf("generous-slack saving %g%% below the 60%% discount's reach", genSaving)
+	if !(genSaving >= 0.4) {
+		t.Errorf("generous-slack saving %g below the 60%% discount's reach", genSaving)
 	}
 	if tightShifted != 0 {
-		t.Errorf("tight slack shifted %g%% of tasks, want 0", tightShifted)
+		t.Errorf("tight slack shifted %g of tasks, want 0", tightShifted)
 	}
 }
 
@@ -402,33 +329,22 @@ func TestE12Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, data := rows(t, tables[0])
-	rate := col(t, header, "failure_rate")
-	retries := col(t, header, "retries")
-	failures := col(t, header, "task_failures")
-	miss := col(t, header, "miss")
-	get := func(r, a string) []string {
-		for _, row := range data {
-			if row[rate] == r && row[retries] == a {
-				return row
-			}
-		}
-		t.Fatalf("no row %s/%s", r, a)
-		return nil
+	tbl := tables[0]
+	failures := func(rate, attempts float64) float64 {
+		return tbl.Float(rowOf(t, tbl, "failure_rate", rate, "retries", attempts), "task_failures")
 	}
-	for _, r := range []string{"0.05", "0.2", "0.5"} {
-		bare := num(t, get(r, "1")[failures])
-		retried := num(t, get(r, "5")[failures])
+	for _, rate := range []float64{0.05, 0.2, 0.5} {
+		bare, retried := failures(rate, 1), failures(rate, 5)
 		if retried >= bare && bare > 0 {
-			t.Errorf("rate %s: retries did not reduce failures (%g -> %g)", r, bare, retried)
+			t.Errorf("rate %g: retries did not reduce failures (%g -> %g)", rate, bare, retried)
 		}
-		if retried > 5 {
-			t.Errorf("rate %s: %g%% failures survive 5 attempts", r, retried)
+		if retried > 0.05 {
+			t.Errorf("rate %g: %g of tasks fail after 5 attempts", rate, retried)
 		}
 	}
-	for _, row := range data {
-		if num(t, row[miss]) != 0 {
-			t.Errorf("failures caused deadline misses: %v", row)
+	for r := 0; r < tbl.Len(); r++ {
+		if m := tbl.Float(r, "miss"); m != 0 {
+			t.Errorf("row %d: failures caused deadline misses (%g)", r, m)
 		}
 	}
 }
@@ -438,25 +354,18 @@ func TestE13Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, data := rows(t, tables[0])
-	app := col(t, header, "app")
-	mode := col(t, header, "mode")
-	miss := col(t, header, "miss")
-	energy := col(t, header, "task_mJ")
-	byKey := map[string][]string{}
-	for _, r := range data {
-		byKey[r[app]+"/"+r[mode]] = r
-	}
+	tbl := tables[0]
 	for _, a := range []string{"sci-batch", "report-gen"} {
-		full := jEnergy(t, byKey[a+"/local-full-speed"][energy])
-		dvfs := jEnergy(t, byKey[a+"/local-dvfs"][energy])
-		cloud := jEnergy(t, byKey[a+"/cloud"][energy])
+		energy := func(mode string) float64 {
+			return tbl.Float(rowOf(t, tbl, "app", a, "mode", mode), "task_mJ")
+		}
+		full, dvfs, cloud := energy("local-full-speed"), energy("local-dvfs"), energy("cloud")
 		if !(cloud < dvfs && dvfs < full) {
 			t.Errorf("%s: energy ordering violated: cloud %g, dvfs %g, full %g", a, cloud, dvfs, full)
 		}
 		// DVFS must not cause misses: it only stretches inside the budget.
-		if m := num(t, byKey[a+"/local-dvfs"][miss]); m != 0 {
-			t.Errorf("%s: DVFS caused %g%% misses", a, m)
+		if m := tbl.Float(rowOf(t, tbl, "app", a, "mode", "local-dvfs"), "miss"); m != 0 {
+			t.Errorf("%s: DVFS caused %g misses", a, m)
 		}
 	}
 }
@@ -466,24 +375,15 @@ func TestE14Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, data := rows(t, tables[0])
-	arrivals := col(t, header, "arrivals")
-	backend := col(t, header, "backend")
-	p95 := col(t, header, "p95_s")
-	get := func(a, b string) []string {
-		for _, r := range data {
-			if r[arrivals] == a && r[backend] == b {
-				return r
-			}
-		}
-		t.Fatalf("no row %s/%s", a, b)
-		return nil
+	tbl := tables[0]
+	p95 := func(arrivals, backend string) float64 {
+		return tbl.Float(rowOf(t, tbl, "arrivals", arrivals, "backend", backend), "p95_s")
 	}
 	// Under bursts, the fixed VM's tail must be far worse than serverless;
 	// the autoscaler lands in between.
-	slBurst := num(t, get("bursty", "serverless")[p95])
-	fixedBurst := num(t, get("bursty", "vm-fixed")[p95])
-	autoBurst := num(t, get("bursty", "vm-autoscaled")[p95])
+	slBurst := p95("bursty", "serverless")
+	fixedBurst := p95("bursty", "vm-fixed")
+	autoBurst := p95("bursty", "vm-autoscaled")
 	if fixedBurst < 3*slBurst {
 		t.Errorf("fixed VM burst P95 (%g) not far above serverless (%g)", fixedBurst, slBurst)
 	}
@@ -491,8 +391,7 @@ func TestE14Shape(t *testing.T) {
 		t.Errorf("autoscaler (%g) not better than fixed (%g) under bursts", autoBurst, fixedBurst)
 	}
 	// Serverless stays in the same regime regardless of arrival pattern.
-	slSteady := num(t, get("steady", "serverless")[p95])
-	if slBurst > 10*slSteady {
+	if slSteady := p95("steady", "serverless"); slBurst > 10*slSteady {
 		t.Errorf("serverless tail degraded %gx under bursts", slBurst/slSteady)
 	}
 }
@@ -502,30 +401,19 @@ func TestE15Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, data := rows(t, tables[0])
-	app := col(t, header, "app")
-	deployment := col(t, header, "deployment")
-	fns := col(t, header, "functions")
-	runUSD := col(t, header, "run_usd")
-	byKey := map[string][]string{}
-	for _, r := range data {
-		byKey[r[app]+"/"+r[deployment]] = r
-	}
+	tbl := tables[0]
 	for _, a := range []string{"ml-batch", "sci-batch", "report-gen"} {
-		mono := byKey[a+"/monolithic"]
-		per := byKey[a+"/per-component"]
-		if mono == nil || per == nil {
-			t.Fatalf("missing rows for %s", a)
+		mono := rowOf(t, tbl, "app", a, "deployment", "monolithic")
+		per := rowOf(t, tbl, "app", a, "deployment", "per-component")
+		if n := tbl.Float(mono, "functions"); n != 1 {
+			t.Errorf("%s: monolithic deployed %g functions", a, n)
 		}
-		if mono[fns] != "1" {
-			t.Errorf("%s: monolithic deployed %s functions", a, mono[fns])
-		}
-		if num(t, per[fns]) < 2 {
-			t.Errorf("%s: per-component deployed %s functions", a, per[fns])
+		if n := tbl.Float(per, "functions"); n < 2 {
+			t.Errorf("%s: per-component deployed %g functions", a, n)
 		}
 		// Neither variant should dominate by more than 2x on money — the
 		// "no cost cliff" claim.
-		m, p := num(t, mono[runUSD]), num(t, per[runUSD])
+		m, p := tbl.Float(mono, "run_usd"), tbl.Float(per, "run_usd")
 		if p > 2*m || m > 2*p {
 			t.Errorf("%s: granularity cost cliff: mono $%g vs per $%g", a, m, p)
 		}
@@ -537,18 +425,9 @@ func TestE16Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, data := rows(t, tables[0])
-	profile := col(t, header, "profile")
-	provider := col(t, header, "provider")
-	ratio := col(t, header, "cost_ratio")
-	ratioOf := func(p string) float64 {
-		for _, r := range data {
-			if r[profile] == p && r[provider] == "gcf-like" {
-				return num(t, r[ratio])
-			}
-		}
-		t.Fatalf("no gcf row for %s", p)
-		return 0
+	tbl := tables[0]
+	ratioOf := func(profile string) float64 {
+		return tbl.Float(rowOf(t, tbl, "profile", profile, "provider", "gcf-like"), "cost_ratio")
 	}
 	tiny := ratioOf("tiny-20ms")
 	large := ratioOf("large-20s")
@@ -569,61 +448,51 @@ func TestE17Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, data := rows(t, tables[0])
-	if len(data) != 12 { // 3 burst lengths × 4 strategies
-		t.Fatalf("E17 has %d rows, want 12", len(data))
+	tbl := tables[0]
+	if tbl.Len() != 12 { // 3 burst lengths × 4 strategies
+		t.Fatalf("E17 has %d rows, want 12", tbl.Len())
 	}
-	burst := col(t, header, "burst_s")
-	strategy := col(t, header, "strategy")
-	fail := col(t, header, "task_fail")
-	fallbacks := col(t, header, "fallbacks")
-	hedges := col(t, header, "hedges")
-	get := func(b, s string) []string {
-		for _, r := range data {
-			if r[burst] == b && r[strategy] == s {
-				return r
-			}
-		}
-		t.Fatalf("no row %s/%s", b, s)
-		return nil
+	get := func(burst float64, strategy, col string) float64 {
+		return tbl.Float(rowOf(t, tbl, "burst_s", burst, "strategy", strategy), col)
 	}
-	for _, b := range []string{"15", "60", "240"} {
-		ff := num(t, get(b, "fail-fast")[fail])
-		retry := num(t, get(b, "retry-only")[fail])
-		brk := num(t, get(b, "brk+fallback")[fail])
+	bursts := []float64{15, 60, 240}
+	for _, b := range bursts {
+		ff := get(b, "fail-fast", "task_fail")
+		retry := get(b, "retry-only", "task_fail")
+		brk := get(b, "brk+fallback", "task_fail")
 		// Fail-fast loses tasks during every burst; retries never hurt.
 		if ff <= 0 {
-			t.Errorf("burst %s: fail-fast lost no tasks", b)
+			t.Errorf("burst %g: fail-fast lost no tasks", b)
 		}
 		// Each cell draws its own workload stream, so allow a few points of
 		// arrival noise; retries must never make things materially worse.
-		if retry > ff+5 {
-			t.Errorf("burst %s: retry-only (%g%%) worse than fail-fast (%g%%)", b, retry, ff)
+		if retry > ff+0.05 {
+			t.Errorf("burst %g: retry-only (%g) worse than fail-fast (%g)", b, retry, ff)
 		}
 		// The headline claim: breaker+fallback rides out any burst length.
 		if brk != 0 {
-			t.Errorf("burst %s: brk+fallback lost %g%% of tasks", b, brk)
+			t.Errorf("burst %g: brk+fallback lost %g of tasks", b, brk)
 		}
-		if num(t, get(b, "fail-fast")[fallbacks]) != 0 {
-			t.Errorf("burst %s: fail-fast recorded fallbacks", b)
+		if get(b, "fail-fast", "fallbacks") != 0 {
+			t.Errorf("burst %g: fail-fast recorded fallbacks", b)
 		}
 	}
 	// Retry-only's ~62 s backoff horizon absorbs the short burst but not
 	// the long one.
-	if r := num(t, get("15", "retry-only")[fail]); r != 0 {
-		t.Errorf("retry-only lost %g%% of tasks to a 15 s burst inside its horizon", r)
+	if r := get(15, "retry-only", "task_fail"); r != 0 {
+		t.Errorf("retry-only lost %g of tasks to a 15 s burst inside its horizon", r)
 	}
-	if r := num(t, get("240", "retry-only")[fail]); r < 20 {
-		t.Errorf("retry-only lost only %g%% to a 240 s burst far beyond its horizon", r)
+	if r := get(240, "retry-only", "task_fail"); r < 0.2 {
+		t.Errorf("retry-only lost only %g to a 240 s burst far beyond its horizon", r)
 	}
 	// The breaker must actually have rerouted during the sustained burst,
 	// and the hedged strategy must actually have hedged.
-	if num(t, get("240", "brk+fallback")[fallbacks]) == 0 {
+	if get(240, "brk+fallback", "fallbacks") == 0 {
 		t.Error("brk+fallback never rerouted during a 240 s burst")
 	}
 	hedgedTotal := 0.0
-	for _, b := range []string{"15", "60", "240"} {
-		hedgedTotal += num(t, get(b, "hedged")[hedges])
+	for _, b := range bursts {
+		hedgedTotal += get(b, "hedged", "hedges")
 	}
 	if hedgedTotal == 0 {
 		t.Error("hedged strategy never launched a hedge")
@@ -638,33 +507,21 @@ func TestE18Shape(t *testing.T) {
 	if len(tables) != 3 {
 		t.Fatalf("E18 produced %d tables, want 3", len(tables))
 	}
-	header, data := rows(t, tables[1])
-	ok := col(t, header, "ok")
-	if len(data) != 4 {
-		t.Fatalf("E18 ran %d checks, want 4", len(data))
+	checks := tables[1]
+	if checks.Len() != 4 {
+		t.Fatalf("E18 ran %d checks, want 4", checks.Len())
 	}
-	for _, r := range data {
-		if r[ok] != "yes" {
-			t.Errorf("check %q failed: %v", r[0], r)
+	for r := 0; r < checks.Len(); r++ {
+		if checks.Text(r, "ok") != "yes" {
+			t.Errorf("check %q failed: measured %s", checks.Text(r, "check"), checks.Text(r, "measured"))
 		}
 	}
 	// The phase table must attribute cold starts in the cold cells and
 	// show exec dominating the straggler cell's P95 band.
-	ph, pdata := rows(t, tables[0])
-	cell := col(t, ph, "cell")
-	phase := col(t, ph, "phase")
-	p95 := col(t, ph, "share_p95")
-	seenCold := false
-	for _, r := range pdata {
-		if r[cell] == "baseline" && r[phase] == "cold_start" {
-			seenCold = true
-		}
-		if r[cell] == "stragglers" && r[phase] == "exec" && num(t, r[p95]) < 50 {
-			t.Errorf("stragglers: exec carries only %s of the P95 band", r[p95])
-		}
-	}
-	if !seenCold {
-		t.Error("baseline cell attributed no cold_start time")
+	phases := tables[0]
+	rowOf(t, phases, "cell", "baseline", "phase", "cold_start")
+	if v := phases.Float(rowOf(t, phases, "cell", "stragglers", "phase", "exec"), "share_p95"); v < 0.5 {
+		t.Errorf("stragglers: exec carries only %g of the P95 band", v)
 	}
 }
 
@@ -673,23 +530,21 @@ func TestE10Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, data := rows(t, tables[0])
-	relErr := col(t, header, "rel_error")
-	miss := col(t, header, "miss")
-	excess := col(t, header, "excess_cost")
-	if data[0][relErr] != "0" {
-		t.Fatalf("first row not the baseline: %v", data[0])
+	tbl := tables[0]
+	if v := tbl.Float(0, "rel_error"); v != 0 {
+		t.Fatalf("first row is error %g, not the baseline", v)
 	}
-	if num(t, data[0][excess]) != 0 {
-		t.Errorf("baseline excess cost %s != 0", data[0][excess])
+	if v := tbl.Float(0, "excess_cost"); v != 0 {
+		t.Errorf("baseline excess cost %g != 0", v)
 	}
-	for _, r := range data {
+	for r := 0; r < tbl.Len(); r++ {
 		// Graceful degradation: errors must not blow up cost or misses.
-		if num(t, r[excess]) > 50 {
-			t.Errorf("error %s: excess cost %s above 50%%", r[relErr], r[excess])
+		relErr := tbl.Float(r, "rel_error")
+		if v := tbl.Float(r, "excess_cost"); v > 0.5 {
+			t.Errorf("error %g: excess cost %g above 50%%", relErr, v)
 		}
-		if num(t, r[miss]) > 10 {
-			t.Errorf("error %s: miss rate %s above 10%%", r[relErr], r[miss])
+		if v := tbl.Float(r, "miss"); v > 0.1 {
+			t.Errorf("error %g: miss rate %g above 10%%", relErr, v)
 		}
 	}
 }
@@ -702,23 +557,22 @@ func TestE19Shape(t *testing.T) {
 	if len(tables) != 2 {
 		t.Fatalf("E19 produced %d tables, want 2", len(tables))
 	}
-	header, data := rows(t, tables[0])
-	if want := 3 * 9; len(data) != want {
-		t.Fatalf("detail table has %d rows, want %d (3 cells x 9 policies)", len(data), want)
+	detail := tables[0]
+	if want := 3 * 9; detail.Len() != want {
+		t.Fatalf("detail table has %d rows, want %d (3 cells x 9 policies)", detail.Len(), want)
 	}
-	policy := col(t, header, "policy")
-	drift := col(t, header, "drift")
-	cell := col(t, header, "cell")
 	fired := false
-	for _, r := range data {
-		adaptive := strings.HasPrefix(r[policy], "bandit")
-		if adaptive && r[drift] == "-" {
-			t.Errorf("adaptive row %v reports no drift counter", r)
+	for r := 0; r < detail.Len(); r++ {
+		policy, cell := detail.Text(r, "policy"), detail.Text(r, "cell")
+		drift := detail.Float(r, "drift") // NaN when the policy has no adaptive layer
+		adaptive := strings.HasPrefix(policy, "bandit")
+		if adaptive && math.IsNaN(drift) {
+			t.Errorf("adaptive row %s/%s reports no drift counter", cell, policy)
 		}
-		if !adaptive && r[drift] != "-" {
-			t.Errorf("static row %v reports a drift counter", r)
+		if !adaptive && !math.IsNaN(drift) {
+			t.Errorf("static row %s/%s reports a drift counter", cell, policy)
 		}
-		if adaptive && r[cell] == "outage" && num(t, r[drift]) > 0 {
+		if adaptive && cell == "outage" && drift > 0 {
 			fired = true
 		}
 	}
@@ -729,24 +583,19 @@ func TestE19Shape(t *testing.T) {
 	// The headline claim: each bandit's cumulative objective beats every
 	// static baseline's, and stays within 25% regret of the per-cell
 	// static-best oracle.
-	sHeader, sData := rows(t, tables[1])
-	total := col(t, sHeader, "total")
-	regret := col(t, sHeader, "regret")
-	bestStatic, worstBandit := -1.0, -1.0
-	for _, r := range sData {
+	summary := tables[1]
+	bestStatic, worstBandit := math.Inf(1), math.Inf(-1)
+	for r := 0; r < summary.Len(); r++ {
+		policy, total := summary.Text(r, "policy"), summary.Float(r, "total")
 		switch {
-		case strings.HasPrefix(r[policy], "bandit"):
-			if v := num(t, r[total]); v > worstBandit {
-				worstBandit = v
+		case strings.HasPrefix(policy, "bandit"):
+			worstBandit = math.Max(worstBandit, total)
+			if v := summary.Float(r, "regret"); v > 0.25 {
+				t.Errorf("%s regret %g above the 25%% bound", policy, v)
 			}
-			if v := num(t, r[regret]); v > 25 {
-				t.Errorf("%s regret %s above the 25%% bound", r[policy], r[regret])
-			}
-		case r[policy] == "oracle(static-best)":
+		case policy == "oracle(static-best)":
 		default:
-			if v := num(t, r[total]); bestStatic < 0 || v < bestStatic {
-				bestStatic = v
-			}
+			bestStatic = math.Min(bestStatic, total)
 		}
 	}
 	if worstBandit >= bestStatic {
@@ -762,59 +611,46 @@ func TestE20Shape(t *testing.T) {
 	if len(tables) != 1 {
 		t.Fatalf("E20 produced %d tables, want 1", len(tables))
 	}
-	header, data := rows(t, tables[0])
-	if len(data) != 12 { // 3 scenarios × 4 strategies
-		t.Fatalf("E20 has %d rows, want 12", len(data))
+	tbl := tables[0]
+	if tbl.Len() != 12 { // 3 scenarios × 4 strategies
+		t.Fatalf("E20 has %d rows, want 12", tbl.Len())
 	}
-	scenario := col(t, header, "scenario")
-	strategy := col(t, header, "strategy")
-	fail := col(t, header, "task_fail")
-	lost := col(t, header, "lost")
-	mttr := col(t, header, "mttr_s")
-	get := func(sc, st string) []string {
-		for _, r := range data {
-			if r[scenario] == sc && r[strategy] == st {
-				return r
-			}
-		}
-		t.Fatalf("no row %s/%s", sc, st)
-		return nil
+	get := func(scenario, strategy, col string) float64 {
+		return tbl.Float(rowOf(t, tbl, "scenario", scenario, "strategy", strategy), col)
 	}
 
 	// The headline claim: in the single-region outage, fail-fast loses a
 	// visible share of the workload while the ladder posture loses none —
 	// the incident becomes shed/queued work instead of failures.
-	if ff := num(t, get("region-outage", "fail-fast")[fail]); ff <= 5 {
-		t.Errorf("fail-fast lost only %.1f%% in the region outage, want > 5%%", ff)
+	if ff := get("region-outage", "fail-fast", "task_fail"); ff <= 0.05 {
+		t.Errorf("fail-fast lost only %g in the region outage, want > 5%%", ff)
 	}
-	ladder := get("region-outage", "ladder")
-	if v := num(t, ladder[fail]); v != 0 {
-		t.Errorf("ladder posture lost %.1f%% in the region outage, want 0%%", v)
+	if v := get("region-outage", "ladder", "task_fail"); v != 0 {
+		t.Errorf("ladder posture lost %g in the region outage, want 0", v)
 	}
-	if ladder[lost] != "0" {
-		t.Errorf("ladder posture dropped %s parked tasks, want 0", ladder[lost])
+	if v := get("region-outage", "ladder", "lost"); v != 0 {
+		t.Errorf("ladder posture dropped %g parked tasks, want 0", v)
 	}
 
 	// Recovery-time accounting: the adaptive posture's canary probes must
 	// observe the recovery — MTTR positive and within 2× of the outage
 	// window's end.
-	adaptive := get("region-outage", "adaptive")
-	if adaptive[mttr] == "-" {
+	mttr := get("region-outage", "adaptive", "mttr_s")
+	if math.IsNaN(mttr) {
 		t.Fatal("adaptive posture reports no MTTR for the region outage")
 	}
-	bound := 2 * float64(e20OutageStart.Add(e20OutageLen))
-	if v := num(t, adaptive[mttr]); v <= 0 || v > bound {
-		t.Errorf("adaptive MTTR %.3gs outside (0, %.3gs]", v, bound)
+	if bound := 2 * float64(e20OutageStart.Add(e20OutageLen)); mttr <= 0 || mttr > bound {
+		t.Errorf("adaptive MTTR %.3gs outside (0, %.3gs]", mttr, bound)
 	}
 
 	// Failover postures never lose tasks in any drill: re-homing, the
 	// ladder and last-resort localization absorb every incident here.
-	for _, r := range data {
-		if r[strategy] == "fail-fast" {
+	for r := 0; r < tbl.Len(); r++ {
+		if tbl.Text(r, "strategy") == "fail-fast" {
 			continue
 		}
-		if v := num(t, r[fail]); v != 0 {
-			t.Errorf("%s/%s failed %.1f%% of tasks, want 0%%", r[scenario], r[strategy], v)
+		if v := tbl.Float(r, "task_fail"); v != 0 {
+			t.Errorf("%s/%s failed %g of tasks, want 0", tbl.Text(r, "scenario"), tbl.Text(r, "strategy"), v)
 		}
 	}
 }
@@ -827,51 +663,50 @@ func TestE21Shape(t *testing.T) {
 	if len(tables) != 1 {
 		t.Fatalf("E21 produced %d tables, want 1", len(tables))
 	}
-	header, data := rows(t, tables[0])
-	if len(data) != 1 {
-		t.Fatalf("E21 has %d rows, want 1", len(data))
+	tbl := tables[0]
+	if tbl.Len() != 1 {
+		t.Fatalf("E21 has %d rows, want 1", tbl.Len())
 	}
-	r := data[0]
-	devices := col(t, header, "devices")
-	tasks := col(t, header, "tasks")
-	windows := col(t, header, "windows")
-	miss := col(t, header, "miss")
 	// 50× the E9 quick fleet, all tasks accounted for.
-	if r[devices] != "2500" {
-		t.Errorf("devices = %s, want 2500", r[devices])
+	if v := tbl.Float(0, "devices"); v != 2500 {
+		t.Errorf("devices = %g, want 2500", v)
 	}
-	if r[tasks] != "10000" {
-		t.Errorf("tasks = %s, want 2500 devices x 4", r[tasks])
+	if v := tbl.Float(0, "tasks"); v != 10000 {
+		t.Errorf("tasks = %g, want 2500 devices x 4", v)
 	}
 	// The flash crowd is absorbed: generous non-time-critical deadlines
 	// keep the miss rate at zero even with every UE stampeding at once.
-	if v := num(t, r[miss]); v != 0 {
-		t.Errorf("miss rate %.2f%%, want 0%%", v)
+	if v := tbl.Float(0, "miss"); v != 0 {
+		t.Errorf("miss rate %g, want 0", v)
 	}
 	// The barrier actually ran epochs (idle-skip keeps it near the busy
 	// windows, but a flash crowd plus calm tails spans many).
-	if v := num(t, r[windows]); v <= 10 {
-		t.Errorf("only %.0f executed windows, want a real epoch stream", v)
+	if v := tbl.Float(0, "windows"); v <= 10 {
+		t.Errorf("only %g executed windows, want a real epoch stream", v)
 	}
 }
 
 // TestE21ShardCountInvariance is the experiment-level determinism gate:
-// the full rendered table (and its CSV) must be byte-identical whatever
-// the shard count, including the serial reference.
+// the table must hold the same values, bit for bit, and render the same
+// text and CSV whatever the shard count, including the serial reference.
 func TestE21ShardCountInvariance(t *testing.T) {
-	render := func(shards int) string {
+	render := func(shards int) (text, digest string) {
 		s := Quick()
 		s.Shards = shards
 		tables, err := E21FlashCrowd(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tables[0].String() + "\n" + tables[0].CSV()
+		return tables[0].String() + "\n" + tables[0].CSV(), tablesDigest(tables)
 	}
-	ref := render(1)
+	ref, refDigest := render(1)
 	for _, shards := range []int{2, 4, 7} {
-		if got := render(shards); got != ref {
+		got, digest := render(shards)
+		if got != ref {
 			t.Errorf("shards=%d output diverged from serial:\n%s\nvs\n%s", shards, got, ref)
+		}
+		if digest != refDigest {
+			t.Errorf("shards=%d values differ from serial at full precision", shards)
 		}
 	}
 }
@@ -884,37 +719,29 @@ func TestE22Shape(t *testing.T) {
 	if len(tables) != 1 {
 		t.Fatalf("E22 produced %d tables, want 1", len(tables))
 	}
-	header, data := rows(t, tables[0])
-	if len(data) != 6 {
-		t.Fatalf("E22 has %d rows, want 3 shapes x 2 placements", len(data))
+	tbl := tables[0]
+	if tbl.Len() != 6 {
+		t.Fatalf("E22 has %d rows, want 3 shapes x 2 placements", tbl.Len())
 	}
-	shape := col(t, header, "shape")
-	placement := col(t, header, "placement")
-	meanMk := col(t, header, "mean_mk_s")
-	critS := col(t, header, "crit_s")
-	slack := col(t, header, "slack_s")
-	fail := col(t, header, "fail")
-
 	mk := map[string]float64{} // "shape/placement" → mean makespan
-	for _, r := range data {
-		key := r[shape] + "/" + r[placement]
-		mk[key] = num(t, r[meanMk])
-		if num(t, r[fail]) != 0 {
+	for r := 0; r < tbl.Len(); r++ {
+		key := tbl.Text(r, "shape") + "/" + tbl.Text(r, "placement")
+		meanMk := tbl.Float(r, "mean_mk_s")
+		mk[key] = meanMk
+		if tbl.Float(r, "fail") != 0 {
 			t.Errorf("%s: failed jobs in a healthy run", key)
 		}
-		if num(t, r[meanMk]) <= 0 {
+		if meanMk <= 0 {
 			t.Errorf("%s: non-positive makespan", key)
 		}
 		// The critical-path partition means crit_s can never exceed the
 		// makespan it decomposes.
-		if c := num(t, r[critS]); c > num(t, r[meanMk])+1e-9 {
-			t.Errorf("%s: critical path %.3f exceeds makespan %.3f", key, c, num(t, r[meanMk]))
+		if c := tbl.Float(r, "crit_s"); c > meanMk+1e-9 {
+			t.Errorf("%s: critical path %.3f exceeds makespan %.3f", key, c, meanMk)
 		}
 		// The serial chain has no off-path nodes, so no slack.
-		if r[shape] == "narrow" {
-			if v := num(t, r[slack]); v != 0 {
-				t.Errorf("narrow/%s: non-zero slack %.3f on a chain", r[placement], v)
-			}
+		if v := tbl.Float(r, "slack_s"); tbl.Text(r, "shape") == "narrow" && v != 0 {
+			t.Errorf("%s: non-zero slack %g on a chain", key, v)
 		}
 	}
 	// The headline claim: on the wide fork-join, upward-rank placement

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"offload/internal/core"
 	"offload/internal/model"
 	"offload/internal/rng"
@@ -106,24 +104,6 @@ func scaleDeadlines(mix []workload.WeightedTemplate, factor float64) []workload.
 	}
 	return out
 }
-
-// pct formats a fraction as a percentage string.
-func pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
-
-// usd formats dollars with enough precision for micro-bills.
-func usd(v float64) string {
-	switch {
-	case v == 0:
-		return "$0"
-	case v < 0.001:
-		return fmt.Sprintf("$%.2e", v)
-	default:
-		return fmt.Sprintf("$%.4f", v)
-	}
-}
-
-// seconds formats a duration in seconds.
-func seconds(v float64) string { return fmt.Sprintf("%.3gs", v) }
 
 // newSeedSource derives a seed stream for replicated cells.
 func newSeedSource(base uint64) *rng.Source { return rng.New(base) }

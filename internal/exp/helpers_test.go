@@ -8,26 +8,6 @@ import (
 	"offload/internal/workload"
 )
 
-func TestFormattingHelpers(t *testing.T) {
-	tests := []struct {
-		got, want string
-	}{
-		{pct(0.123), "12.3%"},
-		{pct(0), "0.0%"},
-		{usd(0), "$0"},
-		{usd(0.0005), "$5.00e-04"},
-		{usd(1.5), "$1.5000"},
-		{seconds(12.345), "12.3s"},
-		{fmtMilliJ(500), "500mJ"},
-		{fmtMilliJ(2500), "2.5J"},
-	}
-	for _, tt := range tests {
-		if tt.got != tt.want {
-			t.Errorf("formatted %q, want %q", tt.got, tt.want)
-		}
-	}
-}
-
 func TestScaleDeadlines(t *testing.T) {
 	mix, err := workload.Mix(callgraph.TemplateNames()...)
 	if err != nil {

@@ -23,7 +23,7 @@ func fakeExperiment(id string, seq int) Experiment {
 		Seq: seq,
 		Run: func(s Scale) ([]*metrics.Table, error) {
 			tbl := metrics.NewTable(id, "seed")
-			tbl.AddRow(fmt.Sprintf("%d", s.Seed))
+			tbl.Add(s.Seed)
 			return []*metrics.Table{tbl}, nil
 		},
 	}

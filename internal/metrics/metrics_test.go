@@ -162,8 +162,8 @@ func TestSummaryMatchesNaiveComputation(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tbl := NewTable("E1: policies", "policy", "mean_s", "cost_usd")
-	tbl.AddRow("local", "12.5", "0")
-	tbl.AddRowf("cloud", 3.25, 0.000125)
+	tbl.Add("local", "12.5", "0")
+	tbl.Add("cloud", 3.25, 0.000125)
 	out := tbl.String()
 	if !strings.Contains(out, "== E1: policies ==") {
 		t.Error("missing title")
@@ -182,7 +182,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestTableCSV(t *testing.T) {
 	tbl := NewTable("t", "a", "b")
-	tbl.AddRow("x,y", `say "hi"`)
+	tbl.Add("x,y", `say "hi"`)
 	csv := tbl.CSV()
 	want := "a,b\n\"x,y\",\"say \"\"hi\"\"\"\n"
 	if csv != want {
@@ -192,7 +192,7 @@ func TestTableCSV(t *testing.T) {
 
 func TestTableShortRowPadded(t *testing.T) {
 	tbl := NewTable("t", "a", "b", "c")
-	tbl.AddRow("only")
+	tbl.Add("only")
 	if !strings.Contains(tbl.CSV(), "only,,") {
 		t.Fatalf("short row not padded: %q", tbl.CSV())
 	}
@@ -205,5 +205,5 @@ func TestTableOverlongRowPanics(t *testing.T) {
 			t.Fatal("overlong row did not panic")
 		}
 	}()
-	tbl.AddRow("1", "2")
+	tbl.Add("1", "2")
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -15,12 +16,9 @@ import (
 type TimeSeries struct {
 	name string
 	cols []string
-	rows []tsRow
-}
-
-type tsRow struct {
-	t    float64
-	vals []float64
+	// data holds every sample back to back: its time, then one value
+	// per column.
+	data []float64
 }
 
 // NewTimeSeries returns an empty series with the given name and column set.
@@ -32,7 +30,10 @@ func NewTimeSeries(name string, cols ...string) *TimeSeries {
 func (ts *TimeSeries) Name() string { return ts.name }
 
 // Len returns the number of recorded samples.
-func (ts *TimeSeries) Len() int { return len(ts.rows) }
+func (ts *TimeSeries) Len() int { return len(ts.data) / ts.stride() }
+
+// stride is the number of floats one sample occupies.
+func (ts *TimeSeries) stride() int { return len(ts.cols) + 1 }
 
 // Record appends one sample at time t. The number of values must match the
 // column set; a mismatch is a programming error and panics.
@@ -40,14 +41,20 @@ func (ts *TimeSeries) Record(t float64, vals ...float64) {
 	if len(vals) != len(ts.cols) {
 		panic(fmt.Sprintf("metrics: series %q got %d values for %d columns", ts.name, len(vals), len(ts.cols)))
 	}
-	row := tsRow{t: t, vals: make([]float64, len(vals))}
-	copy(row.vals, vals)
-	ts.rows = append(ts.rows, row)
+	if cap(ts.data)-len(ts.data) < ts.stride() {
+		// Double rather than take append's 1.25x growth for large
+		// slices, which would copy a long series about four times over.
+		ts.data = slices.Grow(ts.data, len(ts.data)+ts.stride())
+	}
+	ts.data = append(append(ts.data, t), vals...)
 }
 
-// Row returns the time and values of sample i.
+// Row returns the time and values of sample i; vals is a view of the
+// series' storage.
 func (ts *TimeSeries) Row(i int) (t float64, vals []float64) {
-	return ts.rows[i].t, ts.rows[i].vals
+	n := ts.stride()
+	row := ts.data[i*n : (i+1)*n : (i+1)*n]
+	return row[0], row[1:]
 }
 
 // WriteCSV writes the series with a time_s,<columns...> header, rows
@@ -61,9 +68,10 @@ func (ts *TimeSeries) WriteCSV(w io.Writer) error {
 		b.WriteString(csvCell(c))
 	}
 	b.WriteByte('\n')
-	for _, r := range ts.rows {
-		b.WriteString(FormatFloat(r.t))
-		for _, v := range r.vals {
+	for i := 0; i < ts.Len(); i++ {
+		t, vals := ts.Row(i)
+		b.WriteString(FormatFloat(t))
+		for _, v := range vals {
 			b.WriteByte(',')
 			b.WriteString(FormatFloat(v))
 		}
@@ -76,14 +84,15 @@ func (ts *TimeSeries) WriteCSV(w io.Writer) error {
 // a leading "time_s", streamed through a buffered writer.
 func (ts *TimeSeries) WriteJSONL(w io.Writer) error {
 	b := bufio.NewWriter(w)
-	for _, r := range ts.rows {
+	for i := 0; i < ts.Len(); i++ {
+		t, vals := ts.Row(i)
 		b.WriteString(`{"time_s":`)
-		b.WriteString(FormatFloat(r.t))
-		for i, c := range ts.cols {
+		b.WriteString(FormatFloat(t))
+		for j, c := range ts.cols {
 			b.WriteByte(',')
 			b.WriteString(strconv.Quote(c))
 			b.WriteByte(':')
-			b.WriteString(FormatFloat(r.vals[i]))
+			b.WriteString(FormatFloat(vals[j]))
 		}
 		b.WriteString("}\n")
 	}

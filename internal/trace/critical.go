@@ -356,23 +356,19 @@ func (a *Attribution) Table() *metrics.Table {
 		title += " · run=" + a.Run
 	}
 	t := metrics.NewTable(title,
-		"group", "phase", "mean_s", "share", "share_p50", "share_p95", "share_p99")
+		"group", "phase", "mean_s", "share", "share_p50", "share_p95", "share_p99").
+		Kinds(metrics.Auto, metrics.Auto, metrics.Auto, metrics.Percent, metrics.Percent, metrics.Percent, metrics.Percent)
 	for _, g := range a.Groups {
 		for _, phase := range Phases {
 			ps := g.Phase[phase]
 			if ps.MeanS == 0 && ps.ShareP95 == 0 && ps.ShareP99 == 0 {
 				continue
 			}
-			t.AddRow(g.Name, phase,
-				fmt.Sprintf("%.4g", ps.MeanS),
-				sharePct(ps.ShareMean), sharePct(ps.ShareP50),
-				sharePct(ps.ShareP95), sharePct(ps.ShareP99))
+			t.Add(g.Name, phase, ps.MeanS, ps.ShareMean, ps.ShareP50, ps.ShareP95, ps.ShareP99)
 		}
 	}
 	return t
 }
-
-func sharePct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
 
 // Waste accounts for simulated time and money spent on attempts that did
 // not produce their task's result: losing hedges, retried failures,
@@ -429,15 +425,15 @@ func ComputeWaste(set *SpanSet) Waste {
 // Table renders the waste accounting.
 func (w Waste) Table() *metrics.Table {
 	t := metrics.NewTable("retry/hedge waste accounting", "metric", "value")
-	t.AddRowf("attempts", w.Attempts)
-	t.AddRowf("losing attempts", w.Losing)
-	t.AddRowf("retries", w.Retries)
-	t.AddRowf("timeouts", w.Timeouts)
-	t.AddRowf("hedges launched", w.Hedges)
-	t.AddRowf("hedges lost", w.LostHedges)
-	t.AddRowf("lost simulated seconds", fmt.Sprintf("%.4g", w.LostSeconds))
-	t.AddRowf("lost spend (USD)", fmt.Sprintf("%.6g", w.LostUSD))
-	t.AddRowf("attempt spend (USD)", fmt.Sprintf("%.6g", w.AttemptUSD))
-	t.AddRowf("task spend (USD)", fmt.Sprintf("%.6g", w.TaskUSD))
+	t.Add("attempts", w.Attempts)
+	t.Add("losing attempts", w.Losing)
+	t.Add("retries", w.Retries)
+	t.Add("timeouts", w.Timeouts)
+	t.Add("hedges launched", w.Hedges)
+	t.Add("hedges lost", w.LostHedges)
+	t.Add("lost simulated seconds", w.LostSeconds)
+	t.Add("lost spend (USD)", fmt.Sprintf("%.6g", w.LostUSD))
+	t.Add("attempt spend (USD)", fmt.Sprintf("%.6g", w.AttemptUSD))
+	t.Add("task spend (USD)", fmt.Sprintf("%.6g", w.TaskUSD))
 	return t
 }
